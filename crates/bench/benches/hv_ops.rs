@@ -1,5 +1,5 @@
 //! Substrate microbenchmarks: the MAP operations the whole system is
-//! built on, including the packed-vs-naive ablation from `DESIGN.md` §4.1.
+//! built on, including the packed-vs-naive ablation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hypervec::{HvRng, IntHv};

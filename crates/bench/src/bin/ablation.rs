@@ -1,5 +1,5 @@
-//! Ablations of the design choices called out in `DESIGN.md` §4 —
-//! everything that is a *choice* in this reproduction, measured.
+//! Ablations of the design choices — everything that is a *choice* in
+//! this reproduction, measured.
 //!
 //! 1. `sign(0)` tie-break policy: does the attack care?
 //! 2. Divide-and-conquer candidate restriction: guess-count halving.

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use hdc_model::HdcModel;
 use hdc_serve::demo::{self, DemoSpec};
-use hdc_serve::{loadgen, protocol, server, LoadgenConfig, RegistryServeConfig};
+use hdc_serve::{loadgen, protocol, server, CoreKind, LoadgenConfig, RegistryServeConfig};
 use hdc_store::{KeySegment, ModelRegistry, ModelSnapshot, RekeySource};
 
 struct Options {
@@ -194,8 +194,16 @@ fn main() {
         ..Default::default()
     };
     let (report, swaps) = std::thread::scope(|s| {
-        let server_thread =
-            s.spawn(|| server::serve_registry(listener, &registry, &serve_config, &shutdown));
+        let server_thread = s.spawn(|| {
+            server::serve_registry_with_core_metrics(
+                CoreKind::default(),
+                listener,
+                &registry,
+                &serve_config,
+                &shutdown,
+                None,
+            )
+        });
         let load = s.spawn(|| {
             loadgen::run(addr, spec.n_features, spec.m_levels, &load_config).expect("loadgen")
         });

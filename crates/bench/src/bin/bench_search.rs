@@ -53,8 +53,10 @@ use std::time::Instant;
 use hdc_model::{infer, ClassMemory, Encoder as _, ModelKind};
 use hdc_serve::demo::{demo_model, DemoSpec};
 use hdc_serve::{
-    loadgen, protocol, server, wire, BatchConfig, CoreKind, FanInConfig, LoadgenConfig, WireMode,
+    loadgen, protocol, server, wire, BatchConfig, CoreKind, FanInConfig, LoadgenConfig,
+    RegistryServeConfig, WireMode,
 };
+use hdc_store::{ModelRegistry, ModelSnapshot};
 use hypervec::{kernel, BinaryHv, HvRng, IntHv, ProbeConfig, ShardedClassMemory};
 
 struct Options {
@@ -747,10 +749,26 @@ fn main() {
     let spec = DemoSpec::default();
     let model = demo_model(&spec);
     let session = model.session();
+    // A fixed model is served as a one-generation registry.
+    let registry = ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(&model), None)
+        .expect("demo snapshot is self-consistent");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let shutdown = AtomicBool::new(false);
     let batch_config = BatchConfig::default();
+    let serve = |core: CoreKind,
+                 listener: TcpListener,
+                 batch: BatchConfig,
+                 shutdown: &AtomicBool,
+                 metrics: Option<&hdc_serve::ServeMetrics>| {
+        let config = RegistryServeConfig {
+            batch,
+            ..RegistryServeConfig::default()
+        };
+        server::serve_registry_with_core_metrics(
+            core, listener, &registry, &config, shutdown, metrics,
+        )
+    };
     let load_config = LoadgenConfig {
         connections: opts.connections,
         requests_per_connection: opts.requests,
@@ -769,7 +787,8 @@ fn main() {
         ("binary_pipelined", WireMode::Binary, WIRE_PIPELINE),
     ];
     let (wire_reports, wire_bit_identical) = std::thread::scope(|s| {
-        let server_thread = s.spawn(|| server::serve(listener, &session, &batch_config, &shutdown));
+        let server_thread =
+            s.spawn(|| serve(CoreKind::default(), listener, batch_config, &shutdown, None));
         let reports: Vec<(&str, hdc_serve::LoadReport)> = wire_modes
             .iter()
             .map(|&(name, wire_mode, pipeline)| {
@@ -859,15 +878,8 @@ fn main() {
         let addr = listener.local_addr().expect("local addr");
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let server_thread = s.spawn(|| {
-                server::serve_with_core(
-                    CoreKind::Threaded,
-                    listener,
-                    &session,
-                    &batch_config,
-                    &shutdown,
-                )
-            });
+            let server_thread =
+                s.spawn(|| serve(CoreKind::Threaded, listener, batch_config, &shutdown, None));
             let report = loadgen::run(
                 addr,
                 session.n_features(),
@@ -913,7 +925,7 @@ fn main() {
         };
         std::thread::scope(|s| {
             let server_thread =
-                s.spawn(|| server::serve(listener, &session, &fan_batch, &shutdown));
+                s.spawn(|| serve(CoreKind::default(), listener, fan_batch, &shutdown, None));
             let report =
                 loadgen::run_fan_in(addr, session.n_features(), session.m_levels(), &fan_config)
                     .expect("fan-in load generation");
@@ -952,11 +964,10 @@ fn main() {
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|s| {
             let server_thread = s.spawn(|| {
-                server::serve_with_core_metrics(
+                serve(
                     CoreKind::default(),
                     listener,
-                    &session,
-                    &batch_config,
+                    batch_config,
                     &shutdown,
                     metrics,
                 )

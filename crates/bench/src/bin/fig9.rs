@@ -47,7 +47,7 @@ fn main() {
         );
     }
 
-    // Ablation called out in DESIGN.md: overlapping derive with
+    // Ablation: overlapping derive with
     // accumulate would hide the overhead entirely at these widths.
     let overlap_cfg = cfg.with_overlap(true);
     let base = simulate_encode(&cfg, 784, 1).total_cycles as f64;

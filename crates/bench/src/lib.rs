@@ -1,7 +1,6 @@
 //! # hdlock-bench — experiment harness for the HDLock reproduction
 //!
-//! One binary per paper table/figure (see `DESIGN.md` §3 for the
-//! experiment index):
+//! One binary per paper table/figure:
 //!
 //! | binary  | reproduces |
 //! |---------|------------|

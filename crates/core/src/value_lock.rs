@@ -14,8 +14,8 @@
 //!   The pool looks random, but rotation destroys the inter-level
 //!   correlation, so Eq. 1b breaks and encoding quality collapses.
 //!
-//! [`analyze_value_locking`] quantifies both horns; the tests (and the
-//! `DESIGN.md` ablation index) pin the dilemma down numerically.
+//! [`analyze_value_locking`] quantifies both horns; the tests pin the
+//! dilemma down numerically.
 
 use hypervec::{BinaryHv, HvRng, LevelHvs};
 

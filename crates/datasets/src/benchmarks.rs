@@ -1,9 +1,10 @@
 //! The five benchmarks of the HDLock evaluation (paper Sec. 5).
 //!
 //! Each benchmark keeps the feature count, class count and value range
-//! of the original dataset; the samples themselves are synthesized (see
-//! `DESIGN.md` §2 for why this substitution preserves every claim under
-//! test). Feature/class dimensions follow the sizes commonly reported
+//! of the original dataset; the samples themselves are synthesized,
+//! which preserves every claim under test because the attack and the
+//! lock act on the encoder, whose shape those counts and ranges fix.
+//! Feature/class dimensions follow the sizes commonly reported
 //! for these datasets in the HDC literature the paper builds on
 //! (QuantHD/SearcHD).
 

@@ -2,9 +2,9 @@
 //!
 //! The HDLock paper evaluates on MNIST, UCIHAR, FACE, ISOLET and PAMAP.
 //! This crate provides deterministic **synthetic stand-ins** with the
-//! same feature counts, class counts and value ranges (see `DESIGN.md`
-//! §2 for the substitution argument), plus the plumbing an HDC pipeline
-//! needs: min–max [`Discretizer`] quantization into `M` levels,
+//! same feature counts, class counts and value ranges (the claims under
+//! test depend on those, not on the samples), plus the plumbing an HDC
+//! pipeline needs: min–max [`Discretizer`] quantization into `M` levels,
 //! stratified splits, summary statistics and a CSV loader so real data
 //! can be dropped in unchanged.
 //!

@@ -1,8 +1,10 @@
 //! Synthetic classification-task generator.
 //!
-//! Stand-in for the paper's real benchmarks (see `DESIGN.md` §2): each
-//! class gets a random prototype in `[0,1]^N`; samples are the prototype
-//! plus Gaussian noise, clipped back to `[0,1]`. The resulting task has
+//! Stand-in for the paper's real benchmarks, whose claims depend on a
+//! task's feature count, class count and value range rather than on its
+//! particular samples. Each class gets a random prototype in `[0,1]^N`;
+//! samples are the prototype plus Gaussian noise, clipped back to
+//! `[0,1]`. The resulting task has
 //! the same feature count, class count and value range as the original
 //! dataset, is learnable by an HDC model to accuracies in the paper's
 //! band, and is fully deterministic given a seed.

@@ -4,7 +4,10 @@
 //! row), so the cost is one `fetch_add` amortized over thousands of
 //! row dot products. The serving stack's metrics plane reads these to
 //! report how many class-memory rows the kernels have scanned, split
-//! by similarity domain (binary Hamming vs integer dot).
+//! by similarity domain (binary Hamming vs integer dot). A scan that
+//! reads only a prefix of each row (the coarse pass of pruned top-k)
+//! counts in full-row equivalents, so the counters follow the work
+//! actually done.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -331,6 +331,7 @@ impl ShardedClassMemory {
                     .into_iter()
                     .map(|(_, row)| (self.row_hamming(kern, q_words, row), row))
                     .collect();
+                crate::stats::record_hamming_rows(exact.len() as u64);
                 exact.sort_unstable();
                 exact.truncate(kept);
                 exact
@@ -461,6 +462,7 @@ impl ShardedClassMemory {
                         (Desc(self.int_score_of_dot(row, dot, q_norms[q])), row)
                     })
                     .collect();
+                crate::stats::record_dot_rows(exact.len() as u64);
                 exact.sort_unstable();
                 exact.truncate(kept);
                 exact
@@ -490,6 +492,10 @@ impl ShardedClassMemory {
     /// pruned scan (shorter prefixes, strided row reads). Returns one
     /// entry per worker shard: per-query candidate lists sorted best
     /// first by `(distance, row)`.
+    ///
+    /// The pass ticks [`crate::stats`] in full-row equivalents: a
+    /// prefix of `probe_words` of a row's `words_per_row` words counts
+    /// as that fraction of a row, so the counter tracks the probe width.
     fn coarse_candidates(
         &self,
         kern: &Kernel,
@@ -499,7 +505,7 @@ impl ShardedClassMemory {
     ) -> Vec<Vec<Vec<(u32, usize)>>> {
         let words_per_row = self.words_per_row();
         let nq = queries.len();
-        par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
+        let shards = par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
             let mut heaps: Vec<BoundedTopK<(u32, usize)>> =
                 (0..nq).map(|_| BoundedTopK::new(keep)).collect();
             let mut dist = vec![0u32; nq * TOPK_ROW_TILE];
@@ -544,7 +550,13 @@ impl ShardedClassMemory {
                 tile_start = tile_end;
             }
             vec![heaps.into_iter().map(BoundedTopK::into_sorted).collect()]
-        })
+        });
+        crate::stats::record_hamming_rows(row_equivalents(
+            nq * self.n_rows(),
+            probe_words,
+            words_per_row,
+        ));
+        shards
     }
 
     /// Row-sharded bounded-heap scan over the blocked integer planes,
@@ -561,6 +573,9 @@ impl ShardedClassMemory {
     /// exact score; narrower prefixes run the i16-saturating quantized
     /// sidecar with a saturating-narrowed query — the approximate pass
     /// whose recall `probe_factor` buys back.
+    ///
+    /// Like the binary pass, it ticks [`crate::stats`] in full-row
+    /// equivalents (`probe_dims` of `D` dims is that fraction of a row).
     fn int_coarse_candidates(
         &self,
         kern: &Kernel,
@@ -592,7 +607,7 @@ impl ShardedClassMemory {
                 }
             })
             .collect();
-        par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
+        let shards = par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
             let mut heaps: Vec<BoundedTopK<(Desc, usize)>> =
                 (0..nq).map(|_| BoundedTopK::new(keep)).collect();
             let mut dots = vec![0i64; nq * TOPK_ROW_TILE];
@@ -634,8 +649,17 @@ impl ShardedClassMemory {
                 tile_start = tile_end;
             }
             vec![heaps.into_iter().map(BoundedTopK::into_sorted).collect()]
-        })
+        });
+        crate::stats::record_dot_rows(row_equivalents(nq * self.n_rows(), probe_dims, self.dim()));
+        shards
     }
+}
+
+/// Full-row equivalents of a pass that reads the leading `probe` of
+/// each row's `width` units (words or dims) from `rows` rows.
+fn row_equivalents(rows: usize, probe: usize, width: usize) -> u64 {
+    let width = width.max(1);
+    (rows as u128 * probe.min(width) as u128 / width as u128) as u64
 }
 
 #[cfg(test)]
@@ -689,6 +713,47 @@ mod tests {
             // Top-1 agrees with the argmax kernel.
             assert_eq!(matches[0].row, full.best(q));
         }
+    }
+
+    #[test]
+    fn topk_scans_tick_the_kernel_row_counters() {
+        // Counters are process-wide and tests run in parallel, so only
+        // a lower bound is checkable: an exact scan touches every row
+        // once per query; a pruned scan counts its coarse prefix as
+        // that fraction of a row, plus each rescored candidate.
+        let dim = 200;
+        let mut rng = HvRng::from_seed(29);
+        let bins: Vec<BinaryHv> = (0..45).map(|_| rng.binary_hv(dim)).collect();
+        let ints: Vec<IntHv> = bins.iter().map(BinaryHv::to_int).collect();
+        let mut mem = ShardedClassMemory::from_rows(&bins).unwrap();
+        mem.set_int_rows(&ints).unwrap();
+        let queries: Vec<BinaryHv> = (0..3).map(|_| rng.binary_hv(dim)).collect();
+        let refs: Vec<&BinaryHv> = queries.iter().collect();
+        let int_queries: Vec<IntHv> = queries.iter().map(BinaryHv::to_int).collect();
+        let int_refs: Vec<&IntHv> = int_queries.iter().collect();
+        let scanned = queries.len() * bins.len();
+        let probe = ProbeConfig {
+            probe_words: 1,
+            probe_factor: 2,
+            exact_threshold: 0,
+        };
+        let rescored = (queries.len() * 10) as u64;
+        assert_eq!(row_equivalents(scanned, 1, 4), 33);
+        assert_eq!(row_equivalents(scanned, 64, dim), 43);
+
+        let before = crate::stats::hamming_rows();
+        mem.search_topk_binary(&refs, 5).unwrap();
+        assert!(crate::stats::hamming_rows() >= before + scanned as u64);
+        let before = crate::stats::hamming_rows();
+        mem.search_topk_binary_pruned(&refs, 5, &probe).unwrap();
+        assert!(crate::stats::hamming_rows() >= before + 33 + rescored);
+
+        let before = crate::stats::dot_rows();
+        mem.search_topk_int(&int_refs, 5).unwrap();
+        assert!(crate::stats::dot_rows() >= before + scanned as u64);
+        let before = crate::stats::dot_rows();
+        mem.search_topk_int_pruned(&int_refs, 5, &probe).unwrap();
+        assert!(crate::stats::dot_rows() >= before + 43 + rescored);
     }
 
     #[test]

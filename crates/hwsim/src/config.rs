@@ -37,7 +37,7 @@ pub struct HwConfig {
     /// Whether deriving feature `i+1`'s hypervector may overlap the
     /// accumulation of feature `i`. The paper's measured latencies
     /// correspond to the non-overlapped design (`false`); the overlapped
-    /// variant is the ablation discussed in `DESIGN.md`.
+    /// variant is the ablation the `fig9` binary reports.
     pub overlap_derive: bool,
 }
 

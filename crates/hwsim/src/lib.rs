@@ -12,8 +12,7 @@
 //! derived in a wide XOR bind array, and the accumulate/adder-tree path
 //! streams at its own width ([`encode_sim::simulate_encode`]). Default
 //! widths are calibrated so the simulated overhead matches the measured
-//! curve; see [`HwConfig`] for the calibration argument and
-//! `DESIGN.md` §2 for the substitution rationale.
+//! curve; see [`HwConfig`] for the calibration argument.
 //!
 //! ## Example
 //!

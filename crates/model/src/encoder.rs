@@ -24,8 +24,9 @@ use hypervec::{
 ///
 /// Implementations must be deterministic: the same input row always
 /// produces the same output. (`sign(0)` ties in the binary output are
-/// broken towards +1; see `DESIGN.md` §4.2 — for odd feature counts no
-/// tie can occur, and the attack experiments hold under either policy.)
+/// broken towards +1 — for odd feature counts no tie can occur, and the
+/// attack experiments hold under either policy, as the `ablation`
+/// binary measures.)
 pub trait Encoder {
     /// Number of input features `N`.
     fn n_features(&self) -> usize;

@@ -24,6 +24,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hdc_model::ClassifySession;
+use hdc_store::{Generation, ServingSession};
 use hypervec::ProbeConfig;
 
 use crate::epoll::Waker;
@@ -247,7 +248,7 @@ impl Job {
 
 /// Shared FIFO with batch-aware popping and shutdown draining.
 #[derive(Debug, Default)]
-pub struct BatchQueue {
+pub(crate) struct BatchQueue {
     inner: Mutex<VecDeque<Job>>,
     cv: Condvar,
     closed: AtomicBool,
@@ -316,42 +317,23 @@ impl BatchQueue {
     }
 }
 
-/// Worker loop: pop batches, run one fused session call per batch,
-/// deliver per-job results. Returns once the queue is closed and
-/// drained; `served` counts completed classifications. Generic over the
-/// session shape ([`ClassifySession`]), so the same loop serves a
-/// borrowed single-model session and a registry generation.
-pub fn worker_loop<S: ClassifySession>(
-    queue: &BatchQueue,
-    session: &S,
-    config: &BatchConfig,
-    served: &AtomicU64,
-    metrics: Option<&ServeMetrics>,
-) {
-    while let Some(batch) = queue.next_batch(config) {
-        run_batch(session, config, batch, served, None, metrics);
-    }
-}
-
-/// Executes one popped batch against `session`: search jobs run as
-/// fused `search_topk_batch` calls, classify rows (single and bulk,
-/// fused together) as one `scores_batch`/`classify_batch` call.
+/// Executes one popped batch against registry generation
+/// `generation`: search jobs run as fused `search_topk_batch` calls,
+/// classify rows (single and bulk, fused together) as one
+/// `scores_batch`/`classify_batch` call.
 ///
-/// `generation` is `Some(id)` when a registry generation is serving:
-/// every row is then re-validated against the session this batch
-/// actually runs on, and rows that no longer fit (a shape-changing hot
-/// swap raced the queue) are answered with a per-request error instead
-/// of being dropped. A fixed session (`None`) cannot change shape, so
-/// no re-validation happens and results stay bit-identical to the
-/// pre-registry server.
-pub fn run_batch<S: ClassifySession>(
-    session: &S,
+/// Every row is re-validated against the session this batch actually
+/// runs on: rows that no longer fit (a shape-changing hot swap raced
+/// the queue) are answered with a per-request error instead of being
+/// dropped.
+pub(crate) fn run_batch(
+    generation: &Generation,
     config: &BatchConfig,
     batch: Vec<Job>,
     served: &AtomicU64,
-    generation: Option<u64>,
     metrics: Option<&ServeMetrics>,
 ) {
+    let session = generation.session();
     if let Some(m) = metrics {
         m.batch_size.record(batch.len() as u64);
         let popped = Instant::now();
@@ -380,27 +362,27 @@ pub fn run_batch<S: ClassifySession>(
     // here — misfit bulk rows are rejected slot-by-slot in place so the
     // response stays positional.
     let mut results: Vec<Option<JobResult>> = vec![None; classify.len()];
-    if let Some(generation_id) = generation {
-        let misfit = || {
-            format!(
-                "model swapped mid-flight: row no longer fits generation {} \
-                 (N = {}, M = {})",
-                generation_id, n_features, m_levels
-            )
-        };
-        for (i, job) in classify.iter_mut().enumerate() {
-            match &mut job.kind {
-                JobKind::Single { levels, .. } => {
-                    if !fits(levels) {
-                        results[i] = Some(JobResult::Rejected(misfit()));
-                    }
+    let misfit = || {
+        format!(
+            "model swapped mid-flight: row no longer fits generation {} \
+             (N = {}, M = {})",
+            generation.id(),
+            n_features,
+            m_levels
+        )
+    };
+    for (i, job) in classify.iter_mut().enumerate() {
+        match &mut job.kind {
+            JobKind::Single { levels, .. } => {
+                if !fits(levels) {
+                    results[i] = Some(JobResult::Rejected(misfit()));
                 }
-                JobKind::Bulk { slots, .. } => {
-                    for slot in slots.iter_mut() {
-                        if let BulkSlot::Row(row) = slot {
-                            if !fits(row) {
-                                *slot = BulkSlot::Rejected(misfit());
-                            }
+            }
+            JobKind::Bulk { slots, .. } => {
+                for slot in slots.iter_mut() {
+                    if let BulkSlot::Row(row) = slot {
+                        if !fits(row) {
+                            *slot = BulkSlot::Rejected(misfit());
                         }
                     }
                 }
@@ -513,8 +495,8 @@ pub fn run_batch<S: ClassifySession>(
 /// (a registry hot swap raced them) are rejected per-request, the rest
 /// run as one fused `search_topk_batch` per distinct `k` (in practice a
 /// batch almost always carries one `k`, so this is one call).
-pub fn run_search_jobs<S: ClassifySession>(
-    session: &S,
+fn run_search_jobs(
+    session: &ServingSession,
     config: &BatchConfig,
     jobs: Vec<Job>,
     served: &AtomicU64,

@@ -57,19 +57,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use hdc_model::ClassifySession;
 use hdc_store::ModelRegistry;
 
-use crate::batcher::{
-    worker_loop, BatchConfig, BatchQueue, CompletionSink, Delivery, Job, JobKind,
-};
+use crate::batcher::{BatchQueue, CompletionSink, Delivery, Job, JobKind};
 use crate::epoll::{raise_nofile_limit, PollEvent, Poller, Waker, EV_READ, EV_WRITE};
 use crate::metrics::{elapsed_us, ServeMetrics};
 use crate::protocol;
 use crate::server::{
-    dispatch_incoming, incoming_from_json, next_frame_step, registry_worker_loop,
-    render_completion, render_error, ConnOutbox, CoreStats, FrameStep, Incoming, InflightSet,
-    RegistryBrain, RegistryCtx, RegistryServeConfig, RequestBrain, ServeStats, SessionBrain,
+    dispatch_incoming, incoming_from_json, next_frame_step, render_completion, render_error,
+    worker_loop, ConnOutbox, CoreStats, FrameStep, Incoming, InflightSet, RegistryBrain,
+    RegistryCtx, RegistryServeConfig, ServeStats,
 };
 use crate::wire::{self, WireMode};
 
@@ -117,10 +114,10 @@ struct LoopEnv<'l, 'env> {
 }
 
 /// One multiplexed connection's state machine.
-struct Conn<B> {
+struct Conn<'env> {
     stream: TcpStream,
     fd: i32,
-    brain: B,
+    brain: RegistryBrain<'env>,
     /// `None` until the first byte negotiates the wire format.
     mode: Option<WireMode>,
     /// Binary-mode read accumulator (frames split anywhere).
@@ -147,8 +144,13 @@ struct Conn<B> {
     accepted_at: Option<Instant>,
 }
 
-impl<B> Conn<B> {
-    fn new(stream: TcpStream, fd: i32, brain: B, accepted_at: Option<Instant>) -> Self {
+impl<'env> Conn<'env> {
+    fn new(
+        stream: TcpStream,
+        fd: i32,
+        brain: RegistryBrain<'env>,
+        accepted_at: Option<Instant>,
+    ) -> Self {
         Conn {
             stream,
             fd,
@@ -247,8 +249,8 @@ impl<'env> ConnOutbox<'env> for EventOutbox<'_, 'env> {
 
 /// Runs the shared dispatcher for one parsed request against this
 /// connection. Returns `false` on a fatal fault (stop reading).
-fn dispatch_on<'env, B: RequestBrain<'env>>(
-    conn: &mut Conn<B>,
+fn dispatch_on<'env>(
+    conn: &mut Conn<'env>,
     token: u64,
     env: &LoopEnv<'_, 'env>,
     incoming: Incoming,
@@ -270,12 +272,7 @@ fn dispatch_on<'env, B: RequestBrain<'env>>(
 }
 
 /// Feeds freshly read bytes through the binary frame accumulator.
-fn feed_binary<'env, B: RequestBrain<'env>>(
-    conn: &mut Conn<B>,
-    token: u64,
-    env: &LoopEnv<'_, 'env>,
-    bytes: &[u8],
-) {
+fn feed_binary<'env>(conn: &mut Conn<'env>, token: u64, env: &LoopEnv<'_, 'env>, bytes: &[u8]) {
     conn.frames.extend(bytes);
     loop {
         match next_frame_step(&mut conn.frames) {
@@ -300,12 +297,7 @@ fn feed_binary<'env, B: RequestBrain<'env>>(
 }
 
 /// Feeds freshly read bytes through the JSON line accumulator.
-fn feed_json<'env, B: RequestBrain<'env>>(
-    conn: &mut Conn<B>,
-    token: u64,
-    env: &LoopEnv<'_, 'env>,
-    bytes: &[u8],
-) {
+fn feed_json<'env>(conn: &mut Conn<'env>, token: u64, env: &LoopEnv<'_, 'env>, bytes: &[u8]) {
     conn.line.extend_from_slice(bytes);
     loop {
         let Some(pos) = conn.line.iter().position(|&b| b == b'\n') else {
@@ -343,8 +335,8 @@ fn feed_json<'env, B: RequestBrain<'env>>(
 
 /// Pulls up to [`READ_ROUNDS`] chunks off a readable connection and
 /// dispatches whatever complete requests they contain.
-fn handle_readable<'env, B: RequestBrain<'env>>(
-    conn: &mut Conn<B>,
+fn handle_readable<'env>(
+    conn: &mut Conn<'env>,
     token: u64,
     env: &LoopEnv<'_, 'env>,
     buf: &mut [u8],
@@ -393,7 +385,7 @@ fn handle_readable<'env, B: RequestBrain<'env>>(
 }
 
 /// Writes as much pending output as the socket accepts right now.
-fn flush_out<B>(conn: &mut Conn<B>) {
+fn flush_out(conn: &mut Conn<'_>) {
     while conn.out_pos < conn.out.len() {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
             Ok(0) => {
@@ -419,7 +411,7 @@ fn flush_out<B>(conn: &mut Conn<B>) {
 }
 
 /// Applies one worker/admin completion to its connection.
-fn apply_delivery<B>(conn: &mut Conn<B>, delivery: Delivery) {
+fn apply_delivery(conn: &mut Conn<'_>, delivery: Delivery) {
     match delivery {
         Delivery::Done(done) => {
             conn.inflight.remove(&done.id);
@@ -442,8 +434,8 @@ fn apply_delivery<B>(conn: &mut Conn<B>, delivery: Delivery) {
 /// Flushes, re-arms interest (with read-pause hysteresis between the
 /// watermarks), and decides whether the connection is finished.
 /// Returns `true` when the connection must be removed.
-fn settle<B>(
-    conn: &mut Conn<B>,
+fn settle(
+    conn: &mut Conn<'_>,
     poller: &Poller,
     token: u64,
     metrics: Option<&ServeMetrics>,
@@ -510,19 +502,15 @@ fn reject_connection(stream: &TcpStream, draining: bool, max_connections: usize)
     let _ = (&*stream).write_all(line.as_bytes());
 }
 
-/// The loop itself, generic over the brain factory (one brain per
-/// connection). Returns the number of accepted connections.
-fn run_event_loop<'env, B, F>(
+/// The loop itself; every accepted connection gets its own brain over
+/// `ctx`. Returns the number of accepted connections.
+fn run_event_loop<'env>(
     listener: &TcpListener,
-    make_brain: F,
+    ctx: &'env RegistryCtx<'env>,
     env: &LoopEnv<'_, 'env>,
     done_rx: &mpsc::Receiver<(u64, Delivery)>,
     shutdown: &AtomicBool,
-) -> io::Result<u64>
-where
-    B: RequestBrain<'env>,
-    F: Fn() -> B,
-{
+) -> io::Result<u64> {
     listener.set_nonblocking(true)?;
     // Best-effort headroom for the sockets themselves plus pipes,
     // listener and whatever the process already holds.
@@ -532,7 +520,7 @@ where
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, EV_READ)?;
     poller.add(env.waker.read_fd(), TOKEN_WAKER, EV_READ)?;
 
-    let mut conns: HashMap<u64, Conn<B>> = HashMap::new();
+    let mut conns: HashMap<u64, Conn<'env>> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut accepted = 0u64;
     let mut events: Vec<PollEvent> = Vec::new();
@@ -587,7 +575,8 @@ where
                             accepted += 1;
                             env.stats.enter_connection();
                             let accepted_at = env.stats.metrics.map(|_| Instant::now());
-                            conns.insert(token, Conn::new(stream, fd, make_brain(), accepted_at));
+                            let brain = RegistryBrain::new(ctx);
+                            conns.insert(token, Conn::new(stream, fd, brain, accepted_at));
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         // Transient accept failures (EMFILE, aborted
@@ -660,86 +649,15 @@ fn admin_executor<'env>(
     }
 }
 
-/// [`crate::serve`] on the epoll core: serves one fixed session until
-/// `shutdown` is raised. See [`crate::server::serve`] for the protocol
-/// contract — the cores are byte-identical.
+/// [`crate::serve_registry_with_core_metrics`] on the epoll core:
+/// serves a [`ModelRegistry`] until `shutdown` is raised. See there for
+/// the protocol contract and the trust-boundary notes.
 ///
 /// # Errors
 ///
 /// Propagates listener/poller configuration errors; per-connection I/O
 /// errors only terminate that connection.
-pub fn serve<S: ClassifySession>(
-    listener: TcpListener,
-    session: &S,
-    config: &BatchConfig,
-    shutdown: &AtomicBool,
-    metrics: Option<&ServeMetrics>,
-) -> io::Result<ServeStats> {
-    let queue = BatchQueue::new();
-    let stats = CoreStats::new(metrics);
-    let served = AtomicU64::new(0);
-
-    let connections = std::thread::scope(|scope| -> io::Result<u64> {
-        let waker = Arc::new(Waker::new()?);
-        let (done_tx, done_rx) = mpsc::channel::<(u64, Delivery)>();
-        let (admin_tx, admin_rx) = mpsc::channel::<AdminTask<'_>>();
-        let workers: Vec<_> = (0..config.workers.max(1))
-            .map(|_| scope.spawn(|| worker_loop(&queue, session, config, &served, metrics)))
-            .collect();
-        let admin_worker = scope.spawn({
-            let done_tx = done_tx.clone();
-            let waker = Arc::clone(&waker);
-            move || admin_executor(admin_rx, done_tx, waker)
-        });
-        let env = LoopEnv {
-            queue: &queue,
-            window: config.pipeline_window.max(1),
-            max_connections: config.max_connections.max(1),
-            done_tx,
-            admin_tx,
-            waker,
-            stats: &stats,
-        };
-        let outcome = run_event_loop(
-            &listener,
-            || SessionBrain {
-                session,
-                metrics: stats.metrics,
-            },
-            &env,
-            &done_rx,
-            shutdown,
-        );
-        // Dropping the env drops the admin sender, letting the executor
-        // exit; the queue closes after so workers drain the backlog.
-        drop(env);
-        let _ = admin_worker.join();
-        queue.close();
-        for w in workers {
-            let _ = w.join();
-        }
-        outcome
-    })?;
-
-    Ok(ServeStats {
-        requests: stats.requests.load(Ordering::Relaxed),
-        classified: served.load(Ordering::Relaxed),
-        connections,
-        throttled: stats.throttled.load(Ordering::Relaxed),
-    })
-}
-
-/// [`crate::serve_registry`] on the epoll core: serves a
-/// [`ModelRegistry`] until `shutdown` is raised, honoring admin
-/// requests (including streamed snapshot transfers) and admission
-/// control. See [`crate::server::serve_registry`] for the protocol
-/// contract and the trust-boundary notes.
-///
-/// # Errors
-///
-/// Propagates listener/poller configuration errors; per-connection I/O
-/// errors only terminate that connection.
-pub fn serve_registry(
+pub(crate) fn serve_registry(
     listener: TcpListener,
     registry: &ModelRegistry,
     config: &RegistryServeConfig,
@@ -760,11 +678,7 @@ pub fn serve_registry(
         let (done_tx, done_rx) = mpsc::channel::<(u64, Delivery)>();
         let (admin_tx, admin_rx) = mpsc::channel::<AdminTask<'_>>();
         let workers: Vec<_> = (0..config.batch.workers.max(1))
-            .map(|_| {
-                scope.spawn(|| {
-                    registry_worker_loop(&queue, registry, &config.batch, &served, metrics)
-                })
-            })
+            .map(|_| scope.spawn(|| worker_loop(&queue, registry, &config.batch, &served, metrics)))
             .collect();
         let admin_worker = scope.spawn({
             let done_tx = done_tx.clone();
@@ -780,13 +694,9 @@ pub fn serve_registry(
             waker,
             stats: &stats,
         };
-        let outcome = run_event_loop(
-            &listener,
-            || RegistryBrain::new(&ctx),
-            &env,
-            &done_rx,
-            shutdown,
-        );
+        let outcome = run_event_loop(&listener, &ctx, &env, &done_rx, shutdown);
+        // Dropping the env drops the admin sender, letting the executor
+        // exit; the queue closes after so workers drain the backlog.
         drop(env);
         let _ = admin_worker.join();
         queue.close();

@@ -28,9 +28,9 @@
 //!   a pipeline: up to `pipeline_window` in-flight requests, answered
 //!   out of order as batch workers finish (clients match responses by
 //!   id); a full window is answered with a structured *overload*
-//!   error. [`server::serve`] drives one fixed session;
-//!   [`server::serve_registry`] drives a
-//!   [`ModelRegistry`](hdc_store::ModelRegistry), so snapshots can be
+//!   error. [`serve_registry_with_core_metrics`] is the one entry
+//!   point: it serves a [`ModelRegistry`](hdc_store::ModelRegistry)
+//!   (a fixed model is a one-generation registry), so snapshots can be
 //!   hot-reloaded (including streamed over the wire in chunks),
 //!   locked models re-keyed *behind* the running server — in-flight
 //!   traffic finishes on the generation its batch grabbed, and the
@@ -55,11 +55,10 @@
 //!
 //! Request *policy* — wire negotiation, frame/line parsing decisions,
 //! validation, admission metering, the pipeline window, bulk
-//! preparation, admin routing — lives once, in [`server`], behind two
-//! small traits (`server::RequestBrain` for what a request *means*,
-//! `server::ConnOutbox` for where its effects *land*). Two
-//! connection cores plug into that seam and are byte-for-byte
-//! identical on the wire:
+//! preparation, admin routing — lives once, in [`server`], behind one
+//! small trait (`server::ConnOutbox`, for where a request's effects
+//! *land*). Two connection cores plug into that seam and are
+//! byte-for-byte identical on the wire:
 //!
 //! ```text
 //!              ┌──────────────────── policy (server.rs) ───────────────────┐
@@ -86,22 +85,20 @@
 //! concurrent connections on one thread and is the default there; the
 //! threaded core ([`threaded`]) spends two threads per connection,
 //! works everywhere `std::net` does, and doubles as the differential
-//! baseline the event core is pinned against in tests. Pick explicitly
-//! with [`serve_with_core`] / [`serve_registry_with_core`] and
-//! [`CoreKind`].
+//! baseline the event core is pinned against in tests. The [`CoreKind`]
+//! argument of [`serve_registry_with_core_metrics`] picks one.
 //!
 //! ## Observability
 //!
 //! The telemetry plane ([`metrics`]) is strictly opt-in: pass
-//! `Some(&ServeMetrics)` to [`serve_with_core_metrics`] /
-//! [`serve_registry_with_core_metrics`] and every stage of every
-//! request records into lock-free counters, gauges and log-scaled
-//! histograms (the zero-dependency `hdc_obs` crate); pass `None` and
-//! no clock is read anywhere — responses are byte-identical either way
-//! (pinned by a differential test) and the measured cost of turning
-//! telemetry on is within the 3% `ci/bench_gates.json` gate
-//! (`serving.telemetry.on_vs_off ≥ 0.97` on binary pipelined
-//! classify).
+//! `Some(&ServeMetrics)` to [`serve_registry_with_core_metrics`] and
+//! every stage of every request records into lock-free counters,
+//! gauges and log-scaled histograms (the zero-dependency `hdc_obs`
+//! crate); pass `None` and no clock is read anywhere — responses are
+//! byte-identical either way (pinned by a differential test) and the
+//! measured cost of turning telemetry on is within the 3%
+//! `ci/bench_gates.json` gate (`serving.telemetry.on_vs_off ≥ 0.97` on
+//! binary pipelined classify).
 //!
 //! The series catalog, by plane:
 //!
@@ -155,7 +152,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hdc_serve::{demo, loadgen, server, BatchConfig, LoadgenConfig};
+//! use hdc_serve::{demo, loadgen, server, CoreKind, LoadgenConfig, RegistryServeConfig};
+//! use hdc_store::{ModelRegistry, ModelSnapshot};
 //! use std::net::TcpListener;
 //! use std::sync::atomic::{AtomicBool, Ordering};
 //!
@@ -164,14 +162,23 @@
 //!     train_size: 64,
 //!     ..Default::default()
 //! });
-//! let session = model.session();
+//! // A fixed model is served as a one-generation registry.
+//! let registry = ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(&model), None)
+//!     .expect("snapshot is self-consistent");
 //! let listener = TcpListener::bind("127.0.0.1:0")?;
 //! let addr = listener.local_addr()?;
 //! let shutdown = AtomicBool::new(false);
 //!
 //! std::thread::scope(|s| -> std::io::Result<()> {
 //!     let server = s.spawn(|| {
-//!         server::serve(listener, &session, &BatchConfig::default(), &shutdown)
+//!         server::serve_registry_with_core_metrics(
+//!             CoreKind::default(),
+//!             listener,
+//!             &registry,
+//!             &RegistryServeConfig::default(),
+//!             &shutdown,
+//!             None,
+//!         )
 //!     });
 //!     let report = loadgen::run(addr, 16, 8, &LoadgenConfig {
 //!         connections: 2,
@@ -187,8 +194,8 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! See `examples/hot_reload.rs` for the registry-backed variant
-//! (snapshot reload, live rekey, admission budgets).
+//! See `examples/hot_reload.rs` for snapshot reload, live rekey and
+//! admission budgets.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -207,27 +214,48 @@ pub mod threaded;
 pub mod wire;
 
 pub use admission::{AdmissionConfig, ConnectionAdmission, ThrottleReason};
-pub use batcher::{BatchConfig, BatchQueue};
+pub use batcher::BatchConfig;
 pub use loadgen::{FanInConfig, LoadReport, LoadgenConfig};
 pub use metrics::{serve_scrapes, ServeMetrics, SwapKind};
 pub use protocol::{
     AdminRequest, ClassifyRequest, ClassifyResponse, SearchMatch, ServerInfo, StatsReport, SwapInfo,
 };
-pub use server::{
-    serve, serve_registry, serve_registry_with_core, serve_registry_with_core_metrics,
-    serve_with_core, serve_with_core_metrics, CoreKind, RegistryServeConfig, ServeStats,
-};
+pub use server::{serve_registry_with_core_metrics, CoreKind, RegistryServeConfig, ServeStats};
 pub use wire::WireMode;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hdc_model::{HdcModel, RecordEncoder};
     use hdc_store::{KeySegment, ModelRegistry, ModelSnapshot, RekeySource};
     use hdlock::{EncodingKey, LockedEncoder};
     use hypervec::HvRng;
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Boots `model` as a one-generation registry: how a fixed model is
+    /// served.
+    fn fixed_registry(model: &HdcModel<RecordEncoder>) -> ModelRegistry {
+        ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(model), None).unwrap()
+    }
+
+    /// Serves `registry` on the platform-default core, telemetry off.
+    fn serve_default_core(
+        listener: TcpListener,
+        registry: &ModelRegistry,
+        config: &RegistryServeConfig,
+        shutdown: &AtomicBool,
+    ) -> std::io::Result<ServeStats> {
+        serve_registry_with_core_metrics(
+            CoreKind::default(),
+            listener,
+            registry,
+            config,
+            shutdown,
+            None,
+        )
+    }
 
     /// Blocking line-oriented test client.
     struct Client {
@@ -264,12 +292,20 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &BatchConfig::default(), &shutdown));
+            let server = s.spawn(|| {
+                serve_default_core(
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
+            });
 
             let mut client = Client::connect(addr);
 
@@ -299,7 +335,7 @@ mod tests {
             assert!(resp.error.unwrap().contains("out of range"));
 
             // Info reports the model shape and the active kernel backend;
-            // a non-registry server is always generation 0.
+            // a fixed model is served as generation 1 of its snapshot.
             let resp = client.roundtrip(&protocol::info_request_line(9));
             assert_eq!(resp.id, 9);
             let info = resp.info.unwrap();
@@ -308,12 +344,13 @@ mod tests {
             assert_eq!(info.features, session.n_features());
             assert_eq!(info.levels, session.m_levels());
             assert_eq!(info.classes, session.n_classes());
-            assert_eq!(info.generation, 0);
-            assert_eq!(info.checksum, protocol::checksum_hex(0));
+            assert_eq!(info.generation, 1);
+            let checksum = ModelSnapshot::from_standard_model(&model).checksum();
+            assert_eq!(info.checksum, protocol::checksum_hex(checksum));
 
-            // Admin requests need the registry server.
+            // Admin requests are answered.
             let resp = client.roundtrip(&protocol::stats_request_line(10));
-            assert!(resp.error.unwrap().contains("registry"));
+            assert_eq!(resp.stats.unwrap().generation, 1);
 
             // Malformed JSON does not kill the connection.
             let resp = client.roundtrip("{oops\n");
@@ -346,18 +383,22 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
-        let config = BatchConfig {
-            max_batch: 8,
-            max_wait: std::time::Duration::from_micros(200),
-            workers: 2,
-            ..BatchConfig::default()
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                max_batch: 8,
+                max_wait: std::time::Duration::from_micros(200),
+                workers: 2,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
         };
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
             let report = loadgen::run(
                 addr,
                 session.n_features(),
@@ -404,7 +445,7 @@ mod tests {
         };
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve_registry(listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
 
             let mut greedy = Client::connect(addr);
             let mut honest = Client::connect(addr);
@@ -481,7 +522,7 @@ mod tests {
 
         let old_generation = registry.current();
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve_registry(listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
 
             // Closed-loop load in the background…
             let load = s.spawn(|| {
@@ -590,7 +631,7 @@ mod tests {
         let config = RegistryServeConfig::default();
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve_registry(listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
             let mut client = Client::connect(addr);
 
             let info = client
@@ -693,12 +734,20 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &BatchConfig::default(), &shutdown));
+            let server = s.spawn(|| {
+                serve_default_core(
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
+            });
 
             let mut json = Client::connect(addr);
             let mut bin = BinClient::connect(addr);
@@ -752,12 +801,20 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &BatchConfig::default(), &shutdown));
+            let server = s.spawn(|| {
+                serve_default_core(
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
+            });
 
             let mut json = Client::connect(addr);
             let mut bin = BinClient::connect(addr);
@@ -836,12 +893,20 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &BatchConfig::default(), &shutdown));
+            let server = s.spawn(|| {
+                serve_default_core(
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
+            });
 
             // Hand-rolled pipelined burst: 16 frames written back to
             // back, then 16 completions collected in whatever order
@@ -902,21 +967,25 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
         // A slow batch window keeps enqueued jobs in flight long
         // enough for the sibling/reuse assertions to be deterministic.
-        let config = BatchConfig {
-            max_batch: 64,
-            max_wait: std::time::Duration::from_millis(30),
-            workers: 1,
-            ..BatchConfig::default()
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                max_batch: 64,
+                max_wait: std::time::Duration::from_millis(30),
+                workers: 1,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
         };
         let levels: Vec<u16> = (0..16).map(|f| (f % 8) as u16).collect();
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
             let mut neighbor = Client::connect(addr);
 
             // One burst: valid (id 1) · unknown opcode (id 2) · wrong
@@ -1011,21 +1080,24 @@ mod tests {
             train_size: 128,
             ..Default::default()
         });
-        let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
-        let config = BatchConfig {
-            max_batch: 64,
-            max_wait: std::time::Duration::from_millis(40),
-            workers: 1,
-            pipeline_window: 2,
-            ..BatchConfig::default()
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                max_batch: 64,
+                max_wait: std::time::Duration::from_millis(40),
+                workers: 1,
+                pipeline_window: 2,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
         };
         let levels: Vec<u16> = (0..16).map(|f| (f % 8) as u16).collect();
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
 
             // Binary: 4 pipelined sends into a window of 2 — two
             // overload errors, two eventual completions.
@@ -1084,18 +1156,22 @@ mod tests {
             ..Default::default()
         });
         let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
         // A tiny window keeps the backlog cap (window + slack) small
         // relative to the flood, so the pause path actually engages.
-        let config = BatchConfig {
-            pipeline_window: 4,
-            ..BatchConfig::default()
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                pipeline_window: 4,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
         };
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve(listener, &session, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
 
             // 2000 malformed lines, written without reading anything:
             // each produces an inline error response the pipeline
@@ -1164,7 +1240,7 @@ mod tests {
         };
 
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve_registry(listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
 
             let mut bin = BinClient::connect(addr);
             // Admission is applied on the read side in request order:
@@ -1216,7 +1292,7 @@ mod tests {
             train_size: 128,
             ..Default::default()
         });
-        let session = model.session();
+        let registry = fixed_registry(&model);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
@@ -1225,11 +1301,11 @@ mod tests {
 
         std::thread::scope(|s| {
             let server = s.spawn(|| {
-                serve_with_core_metrics(
+                serve_registry_with_core_metrics(
                     core,
                     listener,
-                    &session,
-                    &BatchConfig::default(),
+                    &registry,
+                    &RegistryServeConfig::default(),
                     &shutdown,
                     metrics,
                 )
@@ -1319,7 +1395,7 @@ mod tests {
         }
     }
 
-    /// The registry server exposes the metrics plane three ways: the
+    /// The server exposes the metrics plane three ways: the
     /// `{"metrics":true}` admin request (one JSON line), the Prometheus
     /// scrape listener, and the extended stats report — and a
     /// metrics-off server answers the admin request with a structured
@@ -1436,7 +1512,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let server = s.spawn(|| serve_registry(listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
             let mut client = Client::connect(addr);
             let resp = client.roundtrip(&protocol::metrics_request_line(1));
             assert!(resp.error.unwrap().contains("not enabled"));

@@ -327,7 +327,7 @@ impl ServeMetrics {
 
     /// The `{"metrics":true}` admin response: one JSON line with the
     /// per-wire request counts, stage percentile summaries, admission
-    /// and swap counters, and (when registry-backed) generation/vault
+    /// and swap counters, and (when `registry` is given) generation/vault
     /// identity.
     #[must_use]
     pub fn render_json(&self, id: u64, registry: Option<&ModelRegistry>) -> String {

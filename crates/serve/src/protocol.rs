@@ -25,11 +25,11 @@
 //! row id), with their exact similarity scores.
 //!
 //! The `info` request reports the serving model's shape, the active
-//! SIMD kernel backend, and — on a registry-backed server — the active
-//! model **generation id** and snapshot **checksum**, so clients can
-//! detect a hot swap from the wire.
+//! SIMD kernel backend, and the active model **generation id** and
+//! snapshot **checksum**, so clients can detect a hot swap from the
+//! wire.
 //!
-//! ## Admin requests (registry server)
+//! ## Admin requests
 //!
 //! ```text
 //! → {"id":5,"stats":true}
@@ -69,8 +69,7 @@
 
 use serde_json::Value;
 
-/// An administrative operation carried by a request line (only honored
-/// by the registry-backed server).
+/// An administrative operation carried by a request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminRequest {
     /// Hot-reload a snapshot file (plus optional sealed key segment).
@@ -152,10 +151,9 @@ pub struct ServerInfo {
     pub levels: usize,
     /// Class count `C`.
     pub classes: usize,
-    /// Active model generation (0 on a non-registry server).
+    /// Active model generation (a server boots on generation 1).
     pub generation: u64,
-    /// Active snapshot checksum, 16 hex digits (all zeros on a
-    /// non-registry server).
+    /// Active snapshot checksum, 16 hex digits.
     pub checksum: String,
     /// Whether the serving model runs in constant-time hardened mode.
     pub hardened: bool,

@@ -3,7 +3,9 @@
 //! This module holds everything about answering a request that does
 //! *not* depend on how sockets are driven: validation, admission,
 //! pipeline windowing, admin handling, bulk-frame preparation and
-//! response rendering. Two interchangeable connection cores consume it:
+//! response rendering. Every server serves a [`ModelRegistry`]; a
+//! fixed model is served as a one-generation registry. Two
+//! interchangeable connection cores consume the policy:
 //!
 //! * [`crate::event_loop`] (Linux, the default) — one nonblocking
 //!   epoll-driven thread multiplexes every connection; scales to tens
@@ -12,16 +14,13 @@
 //!   connection; portable, and the differential baseline the event
 //!   core is pinned against.
 //!
-//! The seam between policy and core is two small traits:
-//! `RequestBrain` (what the server flavor — fixed session vs.
-//! registry — decides per request) and `ConnOutbox` (what the core
-//! provides per connection: a write path, the in-flight set, the job
-//! queue). `dispatch_incoming` composes them, so both cores answer
-//! every request byte-for-byte identically.
+//! The seam between policy and core is the `ConnOutbox` trait (what the
+//! core provides per connection: a write path, the in-flight set, the
+//! job queue). `dispatch_incoming` runs one request's policy against
+//! it, so both cores answer every request byte-for-byte identically.
 //!
-//! [`serve`] and [`serve_registry`] pick the platform default core;
-//! [`serve_with_core`] / [`serve_registry_with_core`] pin one
-//! explicitly (tests pin both and diff the bytes).
+//! [`serve_registry_with_core_metrics`] is the one entry point; it takes
+//! the core explicitly (tests pin both and diff the bytes).
 
 use std::collections::HashSet;
 use std::net::TcpListener;
@@ -53,8 +52,7 @@ pub struct ServeStats {
     pub classified: u64,
     /// Connections accepted.
     pub connections: u64,
-    /// Requests rejected by admission control (always 0 for the
-    /// non-registry [`serve`]).
+    /// Requests rejected by admission control.
     pub throttled: u64,
 }
 
@@ -113,7 +111,7 @@ impl<'m> CoreStats<'m> {
     }
 }
 
-/// Configuration of the registry-backed server.
+/// Configuration of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegistryServeConfig {
     /// Batching queue, worker-pool and pipeline-window parameters.
@@ -145,7 +143,7 @@ impl Default for CoreKind {
 }
 
 // ---------------------------------------------------------------------
-// Per-request policy (shared by both server flavors and both cores)
+// Per-request policy (shared by both cores)
 // ---------------------------------------------------------------------
 
 /// How an admin request is executed.
@@ -163,90 +161,24 @@ pub(crate) enum AdminOutcome<'env> {
     Offload(Box<dyn FnOnce() -> String + Send + 'env>),
 }
 
-/// What a connection needs from its server flavor to answer requests:
-/// the model shape, per-row validation, admission and admin handling.
-/// The connection machinery (sniffing, framing, pipelining, writes) is
-/// the core's business and identical for both flavors.
-pub(crate) trait RequestBrain<'env> {
-    /// Shape/runtime facts for an `info` response.
-    fn server_info(&mut self) -> protocol::ServerInfo;
-    /// Row validation against the currently served model; `Some` is the
-    /// rejection message.
-    fn validate_levels(&mut self, levels: &[u16]) -> Option<String>;
-    /// Admission check; `Err` is the throttle message.
-    fn admit(&mut self, levels: &[u16]) -> Result<(), String>;
-    /// Executes one admin operation (admin is deliberately JSON-only;
-    /// binary connections cannot express it).
-    fn admin(&mut self, id: u64, admin: protocol::AdminRequest) -> AdminOutcome<'env>;
-}
-
-/// Brain of the fixed-session server.
-pub(crate) struct SessionBrain<'a, S: ClassifySession> {
-    pub(crate) session: &'a S,
-    /// Lets the fixed-session server answer `{"metrics":true}` when the
-    /// telemetry plane is on (every other admin request still needs a
-    /// registry).
-    pub(crate) metrics: Option<&'a ServeMetrics>,
-}
-
-impl<'a, S: ClassifySession> RequestBrain<'a> for SessionBrain<'a, S> {
-    fn server_info(&mut self) -> protocol::ServerInfo {
-        protocol::ServerInfo {
-            backend: self.session.kernel_backend().to_owned(),
-            dim: self.session.dim(),
-            features: self.session.n_features(),
-            levels: self.session.m_levels(),
-            classes: self.session.n_classes(),
-            generation: 0,
-            checksum: protocol::checksum_hex(0),
-            hardened: self.session.hardened(),
-        }
-    }
-
-    fn validate_levels(&mut self, levels: &[u16]) -> Option<String> {
-        validate_against(levels, self.session)
-    }
-
-    fn admit(&mut self, _levels: &[u16]) -> Result<(), String> {
-        Ok(())
-    }
-
-    fn admin(&mut self, id: u64, admin: protocol::AdminRequest) -> AdminOutcome<'a> {
-        if let (protocol::AdminRequest::Metrics, Some(m)) = (&admin, self.metrics) {
-            return AdminOutcome::Done(m.render_json(id, None));
-        }
-        AdminOutcome::Done(protocol::error_response(
-            id,
-            "admin requests need a registry-backed server",
-        ))
-    }
-}
-
-/// Shared context of the registry server's connection handlers.
+/// Shared context of the server's connection handlers.
 pub(crate) struct RegistryCtx<'a> {
     pub(crate) registry: &'a ModelRegistry,
     pub(crate) admission: &'a AdmissionConfig,
     pub(crate) stats: &'a CoreStats<'a>,
 }
 
-/// Brain of the registry-backed server: one admission state (and at
-/// most one in-progress snapshot transfer) per connection, every check
-/// against the *current* generation.
-pub(crate) struct RegistryBrain<'a, 'ctx> {
-    ctx: &'ctx RegistryCtx<'a>,
+/// What a connection needs to answer requests: the model shape,
+/// per-row validation, admission and admin handling — one admission
+/// state (and at most one in-progress snapshot transfer) per
+/// connection, every check against the *current* generation. The
+/// connection machinery (sniffing, framing, pipelining, writes) is the
+/// core's business.
+pub(crate) struct RegistryBrain<'env> {
+    ctx: &'env RegistryCtx<'env>,
     admission: ConnectionAdmission,
     /// The connection's in-progress streamed snapshot transfer, if any.
     stage: Option<SnapshotStage>,
-}
-
-impl<'a, 'ctx> RegistryBrain<'a, 'ctx> {
-    pub(crate) fn new(ctx: &'ctx RegistryCtx<'a>) -> Self {
-        RegistryBrain {
-            ctx,
-            admission: ConnectionAdmission::new(ctx.admission),
-            stage: None,
-        }
-    }
 }
 
 /// Renders a generation swap (or its failure) as the response line.
@@ -284,8 +216,17 @@ fn finish_swap(
     render_swap(id, verb, result)
 }
 
-impl<'a: 'ctx, 'ctx> RequestBrain<'ctx> for RegistryBrain<'a, 'ctx> {
-    fn server_info(&mut self) -> protocol::ServerInfo {
+impl<'env> RegistryBrain<'env> {
+    pub(crate) fn new(ctx: &'env RegistryCtx<'env>) -> Self {
+        RegistryBrain {
+            ctx,
+            admission: ConnectionAdmission::new(ctx.admission),
+            stage: None,
+        }
+    }
+
+    /// Shape/runtime facts for an `info` response.
+    fn server_info(&self) -> protocol::ServerInfo {
         let generation = self.ctx.registry.current();
         let session = generation.session();
         protocol::ServerInfo {
@@ -300,11 +241,14 @@ impl<'a: 'ctx, 'ctx> RequestBrain<'ctx> for RegistryBrain<'a, 'ctx> {
         }
     }
 
-    fn validate_levels(&mut self, levels: &[u16]) -> Option<String> {
+    /// Row validation against the currently served model; `Some` is the
+    /// rejection message.
+    fn validate_levels(&self, levels: &[u16]) -> Option<String> {
         let generation = self.ctx.registry.current();
         validate_against(levels, generation.session())
     }
 
+    /// Admission check; `Err` is the throttle message.
     fn admit(&mut self, levels: &[u16]) -> Result<(), String> {
         // The typed reason is recorded here, before stringification —
         // the only place budget/rate/sweep are still distinguishable.
@@ -316,10 +260,12 @@ impl<'a: 'ctx, 'ctx> RequestBrain<'ctx> for RegistryBrain<'a, 'ctx> {
         })
     }
 
-    fn admin(&mut self, id: u64, admin: protocol::AdminRequest) -> AdminOutcome<'ctx> {
+    /// Executes one admin operation (admin is deliberately JSON-only;
+    /// binary connections cannot express it).
+    fn admin(&mut self, id: u64, admin: protocol::AdminRequest) -> AdminOutcome<'env> {
         // Copy the context reference out so offloaded closures capture
         // it by value (they must not borrow `self`).
-        let ctx: &'ctx RegistryCtx<'a> = self.ctx;
+        let ctx: &'env RegistryCtx<'env> = self.ctx;
         let metrics = ctx.stats.metrics;
         match admin {
             protocol::AdminRequest::Stats => {
@@ -661,8 +607,8 @@ pub(crate) enum BulkPrep {
 /// burned), throttled rows in-place throttle messages. The frame-level
 /// guard rejects score requests whose response could not fit the wire's
 /// frame cap no matter what the rows contain.
-pub(crate) fn prepare_bulk<'env, B: RequestBrain<'env>>(
-    brain: &mut B,
+pub(crate) fn prepare_bulk(
+    brain: &mut RegistryBrain<'_>,
     rows: Vec<Vec<u16>>,
     want_scores: bool,
 ) -> BulkPrep {
@@ -707,11 +653,11 @@ pub(crate) fn prepare_bulk<'env, B: RequestBrain<'env>>(
 /// telemetry on the whole parse→validate→admit→enqueue turn lands in
 /// the dispatch-stage histogram. [`dispatch_inner`] does the actual
 /// policy work and is timing-free.
-pub(crate) fn dispatch_incoming<'env, B, O>(out: &mut O, brain: &mut B, incoming: Incoming) -> bool
-where
-    B: RequestBrain<'env>,
-    O: ConnOutbox<'env>,
-{
+pub(crate) fn dispatch_incoming<'env, O: ConnOutbox<'env>>(
+    out: &mut O,
+    brain: &mut RegistryBrain<'env>,
+    incoming: Incoming,
+) -> bool {
     let metrics = out.stats().metrics;
     out.stats().requests.fetch_add(1, Ordering::Relaxed);
     match out.mode() {
@@ -737,11 +683,11 @@ where
 }
 
 /// The policy body of [`dispatch_incoming`].
-fn dispatch_inner<'env, B, O>(out: &mut O, brain: &mut B, incoming: Incoming) -> bool
-where
-    B: RequestBrain<'env>,
-    O: ConnOutbox<'env>,
-{
+fn dispatch_inner<'env, O: ConnOutbox<'env>>(
+    out: &mut O,
+    brain: &mut RegistryBrain<'env>,
+    incoming: Incoming,
+) -> bool {
     match incoming {
         Incoming::Info { id } => {
             let info = brain.server_info();
@@ -897,14 +843,14 @@ pub(crate) fn next_frame_step(frames: &mut wire::FrameBuffer) -> FrameStep {
 }
 
 // ---------------------------------------------------------------------
-// Shared registry worker loop
+// Batch worker loop
 // ---------------------------------------------------------------------
 
-/// Registry batch worker: every batch runs against the generation
-/// current at pop time; rows that no longer fit that generation (a
-/// shape-changing swap raced them) are answered with per-request
-/// errors, never dropped.
-pub(crate) fn registry_worker_loop(
+/// Batch worker: every batch runs against the generation current at
+/// pop time; rows that no longer fit that generation (a shape-changing
+/// swap raced them) are answered with per-request errors, never
+/// dropped.
+pub(crate) fn worker_loop(
     queue: &BatchQueue,
     registry: &ModelRegistry,
     config: &BatchConfig,
@@ -912,99 +858,32 @@ pub(crate) fn registry_worker_loop(
     metrics: Option<&ServeMetrics>,
 ) {
     while let Some(batch) = queue.next_batch(config) {
-        let generation = registry.current();
-        run_batch(
-            generation.session(),
-            config,
-            batch,
-            served,
-            Some(generation.id()),
-            metrics,
-        );
+        run_batch(&registry.current(), config, batch, served, metrics);
     }
 }
 
 // ---------------------------------------------------------------------
-// The front door: core selection
+// The front door
 // ---------------------------------------------------------------------
 
-/// Serves classify traffic for one fixed session on `listener` until
-/// `shutdown` is raised, on the platform-default core ([`CoreKind`]).
+/// Serves classify traffic from a [`ModelRegistry`] on `listener` until
+/// `shutdown` is raised, on the connection core `core`
+/// (`CoreKind::default()` picks the platform's), honoring admin
+/// requests and enforcing per-connection admission control.
+///
+/// A fixed model is served as a one-generation registry:
+/// `ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(&model), None)`
+/// answers bit-identically to the model's own session (see the crate
+/// quickstart).
 ///
 /// Every connection speaks either the line-JSON protocol ([`protocol`])
 /// or the binary frame protocol ([`wire`]), negotiated by first-byte
-/// sniffing; requests from all connections funnel into one
-/// [`BatchQueue`] and are answered by `config.workers` fused batch
-/// calls, pipelined up to `config.pipeline_window` deep per connection.
-///
-/// # Errors
-///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
-pub fn serve<S: ClassifySession>(
-    listener: TcpListener,
-    session: &S,
-    config: &BatchConfig,
-    shutdown: &AtomicBool,
-) -> std::io::Result<ServeStats> {
-    serve_with_core(CoreKind::default(), listener, session, config, shutdown)
-}
-
-/// [`serve`], pinned to an explicit connection core.
-///
-/// # Errors
-///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
-pub fn serve_with_core<S: ClassifySession>(
-    core: CoreKind,
-    listener: TcpListener,
-    session: &S,
-    config: &BatchConfig,
-    shutdown: &AtomicBool,
-) -> std::io::Result<ServeStats> {
-    serve_with_core_metrics(core, listener, session, config, shutdown, None)
-}
-
-/// [`serve_with_core`] with the telemetry plane attached: every stage
-/// of every request records into `metrics` (see [`ServeMetrics`]).
-/// `None` is exactly [`serve_with_core`] — no clock reads, responses
-/// byte-identical.
-///
-/// # Errors
-///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
-pub fn serve_with_core_metrics<S: ClassifySession>(
-    core: CoreKind,
-    listener: TcpListener,
-    session: &S,
-    config: &BatchConfig,
-    shutdown: &AtomicBool,
-    metrics: Option<&ServeMetrics>,
-) -> std::io::Result<ServeStats> {
-    match core {
-        CoreKind::Threaded => crate::threaded::serve(listener, session, config, shutdown, metrics),
-        CoreKind::Event => {
-            #[cfg(target_os = "linux")]
-            {
-                crate::event_loop::serve(listener, session, config, shutdown, metrics)
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                crate::threaded::serve(listener, session, config, shutdown, metrics)
-            }
-        }
-    }
-}
-
-/// Serves classify traffic from a [`ModelRegistry`] on `listener` until
-/// `shutdown` is raised, honoring admin requests and enforcing
-/// per-connection admission control, on the platform-default core.
-/// Connections are multiplexed exactly like [`serve`]'s: JSON or binary
-/// by first-byte sniffing, pipelined up to
-/// `config.batch.pipeline_window` in-flight requests, admission
-/// metering every classify request identically in both formats.
+/// sniffing; requests from all connections funnel into one batch
+/// queue ([`batcher`](crate::batcher)) and are answered by
+/// `config.batch.workers` fused batch calls, pipelined up to
+/// `config.batch.pipeline_window` in-flight requests per connection,
+/// admission metering every classify request identically in both
+/// formats.
 ///
 /// Hot swaps are wait-free for traffic: a reload/rekey builds the new
 /// generation entirely off the serving path, batches in flight finish
@@ -1012,6 +891,13 @@ pub fn serve_with_core_metrics<S: ClassifySession>(
 /// one. Snapshots too big for one request body stream in over the wire
 /// (`{"xfer":…}` — see [`protocol`]) into a checksummed staging file
 /// and commit through the same reload path.
+///
+/// `metrics` attaches the telemetry plane: request stages, admission
+/// refusals by reason, generation swaps and connection churn all record
+/// into it (see [`ServeMetrics`]), and `{"metrics":true}` is answered
+/// with the structured JSON catalog. With `None` no clock is read and
+/// `{"metrics":true}` is answered with a structured error; every other
+/// response is byte-identical either way.
 ///
 /// # Trust boundary
 ///
@@ -1024,41 +910,6 @@ pub fn serve_with_core_metrics<S: ClassifySession>(
 /// pool. Do not expose this listener to untrusted clients: bind it to
 /// loopback / an internal network and front it with an authenticating
 /// proxy, as you would any database admin port.
-///
-/// # Errors
-///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
-pub fn serve_registry(
-    listener: TcpListener,
-    registry: &ModelRegistry,
-    config: &RegistryServeConfig,
-    shutdown: &AtomicBool,
-) -> std::io::Result<ServeStats> {
-    serve_registry_with_core(CoreKind::default(), listener, registry, config, shutdown)
-}
-
-/// [`serve_registry`], pinned to an explicit connection core.
-///
-/// # Errors
-///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
-pub fn serve_registry_with_core(
-    core: CoreKind,
-    listener: TcpListener,
-    registry: &ModelRegistry,
-    config: &RegistryServeConfig,
-    shutdown: &AtomicBool,
-) -> std::io::Result<ServeStats> {
-    serve_registry_with_core_metrics(core, listener, registry, config, shutdown, None)
-}
-
-/// [`serve_registry_with_core`] with the telemetry plane attached:
-/// request stages, admission refusals by reason, generation swaps and
-/// connection churn all record into `metrics` (see [`ServeMetrics`]),
-/// and `{"metrics":true}` is answered with the structured JSON catalog.
-/// `None` is exactly [`serve_registry_with_core`].
 ///
 /// # Errors
 ///

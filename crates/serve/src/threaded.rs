@@ -23,7 +23,7 @@
 //! request/response clients are a degenerate pipeline of depth 1 and
 //! behave exactly as they did before multiplexing.
 //!
-//! Both servers block the calling thread until `shutdown` is raised:
+//! The server blocks the calling thread until `shutdown` is raised:
 //! connection handlers, writers and batch workers run on
 //! `std::thread::scope` threads, so the server needs no `'static` state
 //! and no external runtime. Shutdown is graceful — the accept loop
@@ -37,17 +37,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use hdc_model::ClassifySession;
 use hdc_store::ModelRegistry;
 
-use crate::batcher::{
-    worker_loop, BatchConfig, BatchQueue, CompletionSink, Delivery, Job, JobKind,
-};
+use crate::batcher::{BatchQueue, CompletionSink, Delivery, Job, JobKind};
 use crate::metrics::{elapsed_us, ServeMetrics};
 use crate::server::{
-    dispatch_incoming, incoming_from_json, next_frame_step, registry_worker_loop,
-    render_completion, ConnOutbox, CoreStats, FrameStep, InflightSet, RegistryBrain, RegistryCtx,
-    RegistryServeConfig, RequestBrain, ServeStats, SessionBrain, POLL_TICK,
+    dispatch_incoming, incoming_from_json, next_frame_step, render_completion, worker_loop,
+    ConnOutbox, CoreStats, FrameStep, InflightSet, RegistryBrain, RegistryCtx, RegistryServeConfig,
+    ServeStats, POLL_TICK,
 };
 use crate::wire::{self, WireMode};
 
@@ -231,9 +228,9 @@ fn writer_loop(
 /// this thread and the writer on a scoped sibling. Returns when the
 /// client hangs up, a fatal framing fault closes the stream, or
 /// shutdown is raised (after in-flight requests are answered).
-fn handle_connection<'env, B: RequestBrain<'env>>(
+fn handle_connection<'env>(
     stream: TcpStream,
-    mut brain: B,
+    mut brain: RegistryBrain<'env>,
     queue: &BatchQueue,
     shutdown: &AtomicBool,
     stats: &CoreStats<'env>,
@@ -310,10 +307,10 @@ fn handle_connection<'env, B: RequestBrain<'env>>(
 }
 
 /// Read loop, line-JSON flavor.
-fn read_json_loop<'env, B: RequestBrain<'env>>(
+fn read_json_loop<'env>(
     stream: &TcpStream,
     io: &mut ConnIo<'_, 'env>,
-    brain: &mut B,
+    brain: &mut RegistryBrain<'env>,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream);
@@ -365,10 +362,10 @@ fn read_json_loop<'env, B: RequestBrain<'env>>(
 /// keep the connection — and its sibling in-flight requests — alive;
 /// only an untrustworthy stream (bad magic, oversized length prefix)
 /// closes it.
-fn read_binary_loop<'env, B: RequestBrain<'env>>(
+fn read_binary_loop<'env>(
     mut stream: &TcpStream,
     io: &mut ConnIo<'_, 'env>,
-    brain: &mut B,
+    brain: &mut RegistryBrain<'env>,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     let mut frames = wire::FrameBuffer::new();
@@ -417,105 +414,20 @@ fn read_binary_loop<'env, B: RequestBrain<'env>>(
 }
 
 // ---------------------------------------------------------------------
-// The two server flavors
+// The server
 // ---------------------------------------------------------------------
 
-/// Serves classify traffic for one fixed session on `listener` until
-/// `shutdown` is raised, with one reader + one writer thread per
-/// connection. Semantics are identical to
-/// [`crate::serve`](crate::server::serve) — this entry point exists so
-/// tests and benches can pin the threaded core explicitly.
-///
-/// # Errors
-///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
-pub fn serve<S: ClassifySession>(
-    listener: TcpListener,
-    session: &S,
-    config: &BatchConfig,
-    shutdown: &AtomicBool,
-    metrics: Option<&ServeMetrics>,
-) -> std::io::Result<ServeStats> {
-    listener.set_nonblocking(true)?;
-    let queue = BatchQueue::new();
-    let stats = CoreStats::new(metrics);
-    let served = AtomicU64::new(0);
-    let mut connections = 0u64;
-
-    std::thread::scope(|scope| {
-        let worker_handles: Vec<_> = (0..config.workers.max(1))
-            .map(|_| scope.spawn(|| worker_loop(&queue, session, config, &served, metrics)))
-            .collect();
-
-        let mut handler_handles = Vec::new();
-        while !shutdown.load(Ordering::SeqCst) {
-            // Reap handlers whose connections already closed, so a
-            // long-running server does not accumulate one JoinHandle
-            // per connection it ever accepted.
-            handler_handles.retain(|h: &std::thread::ScopedJoinHandle<'_, ()>| !h.is_finished());
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    connections += 1;
-                    let queue = &queue;
-                    let stats = &stats;
-                    handler_handles.push(scope.spawn(move || {
-                        stats.enter_connection();
-                        let _ = handle_connection(
-                            stream,
-                            SessionBrain {
-                                session,
-                                metrics: stats.metrics,
-                            },
-                            queue,
-                            shutdown,
-                            stats,
-                            config.pipeline_window,
-                        );
-                        stats.leave_connection();
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                Err(_) => break,
-            }
-        }
-
-        // Graceful shutdown: stop accepting, let handlers drain their
-        // in-flight requests (readers exit within a read-timeout tick,
-        // writers once the last completion lands — the workers are
-        // still popping batches at this point), then close the queue so
-        // workers finish the backlog and exit.
-        for h in handler_handles {
-            let _ = h.join();
-        }
-        queue.close();
-        for h in worker_handles {
-            let _ = h.join();
-        }
-    });
-
-    Ok(ServeStats {
-        requests: stats.requests.load(Ordering::Relaxed),
-        classified: served.load(Ordering::Relaxed),
-        connections,
-        throttled: stats.throttled.load(Ordering::Relaxed),
-    })
-}
-
-/// Serves classify traffic from a [`ModelRegistry`] on `listener` until
-/// `shutdown` is raised, with one reader + one writer thread per
-/// connection. Semantics are identical to
-/// [`crate::serve_registry`](crate::server::serve_registry) — see its
-/// documentation, including the **trust boundary** notes on the
+/// [`crate::serve_registry_with_core_metrics`] on the threaded core:
+/// serves a [`ModelRegistry`] until `shutdown` is raised, with one
+/// reader + one writer thread per connection. See there for the
+/// protocol contract and the **trust boundary** notes on the
 /// unauthenticated admin plane.
 ///
 /// # Errors
 ///
 /// Propagates listener configuration errors; per-connection I/O errors
 /// only terminate that connection.
-pub fn serve_registry(
+pub(crate) fn serve_registry(
     listener: TcpListener,
     registry: &ModelRegistry,
     config: &RegistryServeConfig,
@@ -535,17 +447,14 @@ pub fn serve_registry(
 
     std::thread::scope(|scope| {
         let worker_handles: Vec<_> = (0..config.batch.workers.max(1))
-            .map(|_| {
-                scope.spawn(|| {
-                    registry_worker_loop(&queue, registry, &config.batch, &served, metrics)
-                })
-            })
+            .map(|_| scope.spawn(|| worker_loop(&queue, registry, &config.batch, &served, metrics)))
             .collect();
 
         let mut handler_handles = Vec::new();
         while !shutdown.load(Ordering::SeqCst) {
-            // Same handle reaping as `serve`: the registry server is
-            // the long-running default, so this matters even more here.
+            // Reap handlers whose connections already closed, so a
+            // long-running server does not accumulate one JoinHandle
+            // per connection it ever accepted.
             handler_handles.retain(|h: &std::thread::ScopedJoinHandle<'_, ()>| !h.is_finished());
             match listener.accept() {
                 Ok((stream, _peer)) => {
@@ -572,6 +481,11 @@ pub fn serve_registry(
             }
         }
 
+        // Graceful shutdown: stop accepting, let handlers drain their
+        // in-flight requests (readers exit within a read-timeout tick,
+        // writers once the last completion lands — the workers are
+        // still popping batches at this point), then close the queue so
+        // workers finish the backlog and exit.
         for h in handler_handles {
             let _ = h.join();
         }

@@ -8,12 +8,30 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use hdc_model::{HdcModel, RecordEncoder};
 use hdc_serve::demo::{self, DemoSpec};
 use hdc_serve::{
-    protocol, serve_registry_with_core, serve_with_core, wire, AdmissionConfig, BatchConfig,
-    CoreKind, RegistryServeConfig,
+    protocol, serve_registry_with_core_metrics, wire, AdmissionConfig, BatchConfig, CoreKind,
+    RegistryServeConfig, ServeStats,
 };
-use hdc_store::ModelSnapshot;
+use hdc_store::{ModelRegistry, ModelSnapshot};
+
+/// Boots `model` as a one-generation registry: how a fixed model is
+/// served.
+fn fixed_registry(model: &HdcModel<RecordEncoder>) -> ModelRegistry {
+    ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(model), None).unwrap()
+}
+
+/// Serves `registry` on `core`, telemetry off.
+fn serve_on(
+    core: CoreKind,
+    listener: TcpListener,
+    registry: &ModelRegistry,
+    config: &RegistryServeConfig,
+    shutdown: &AtomicBool,
+) -> std::io::Result<ServeStats> {
+    serve_registry_with_core_metrics(core, listener, registry, config, shutdown, None)
+}
 
 /// Arms the server's shutdown flag on drop, so a client-side panic
 /// inside a `thread::scope` fails the test instead of deadlocking the
@@ -215,8 +233,7 @@ fn event_core_responses_are_bit_identical_to_threaded_core() {
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
         let transcript = std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_registry_with_core(core, listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_on(core, listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
             let transcript = drive_differential_script(addr, &spec, &snap_path);
             shutdown.store(true, Ordering::SeqCst);
@@ -253,6 +270,7 @@ fn int_search_responses_are_bit_identical_across_cores() {
     };
     let model = demo::demo_nonbinary_model(&spec);
     let session = model.session();
+    let registry = fixed_registry(&model);
 
     let mut transcripts = Vec::new();
     for core in [CoreKind::Threaded, CoreKind::Event] {
@@ -261,7 +279,13 @@ fn int_search_responses_are_bit_identical_across_cores() {
         let shutdown = AtomicBool::new(false);
         let transcript = std::thread::scope(|s| {
             let server = s.spawn(|| {
-                serve_with_core(core, listener, &session, &BatchConfig::default(), &shutdown)
+                serve_on(
+                    core,
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
             });
             let _guard = ShutdownGuard(&shutdown);
 
@@ -358,17 +382,18 @@ fn bulk_classify_matches_single_frames_bit_identically() {
     };
     let model = demo::demo_model(&spec);
     let session = model.session();
+    let registry = fixed_registry(&model);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let server = s.spawn(|| {
-            serve_with_core(
+            serve_on(
                 CoreKind::default(),
                 listener,
-                &session,
-                &BatchConfig::default(),
+                &registry,
+                &RegistryServeConfig::default(),
                 &shutdown,
             )
         });
@@ -471,9 +496,8 @@ fn bulk_rows_are_admission_metered() {
     };
 
     std::thread::scope(|s| {
-        let server = s.spawn(|| {
-            serve_registry_with_core(CoreKind::default(), listener, &registry, &config, &shutdown)
-        });
+        let server =
+            s.spawn(|| serve_on(CoreKind::default(), listener, &registry, &config, &shutdown));
         let _guard = ShutdownGuard(&shutdown);
 
         let stream = TcpStream::connect(addr).unwrap();
@@ -537,9 +561,8 @@ fn streamed_snapshot_transfer_reloads_the_registry() {
     let snapshot_bytes = ModelSnapshot::from_standard_model(&replacement).to_bytes();
 
     std::thread::scope(|s| {
-        let server = s.spawn(|| {
-            serve_registry_with_core(CoreKind::default(), listener, &registry, &config, &shutdown)
-        });
+        let server =
+            s.spawn(|| serve_on(CoreKind::default(), listener, &registry, &config, &shutdown));
         let _guard = ShutdownGuard(&shutdown);
 
         let stream = TcpStream::connect(addr).unwrap();
@@ -632,17 +655,18 @@ fn frames_split_at_every_byte_boundary_still_parse() {
     };
     let model = demo::demo_model(&spec);
     let session = model.session();
+    let registry = fixed_registry(&model);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let server = s.spawn(|| {
-            serve_with_core(
+            serve_on(
                 CoreKind::default(),
                 listener,
-                &session,
-                &BatchConfig::default(),
+                &registry,
+                &RegistryServeConfig::default(),
                 &shutdown,
             )
         });
@@ -716,17 +740,18 @@ fn slow_loris_backlog_does_not_stall_siblings() {
     };
     let model = demo::demo_model(&spec);
     let session = model.session();
+    let registry = fixed_registry(&model);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let server = s.spawn(|| {
-            serve_with_core(
+            serve_on(
                 CoreKind::default(),
                 listener,
-                &session,
-                &BatchConfig::default(),
+                &registry,
+                &RegistryServeConfig::default(),
                 &shutdown,
             )
         });
@@ -803,19 +828,23 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
     };
     let model = demo::demo_model(&spec);
     let session = model.session();
+    let registry = fixed_registry(&model);
 
     // --- capacity ------------------------------------------------------
     {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
-        let config = BatchConfig {
-            max_connections: 2,
-            ..BatchConfig::default()
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                max_connections: 2,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
         };
         std::thread::scope(|s| {
-            let server = s
-                .spawn(|| serve_with_core(CoreKind::Event, listener, &session, &config, &shutdown));
+            let server =
+                s.spawn(|| serve_on(CoreKind::Event, listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
             let row = demo_row(&spec, 0);
 
@@ -858,15 +887,18 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
         let shutdown = AtomicBool::new(false);
         // A long batch window holds one request in flight so the drain
         // has something to wait for while we probe the accept path.
-        let config = BatchConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(500),
-            workers: 1,
-            ..BatchConfig::default()
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                max_batch: 64,
+                max_wait: Duration::from_millis(500),
+                workers: 1,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
         };
         std::thread::scope(|s| {
-            let server = s
-                .spawn(|| serve_with_core(CoreKind::Event, listener, &session, &config, &shutdown));
+            let server =
+                s.spawn(|| serve_on(CoreKind::Event, listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
             let row = demo_row(&spec, 0);
 
@@ -908,10 +940,10 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
-        let config = BatchConfig::default();
+        let config = RegistryServeConfig::default();
         std::thread::scope(|s| {
-            let server = s
-                .spawn(|| serve_with_core(CoreKind::Event, listener, &session, &config, &shutdown));
+            let server =
+                s.spawn(|| serve_on(CoreKind::Event, listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
 
             let stream = TcpStream::connect(addr).unwrap();
@@ -948,18 +980,18 @@ fn fan_in_loadgen_sustains_concurrent_churning_connections() {
         ..Default::default()
     };
     let model = demo::demo_model(&spec);
-    let session = model.session();
+    let registry = fixed_registry(&model);
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         let server = s.spawn(|| {
-            serve_with_core(
+            serve_on(
                 CoreKind::Event,
                 listener,
-                &session,
-                &BatchConfig::default(),
+                &registry,
+                &RegistryServeConfig::default(),
                 &shutdown,
             )
         });

@@ -436,6 +436,23 @@ mod tests {
         assert!(registry.rollback().is_err());
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn reload_of_a_device_file_is_an_error_not_an_unbounded_read() {
+        let (registry, _, _) = locked_fixture(256);
+        let dev_zero = Path::new("/dev/zero");
+        assert!(matches!(
+            registry.reload_files(dev_zero, None),
+            Err(StoreError::Malformed(_))
+        ));
+        assert!(matches!(
+            KeySegment::load(dev_zero),
+            Err(StoreError::Malformed(_))
+        ));
+        assert_eq!(registry.current().id(), 1);
+        assert_eq!(registry.stats().reloads, 0);
+    }
+
     #[test]
     fn rekey_is_deterministic_and_freezes_the_old_vault() {
         let (registry, model, train) = locked_fixture(256);

@@ -30,7 +30,8 @@ use hypervec::{BinaryHv, IntHv, ItemMemory, LevelHvs, ShardedClassMemory};
 
 use crate::error::StoreError;
 use crate::serving::{AnyEncoder, ServingSession};
-use crate::wire::{atomic_write, ByteReader, ByteWriter, Section};
+use crate::stage::MAX_STAGED_BYTES;
+use crate::wire::{atomic_write, read_capped, ByteReader, ByteWriter, Section};
 
 /// Envelope of model snapshots.
 pub const SNAPSHOT_SECTION: Section = Section {
@@ -250,7 +251,8 @@ impl ModelSnapshot {
             learning_rate,
             seed,
         };
-        let disc_features = r.get_usize()?;
+        // Each feature stores a min and a max bound, 4 bytes each.
+        let disc_features = r.get_count(8)?;
         let disc_levels = r.get_usize()?;
         let mut mins = Vec::with_capacity(disc_features);
         for _ in 0..disc_features {
@@ -357,10 +359,11 @@ impl ModelSnapshot {
     ///
     /// # Errors
     ///
-    /// File I/O errors plus everything [`ModelSnapshot::from_bytes`]
-    /// reports.
+    /// File I/O errors, [`StoreError::Malformed`] for anything but a
+    /// regular file of at most [`MAX_STAGED_BYTES`], plus everything
+    /// [`ModelSnapshot::from_bytes`] reports.
     pub fn load(path: &Path) -> Result<(Self, u64), StoreError> {
-        let bytes = std::fs::read(path)?;
+        let bytes = read_capped(path, MAX_STAGED_BYTES)?;
         Self::from_bytes(&bytes)
     }
 
@@ -461,8 +464,8 @@ fn put_rows(w: &mut ByteWriter, rows: &[BinaryHv]) {
 
 /// Reads a row list of `dim`-bit rows.
 fn get_rows(r: &mut ByteReader<'_>, dim: usize) -> Result<Vec<BinaryHv>, StoreError> {
-    let count = r.get_usize()?;
     let words_per_row = dim.div_ceil(64);
+    let count = r.get_count(words_per_row * 8)?;
     let mut rows = Vec::with_capacity(count);
     for _ in 0..count {
         let words = r.get_words(words_per_row)?;
@@ -539,7 +542,8 @@ impl KeySegment {
         let mut r = ByteReader::new(payload);
         let dim = r.get_usize()?;
         let pool_size = r.get_usize()?;
-        let n_features = r.get_usize()?;
+        // Each feature stores at least its `u16` layer count.
+        let n_features = r.get_count(2)?;
         let mut features = Vec::with_capacity(n_features);
         for _ in 0..n_features {
             let n_layers = usize::from(r.get_u16()?);
@@ -577,10 +581,11 @@ impl KeySegment {
     ///
     /// # Errors
     ///
-    /// File I/O errors plus everything [`KeySegment::from_bytes`]
-    /// reports.
+    /// File I/O errors, [`StoreError::Malformed`] for anything but a
+    /// regular file of at most [`MAX_STAGED_BYTES`], plus everything
+    /// [`KeySegment::from_bytes`] reports.
     pub fn load(path: &Path) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path)?;
+        let bytes = read_capped(path, MAX_STAGED_BYTES)?;
         Self::from_bytes(&bytes)
     }
 }
@@ -709,6 +714,70 @@ mod tests {
         let mid = kb.len() / 2;
         kb[mid] ^= 0x01;
         assert!(KeySegment::from_bytes(&kb).is_err());
+    }
+
+    /// A minimal standard snapshot (D = 64, N = 1, M = 2, one class),
+    /// validly framed, with count field `hostile` (0 = discretizer,
+    /// 1 = feature rows, 2 = value rows, 3 = class rows) set to `count`;
+    /// any other `hostile` leaves every count honest.
+    fn snapshot_with_count(hostile: usize, count: u64) -> Vec<u8> {
+        let field = |i: usize, honest: u64| if i == hostile { count } else { honest };
+        let mut w = ByteWriter::new();
+        w.put_u8(0); // standard encoder
+        w.put_u8(0); // binary model
+        w.put_usize(64); // D
+        w.put_usize(2); // M
+        w.put_usize(1); // epochs
+        w.put_i64(1); // learning rate
+        w.put_u64(7); // seed
+        w.put_u64(field(0, 1));
+        w.put_usize(2);
+        w.put_f32(0.0);
+        w.put_f32(1.0);
+        w.put_u64(field(1, 1));
+        w.put_words(&[0x5555]);
+        w.put_u64(field(2, 2));
+        w.put_words(&[0, u64::MAX]);
+        w.put_u64(field(3, 1));
+        w.put_words(&[0x0F0F]);
+        w.put_u8(0); // no integer rows
+        SNAPSHOT_SECTION.frame(&w.into_bytes())
+    }
+
+    /// A validly framed one-layer key segment (D = 64, pool of 4) whose
+    /// feature count reads `count`; only `count = 1` is honest.
+    fn key_with_features(count: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_usize(64); // D
+        w.put_usize(4); // pool size
+        w.put_u64(count);
+        w.put_u16(1); // layers of the one stored feature
+        w.put_u32(2); // base index
+        w.put_u32(5); // rotation
+        KEY_SECTION.frame(&w.into_bytes())
+    }
+
+    #[test]
+    fn hostile_counts_are_errors_not_aborts() {
+        // The honest payloads load, so each hostile count below is the
+        // field that stops the load — by an error, never by aborting
+        // the process on a count-sized allocation.
+        assert!(ModelSnapshot::from_bytes(&snapshot_with_count(usize::MAX, 0)).is_ok());
+        assert!(KeySegment::from_bytes(&key_with_features(1)).is_ok());
+        for count in [1u64 << 60, u64::MAX] {
+            for field in 0..4 {
+                let result = ModelSnapshot::from_bytes(&snapshot_with_count(field, count));
+                assert!(
+                    matches!(result, Err(StoreError::Malformed(_))),
+                    "field {field}, count {count}"
+                );
+            }
+            let result = KeySegment::from_bytes(&key_with_features(count));
+            assert!(
+                matches!(result, Err(StoreError::Malformed(_))),
+                "key count {count}"
+            );
+        }
     }
 
     #[test]

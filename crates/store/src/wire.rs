@@ -229,6 +229,25 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| StoreError::Malformed(format!("count {v} does not fit in usize")))
     }
 
+    /// Reads an element count (as [`ByteReader::get_usize`]) and checks
+    /// that `count` elements of at least `min_elem_bytes` each still fit
+    /// in the unread input, so a count taken from the input can never
+    /// size an allocation larger than the input itself.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Truncated`] / [`StoreError::Malformed`].
+    pub fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
+        let count = self.get_usize()?;
+        if count > self.remaining() / min_elem_bytes.max(1) {
+            return Err(StoreError::Malformed(format!(
+                "count {count} of {min_elem_bytes}-byte elements exceeds the {} remaining bytes",
+                self.remaining()
+            )));
+        }
+        Ok(count)
+    }
+
     /// Reads `n` raw bytes (strings and opaque payloads).
     ///
     /// # Errors
@@ -386,6 +405,37 @@ pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<(), StoreErr
     result.map_err(StoreError::Io)
 }
 
+/// Reads a snapshot or key file whole, refusing anything but a
+/// regular file of at most `cap` bytes. Reload paths can be named by a
+/// client, so `/dev/zero`, a FIFO or an oversized file must be an
+/// error, not an unbounded read.
+///
+/// # Errors
+///
+/// [`StoreError::Malformed`] for a non-regular file or one over `cap`;
+/// [`StoreError::Io`] when the file cannot be opened or read.
+pub(crate) fn read_capped(path: &std::path::Path, cap: u64) -> Result<Vec<u8>, StoreError> {
+    use std::io::Read as _;
+    let meta = std::fs::metadata(path)?;
+    if !meta.is_file() {
+        return Err(StoreError::Malformed(format!(
+            "{} is not a regular file",
+            path.display()
+        )));
+    }
+    let mut bytes = Vec::with_capacity(usize::try_from(meta.len().min(cap)).unwrap_or(0));
+    std::fs::File::open(path)?
+        .take(cap.saturating_add(1))
+        .read_to_end(&mut bytes)?;
+    if bytes.len() as u64 > cap {
+        return Err(StoreError::Malformed(format!(
+            "{} exceeds the {cap} byte artifact cap",
+            path.display()
+        )));
+    }
+    Ok(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,6 +537,24 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn read_capped_refuses_directories_and_oversized_files() {
+        let dir = std::env::temp_dir().join("hdc_store_wire_read_capped");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("art.bin");
+        std::fs::write(&path, [7u8; 17]).unwrap();
+        assert_eq!(read_capped(&path, 17).unwrap(), vec![7u8; 17]);
+        assert!(matches!(
+            read_capped(&path, 16),
+            Err(StoreError::Malformed(_))
+        ));
+        assert!(matches!(
+            read_capped(&dir, 1 << 20),
+            Err(StoreError::Malformed(_))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use hdlock_repro::hdc_serve::demo::{self, DemoSpec};
 use hdlock_repro::hdc_serve::{
-    loadgen, protocol, server, AdmissionConfig, LoadgenConfig, RegistryServeConfig,
+    loadgen, protocol, server, AdmissionConfig, CoreKind, LoadgenConfig, RegistryServeConfig,
 };
 use hdlock_repro::hdc_store::{KeySegment, ModelRegistry, ModelSnapshot, RekeySource};
 
@@ -83,8 +83,16 @@ fn main() -> std::io::Result<()> {
     println!("serving on {addr}");
 
     std::thread::scope(|s| -> std::io::Result<()> {
-        let server_thread =
-            s.spawn(|| server::serve_registry(listener, &registry, &config, &shutdown));
+        let server_thread = s.spawn(|| {
+            server::serve_registry_with_core_metrics(
+                CoreKind::default(),
+                listener,
+                &registry,
+                &config,
+                &shutdown,
+                None,
+            )
+        });
 
         let stream = TcpStream::connect(addr)?;
         let mut reader = BufReader::new(stream.try_clone()?);

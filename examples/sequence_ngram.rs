@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nnote: the symbol item memory ({} hypervectors) sits in plain memory exactly\n\
          like record-based feature HVs — an HDLock-style derived item memory applies\n\
-         here unchanged (extension discussed in DESIGN.md).",
+         here unchanged.",
         encoder.alphabet()
     );
     Ok(())

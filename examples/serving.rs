@@ -11,22 +11,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use hdlock_repro::hdc_serve::demo::{demo_model, DemoSpec};
 use hdlock_repro::hdc_serve::{
-    loadgen, protocol, server, wire, BatchConfig, LoadgenConfig, WireMode,
+    loadgen, protocol, server, wire, CoreKind, LoadgenConfig, RegistryServeConfig, WireMode,
 };
+use hdlock_repro::hdc_store::{ModelRegistry, ModelSnapshot};
 
 fn main() -> std::io::Result<()> {
-    // 1. Train a model (any `Encoder` works — swap in a locked one to
-    //    serve an HDLock-protected model) and snapshot it into a fused
-    //    inference session.
+    // 1. Train a model and snapshot it into a one-generation model
+    //    registry, which every server serves from (a locked model plus
+    //    its key segment serves an HDLock-protected model the same
+    //    way; see `hot_reload`).
     let spec = DemoSpec::default();
     println!(
         "training demo model (N = {}, C = {}, D = {}) …",
         spec.n_features, spec.n_classes, spec.dim
     );
     let model = demo_model(&spec);
-    let session = model.session();
+    let registry = ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(&model), None)
+        .expect("demo snapshot is self-consistent");
 
-    // 2. Serve it. The server borrows the session, so it runs inside a
+    // 2. Serve it. The server borrows the registry, so it runs inside a
     //    thread scope; `shutdown` drains it gracefully.
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
@@ -34,8 +37,16 @@ fn main() -> std::io::Result<()> {
     println!("serving on {addr}");
 
     std::thread::scope(|s| -> std::io::Result<()> {
-        let server_thread =
-            s.spawn(|| server::serve(listener, &session, &BatchConfig::default(), &shutdown));
+        let server_thread = s.spawn(|| {
+            server::serve_registry_with_core_metrics(
+                CoreKind::default(),
+                listener,
+                &registry,
+                &RegistryServeConfig::default(),
+                &shutdown,
+                None,
+            )
+        });
 
         // 3. Speak the line protocol by hand: one JSON object per line.
         let stream = TcpStream::connect(addr)?;
