@@ -4,6 +4,10 @@
 //! the word-parallel engine (single-sample and batch, single- and
 //! multi-threaded) for the standard and the locked encoder, then writes
 //! `BENCH_encoding.json` so the perf trajectory is tracked across PRs.
+//! Beside them: the bundling core on every kernel backend, and the
+//! carry-save bulk add against the per-add ripple loop it replaced at
+//! the paper's ISOLET shape (`D = 10 000, N = 617`), as interleaved
+//! trials in one process (`speedup_carry_save_vs_ripple`).
 //!
 //! Usage: `bench_encoding [--dim D] [--features N] [--levels M]
 //! [--batch B] [--out PATH]` — defaults reproduce the acceptance
@@ -14,7 +18,15 @@ use std::time::Instant;
 
 use hdc_model::{Encoder, RecordEncoder};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
-use hypervec::{kernel, HvRng};
+use hdlock_bench::summarize;
+use hypervec::{kernel, BitSliceAccumulator, HvRng};
+
+/// The paper's ISOLET shape for the carry-save vs ripple ratio.
+const ISOLET_DIM: usize = 10_000;
+const ISOLET_FEATURES: usize = 617;
+/// Interleaved carry-save / ripple trial pairs behind the ratio (odd,
+/// so the median is one of them).
+const RATIO_TRIALS: usize = 7;
 
 struct Options {
     dim: usize,
@@ -69,50 +81,76 @@ struct Measurement {
     samples_per_sec: f64,
 }
 
-/// Samples/second of the bit-sliced bundling core (one fused XOR +
-/// ripple-carry add per feature) on one explicit kernel backend — the
-/// loop `BitSliceAccumulator` runs per encoded sample, isolated from
-/// encoder bookkeeping so the per-backend numbers track the raw SIMD
-/// speedup.
+/// Random packed feature words and one value's words: the inputs of a
+/// fused-bind bundle of `n_features` pairs.
+fn bundle_inputs(dim: usize, n_features: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
+    let n_words = dim.div_ceil(64);
+    let mut rng = HvRng::from_seed(7);
+    let feature_words = (0..n_features)
+        .map(|_| (0..n_words).map(|_| rng.next_u64()).collect())
+        .collect();
+    let value_words = (0..n_words).map(|_| rng.next_u64()).collect();
+    (feature_words, value_words)
+}
+
+/// Samples/second of the bit-sliced bundling core on one explicit
+/// kernel backend: the cold fused-bind bulk add
+/// (`BitSliceAccumulator::add_staged`) the encoders run per sample,
+/// isolated from encoder bookkeeping so the per-backend numbers track
+/// the raw SIMD speedup.
 fn kernel_bundle_throughput(
-    k: &kernel::Kernel,
+    k: &'static kernel::Kernel,
     dim: usize,
     n_features: usize,
     min_secs: f64,
 ) -> f64 {
+    let (feature_words, value_words) = bundle_inputs(dim, n_features);
+    let mut acc = BitSliceAccumulator::with_kernel(dim, k);
+    throughput(1, min_secs, || {
+        acc.clear();
+        acc.add_staged(n_features, |i, slot| {
+            (k.xor_into)(&feature_words[i], &value_words, slot);
+        });
+        std::hint::black_box(&acc);
+    })
+}
+
+/// Samples/second of the per-add ripple loop the accumulator ran before
+/// carry-save bundling (one fused XOR, then ripple steps until no word
+/// carries, per feature) — the baseline of
+/// `speedup_carry_save_vs_ripple`. It keeps enough planes for a count
+/// of `n_features`, so no carry is dropped.
+fn ripple_bundle_throughput(
+    k: &'static kernel::Kernel,
+    dim: usize,
+    n_features: usize,
+    min_secs: f64,
+) -> f64 {
+    let (feature_words, value_words) = bundle_inputs(dim, n_features);
+    let n_planes = (usize::BITS - n_features.leading_zeros()) as usize;
     let n_words = dim.div_ceil(64);
-    let mut rng = HvRng::from_seed(7);
-    let feature_words: Vec<Vec<u64>> = (0..n_features)
-        .map(|_| (0..n_words).map(|_| rng.next_u64()).collect())
-        .collect();
-    let value_words: Vec<u64> = (0..n_words).map(|_| rng.next_u64()).collect();
-    let mut planes: Vec<Vec<u64>> = vec![vec![0u64; n_words]; 8];
+    let mut planes = vec![vec![0u64; n_words]; n_planes];
     let mut scratch = vec![0u64; n_words];
-    let encode_one_sample = |planes: &mut Vec<Vec<u64>>, scratch: &mut Vec<u64>| {
-        for plane in planes.iter_mut() {
+    throughput(1, min_secs, || {
+        for plane in &mut planes {
             plane.iter_mut().for_each(|w| *w = 0);
         }
         for fea in &feature_words {
-            (k.xor_into)(fea, &value_words, scratch);
-            for plane in planes.iter_mut() {
-                if !(k.ripple_step)(plane, scratch) {
+            (k.xor_into)(fea, &value_words, &mut scratch);
+            for plane in &mut planes {
+                if !(k.ripple_step)(plane, &mut scratch) {
                     break;
                 }
             }
         }
-    };
-    encode_one_sample(&mut planes, &mut scratch); // warm-up
-    let mut calls = 0usize;
-    let start = Instant::now();
-    loop {
-        encode_one_sample(&mut planes, &mut scratch);
         std::hint::black_box(&planes);
-        calls += 1;
-        if start.elapsed().as_secs_f64() >= min_secs {
-            break;
-        }
-    }
-    calls as f64 / start.elapsed().as_secs_f64()
+    })
+}
+
+/// Middle value of an odd-length sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Runs `encode_all` repeatedly until ≥ `min_secs` of wall clock is
@@ -221,6 +259,29 @@ fn main() {
         });
     }
 
+    // Carry-save vs per-add ripple at the ISOLET shape on the active
+    // backend: alternate the two so drift hits both alike, and gate on
+    // the median of the per-pair ratios.
+    let (mut carry_save, mut ripple, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..RATIO_TRIALS {
+        let c = kernel_bundle_throughput(kernel::active(), ISOLET_DIM, ISOLET_FEATURES, 0.2);
+        let r = ripple_bundle_throughput(kernel::active(), ISOLET_DIM, ISOLET_FEATURES, 0.2);
+        carry_save.push(c);
+        ripple.push(r);
+        ratios.push(c / r);
+    }
+    results.push(Measurement {
+        name: "isolet_bundle_carry_save".to_owned(),
+        samples_per_sec: median(carry_save),
+    });
+    results.push(Measurement {
+        name: "isolet_bundle_ripple".to_owned(),
+        samples_per_sec: median(ripple),
+    });
+    let spread = summarize(&ratios);
+    let (ratio_min, ratio_max) = (spread.min, spread.max);
+    let carry_save_speedup = median(ratios);
+
     let scalar = results[0].samples_per_sec;
     let batch_best = results
         .iter()
@@ -241,6 +302,10 @@ fn main() {
         println!("  {:<28} {:>12.0} samples/s", m.name, m.samples_per_sec);
     }
     println!("  batch vs scalar speedup: {speedup:.1}x");
+    println!(
+        "  carry-save vs ripple bundling (D = {ISOLET_DIM}, N = {ISOLET_FEATURES}): \
+         {carry_save_speedup:.2}x median over {RATIO_TRIALS} pairs ({ratio_min:.2}–{ratio_max:.2})"
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -270,7 +335,15 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedup_batch_vs_scalar\": {speedup:.2}");
+    let _ = writeln!(json, "  \"speedup_batch_vs_scalar\": {speedup:.2},");
+    let _ = writeln!(
+        json,
+        "  \"carry_save_vs_ripple\": {{ \"dim\": {ISOLET_DIM}, \"n_features\": {ISOLET_FEATURES}, \"pairs\": {RATIO_TRIALS}, \"min\": {ratio_min:.2}, \"max\": {ratio_max:.2} }},"
+    );
+    let _ = writeln!(
+        json,
+        "  \"speedup_carry_save_vs_ripple\": {carry_save_speedup:.2}"
+    );
     let _ = writeln!(json, "}}");
     std::fs::write(&opts.out, json).expect("write benchmark JSON");
     println!("(json written to {})", opts.out);

@@ -8,10 +8,11 @@
 //! (rotated) bases build which feature.
 //!
 //! Like the standard encoder, the locked encoder runs on the
-//! word-parallel engine (`hypervec::BitSliceAccumulator`) and overrides
-//! the batch entry points for both derivation modes; on-the-fly
-//! derivation reuses caller-owned scratch buffers via
-//! [`derive_feature_into`] so the per-sample cost is pure compute, not
+//! word-parallel engine (`hypervec::BitSliceAccumulator`, carry-save
+//! bulk adds) and overrides the batch entry points for every derivation
+//! mode; on-the-fly derivation reuses caller-owned scratch buffers via
+//! [`derive_feature_into`] and binds straight into the accumulator's
+//! staging slots, so the per-sample cost is pure compute, not
 //! allocation.
 //!
 //! A deployed locked model serves queries through
@@ -23,7 +24,9 @@
 //! `session_inference_matches_scalar_in_both_modes`).
 
 use hdc_model::Encoder;
-use hypervec::{par, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, IntHv, LevelHvs};
+use hypervec::{
+    kernel, par, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, IntHv, LevelHvs,
+};
 
 use crate::error::LockError;
 use crate::key::{EncodingKey, FeatureKey};
@@ -102,14 +105,17 @@ pub enum DeriveMode {
     /// per sample), mirroring a hardware pipeline that never leaves key
     ///-derived state in observable memory.
     OnTheFly,
-    /// Constant-time serving mode: fixed work per encoded sample
-    /// regardless of query content or cache state. Every encode strides
-    /// the **whole** `N × M` bound-pair table with branchless selection
+    /// Constant-time serving mode: the same table and vault accesses
+    /// per encoded sample regardless of query content or cache state.
+    /// Every encode strides the **whole** `N × M` bound-pair table with
+    /// branchless selection
     /// ([`BoundPairCache::accumulate_row_oblivious`]) and performs one
     /// cache-oblivious vault read ([`KeyVault::with_key_oblivious`])
-    /// per sample, so neither encode latency nor the secure-memory
-    /// access pattern depends on which `(feature, level)` pairs the
-    /// query touches. Bit-identical to [`DeriveMode::Cached`] by
+    /// per sample, so neither access pattern depends on which
+    /// `(feature, level)` pairs the query touches. One exception: the
+    /// accumulator's carry ripple stops once no dimension carries, so
+    /// its length follows the bundle counts (a residual risk in
+    /// `SECURITY.md`). Bit-identical to [`DeriveMode::Cached`] by
     /// construction; costs roughly `M×` the cached encode.
     Hardened,
 }
@@ -398,7 +404,9 @@ impl LockedEncoder {
     }
 
     /// Accumulates one row deriving every feature from the key under a
-    /// single privileged read, reusing the caller's scratch buffers.
+    /// single privileged read, reusing the caller's scratch buffers;
+    /// each derived feature is bound to its value straight into the
+    /// accumulator's staging slot.
     fn accumulate_row_on_the_fly(
         &self,
         acc: &mut BitSliceAccumulator,
@@ -406,35 +414,27 @@ impl LockedEncoder {
         fea: &mut BinaryHv,
         scratch: &mut BinaryHv,
     ) {
+        let xor_into = kernel::active().xor_into;
         self.vault
             .with_key(|key| {
-                for (i, &lv) in levels.iter().enumerate() {
+                acc.add_staged(levels.len(), |i, slot| {
                     derive_feature_into(&self.pool, key.feature(i), i, fea, scratch)
                         .expect("sealed key was validated at construction");
-                    acc.add_bound_pair(self.values.level(usize::from(lv)), fea);
-                }
+                    let value = self.values.level(usize::from(levels[i]));
+                    xor_into(value.bits().words(), fea.bits().words(), slot);
+                });
             })
             .expect("vault alive while encoder exists");
     }
 
     /// Accumulates one row in fixed time: strides the full bound-pair
     /// table with branchless selection under a single cache-oblivious
-    /// vault read. `select` is per-worker scratch (`⌈D/64⌉` words).
-    fn accumulate_row_hardened(
-        &self,
-        acc: &mut BitSliceAccumulator,
-        levels: &[u16],
-        select: &mut Vec<u64>,
-    ) {
+    /// vault read.
+    fn accumulate_row_hardened(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
         self.vault
             .with_key_oblivious(|_| {
-                self.bound_cache.accumulate_row_oblivious(
-                    acc,
-                    &self.derived,
-                    &self.values,
-                    levels,
-                    select,
-                );
+                self.bound_cache
+                    .accumulate_row_oblivious(acc, &self.derived, &self.values, levels);
             })
             .expect("vault alive while encoder exists");
     }
@@ -483,11 +483,10 @@ impl LockedEncoder {
                 self.bound_cache.warm(&self.derived, &self.values);
                 par::par_chunk_map(rows.len(), 4, |range| {
                     let mut acc = BitSliceAccumulator::new(self.dim());
-                    let mut select = Vec::new();
                     let mut out = Vec::with_capacity(range.len());
                     for r in range {
                         acc.clear();
-                        self.accumulate_row_hardened(&mut acc, rows[r], &mut select);
+                        self.accumulate_row_hardened(&mut acc, rows[r]);
                         out.push(finish(&acc));
                     }
                     out
@@ -530,9 +529,7 @@ impl Encoder for LockedEncoder {
                 let mut scratch = BinaryHv::ones(self.dim());
                 self.accumulate_row_on_the_fly(&mut acc, levels, &mut fea, &mut scratch);
             }
-            DeriveMode::Hardened => {
-                self.accumulate_row_hardened(&mut acc, levels, &mut Vec::new());
-            }
+            DeriveMode::Hardened => self.accumulate_row_hardened(&mut acc, levels),
         }
         acc.to_int()
     }
@@ -547,9 +544,7 @@ impl Encoder for LockedEncoder {
                 let mut scratch = BinaryHv::ones(self.dim());
                 self.accumulate_row_on_the_fly(&mut acc, levels, &mut fea, &mut scratch);
             }
-            DeriveMode::Hardened => {
-                self.accumulate_row_hardened(&mut acc, levels, &mut Vec::new());
-            }
+            DeriveMode::Hardened => self.accumulate_row_hardened(&mut acc, levels),
         }
         acc.majority_ties_positive()
     }
@@ -581,14 +576,23 @@ mod tests {
     use crate::key::LayerKey;
 
     fn config() -> LockConfig {
+        config_with(9)
+    }
+
+    /// [`config`]'s shape at `n_features` features.
+    fn config_with(n_features: usize) -> LockConfig {
         LockConfig {
-            n_features: 9,
+            n_features,
             m_levels: 4,
             dim: 1024,
-            pool_size: 20,
+            pool_size: n_features + 11,
             n_layers: 2,
         }
     }
+
+    /// Feature counts below, at and past the accumulator's 16-input
+    /// carry-save group.
+    const FEATURE_COUNTS: [usize; 3] = [9, 16, 40];
 
     #[test]
     fn derive_feature_is_product_of_rotated_bases() {
@@ -672,42 +676,46 @@ mod tests {
 
     #[test]
     fn engine_matches_scalar_reference_in_both_modes() {
-        let mut rng = HvRng::from_seed(12);
-        let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
-        let row: Vec<u16> = (0..9).map(|i| ((i * 5) % 4) as u16).collect();
-        for mode in [
-            DeriveMode::Cached,
-            DeriveMode::OnTheFly,
-            DeriveMode::Hardened,
-        ] {
-            enc.set_mode(mode);
-            assert_eq!(
-                enc.encode_int(&row),
-                enc.encode_int_scalar(&row),
-                "{mode:?}"
-            );
+        for n in FEATURE_COUNTS {
+            let mut rng = HvRng::from_seed(12);
+            let mut enc = LockedEncoder::generate(&mut rng, &config_with(n)).unwrap();
+            let row: Vec<u16> = (0..n).map(|i| ((i * 5) % 4) as u16).collect();
+            for mode in [
+                DeriveMode::Cached,
+                DeriveMode::OnTheFly,
+                DeriveMode::Hardened,
+            ] {
+                enc.set_mode(mode);
+                assert_eq!(
+                    enc.encode_int(&row),
+                    enc.encode_int_scalar(&row),
+                    "N {n} {mode:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn batch_matches_per_sample_in_both_modes() {
-        let mut rng = HvRng::from_seed(13);
-        let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
-        let rows: Vec<Vec<u16>> = (0..11)
-            .map(|s| (0..9).map(|i| ((s + 2 * i) % 4) as u16).collect())
-            .collect();
-        let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-        for mode in [
-            DeriveMode::Cached,
-            DeriveMode::OnTheFly,
-            DeriveMode::Hardened,
-        ] {
-            enc.set_mode(mode);
-            let batch = enc.encode_batch_binary(&refs);
-            let batch_int = enc.encode_batch_int(&refs);
-            for (i, row) in refs.iter().enumerate() {
-                assert_eq!(batch[i], enc.encode_binary(row), "{mode:?} row {i}");
-                assert_eq!(batch_int[i], enc.encode_int(row), "{mode:?} row {i}");
+        for n in FEATURE_COUNTS {
+            let mut rng = HvRng::from_seed(13);
+            let mut enc = LockedEncoder::generate(&mut rng, &config_with(n)).unwrap();
+            let rows: Vec<Vec<u16>> = (0..11)
+                .map(|s| (0..n).map(|i| ((s + 2 * i) % 4) as u16).collect())
+                .collect();
+            let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+            for mode in [
+                DeriveMode::Cached,
+                DeriveMode::OnTheFly,
+                DeriveMode::Hardened,
+            ] {
+                enc.set_mode(mode);
+                let batch = enc.encode_batch_binary(&refs);
+                let batch_int = enc.encode_batch_int(&refs);
+                for (i, row) in refs.iter().enumerate() {
+                    assert_eq!(batch[i], enc.encode_binary(row), "N {n} {mode:?} row {i}");
+                    assert_eq!(batch_int[i], enc.encode_int(row), "N {n} {mode:?} row {i}");
+                }
             }
         }
     }

@@ -4,12 +4,28 @@
 //! dimension, so adding a hypervector costs `D` scalar adds. A
 //! [`BitSliceAccumulator`] instead keeps the per-dimension counter
 //! *transposed*: counter bit `p` of all `D` dimensions lives in one
-//! packed `u64` plane, and adding a hypervector is a ripple-carry
-//! increment over planes — `AND` + `XOR` on whole 64-dimension words.
-//! An add touches plane `p` only when the carry survives that far, so
-//! the amortized cost is ~2 word operations per 64 dimensions instead
-//! of 64 scalar adds: the word-parallel speedup the HDLock encoding
-//! fast path is built on.
+//! packed `u64` plane, so every counter update is `AND`/`XOR`/`OR` on
+//! whole 64-dimension words.
+//!
+//! ## Cost
+//!
+//! A single [`BitSliceAccumulator::add`] is a ripple-carry increment:
+//! it walks up the planes while *any* of the `⌈D/64⌉` words still
+//! carries. At `D = 10 000` some dimension almost always does, so one
+//! add costs about one ripple step per allocated plane — ~`log2(count)`
+//! plane passes, ten at the paper's `N = 617` features, not a small
+//! constant. The bulk adds ([`BitSliceAccumulator::add_slices`],
+//! [`BitSliceAccumulator::add_staged`]) remove that factor: each group
+//! of 16 inputs goes through one Harley–Seal carry-save step
+//! (Muła/Kurz/Lemire, arXiv:1611.07612) — 15 full adders per word that
+//! fold the group into the four low planes (ones/twos/fours/eights) —
+//! and only the resulting sixteens carry ripples over the planes above.
+//! Per input that is about one full adder (five word operations) plus
+//! a sixteenth of a ripple, roughly a 4× saving at the ISOLET shape
+//! (`speedup_carry_save_vs_ripple` in `bench_encoding`). Fewer
+//! than 16 leftover inputs take the per-add path. Either way the planes
+//! end up holding the same binary counts, so every result below is
+//! identical whichever path filled them.
 //!
 //! ## Layout
 //!
@@ -33,7 +49,7 @@
 use crate::binary::BinaryHv;
 use crate::bitvec::BitWords;
 use crate::dense::IntHv;
-use crate::kernel;
+use crate::kernel::{self, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
 use crate::rng::HvRng;
 
 /// Word-parallel bundling accumulator over bit-sliced counter planes.
@@ -63,18 +79,36 @@ pub struct BitSliceAccumulator {
     planes: Vec<Vec<u64>>,
     /// Carry scratch buffer reused across adds (zero-alloc hot path).
     scratch: Vec<u64>,
+    /// Input slots for [`Self::add_staged`], `n_words` each, allocated
+    /// on the first full group and kept across [`Self::clear`].
+    staging: Vec<u64>,
     /// Number of vectors added.
     count: usize,
+    /// Backend every plane update runs on.
+    kernel: &'static Kernel,
 }
 
 impl BitSliceAccumulator {
-    /// Creates an empty accumulator of dimension `dim`.
+    /// Creates an empty accumulator of dimension `dim` on the process's
+    /// active kernel backend ([`kernel::active`]).
     ///
     /// # Panics
     ///
     /// Panics if `dim == 0`.
     #[must_use]
     pub fn new(dim: usize) -> Self {
+        Self::with_kernel(dim, kernel::active())
+    }
+
+    /// Creates an empty accumulator running on an explicit kernel
+    /// backend — how the benchmarks time each backend's bundling in one
+    /// process. Results are identical on every backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`.
+    #[must_use]
+    pub fn with_kernel(dim: usize, kernel: &'static Kernel) -> Self {
         assert!(dim > 0, "accumulator dimension must be positive");
         let n_words = dim.div_ceil(64);
         BitSliceAccumulator {
@@ -82,7 +116,9 @@ impl BitSliceAccumulator {
             n_words,
             planes: Vec::new(),
             scratch: vec![0; n_words],
+            staging: Vec::new(),
             count: 0,
+            kernel,
         }
     }
 
@@ -98,8 +134,11 @@ impl BitSliceAccumulator {
         self.count
     }
 
-    /// Number of counter bit-planes currently allocated
-    /// (`⌈log2(count+1)⌉` once counts reach the top plane).
+    /// Number of counter bit-planes currently allocated. Per-vector adds
+    /// grow the stack only when a carry runs past the top plane, so it
+    /// never exceeds `⌊log2(count)⌋ + 1`; a bulk add also allocates the
+    /// four low planes its carry-save step writes, even when the counts
+    /// would fit in fewer. [`Self::clear`] keeps them all.
     #[must_use]
     pub fn n_planes(&self) -> usize {
         self.planes.len()
@@ -125,13 +164,11 @@ impl BitSliceAccumulator {
     pub fn add(&mut self, hv: &BinaryHv) {
         assert_eq!(self.dim, hv.dim(), "dimension mismatch in bit-sliced add");
         self.scratch.copy_from_slice(hv.bits().words());
-        self.ripple_scratch();
+        self.add_scratch();
     }
 
     /// Adds a hypervector given as raw packed words — the entry point
-    /// for callers that assembled the vector word-by-word (the
-    /// cache-oblivious hardened encode path builds its branchless
-    /// masked selection in a scratch buffer and feeds it here). Bits at
+    /// for callers that assembled the vector word-by-word. Bits at
     /// positions ≥ `dim` in the last word are ignored.
     ///
     /// Bit-exact with [`BitSliceAccumulator::add`] of the same bits.
@@ -140,55 +177,138 @@ impl BitSliceAccumulator {
     ///
     /// Panics if `words.len()` differs from `⌈dim/64⌉`.
     pub fn add_words(&mut self, words: &[u64]) {
+        self.check_words(words);
+        self.scratch.copy_from_slice(words);
+        self.add_scratch();
+    }
+
+    /// Bulk add of packed vectors the caller already holds (a
+    /// precomputed bound-pair table): every 16 inputs go through one
+    /// carry-save step read straight from the caller's slices, the last
+    /// `n % 16` through [`Self::add_words`]. Bits at positions ≥ `dim`
+    /// are ignored.
+    ///
+    /// Bit-exact with calling [`Self::add_words`] on each input in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input's length differs from `⌈dim/64⌉`.
+    pub fn add_slices<'a>(&mut self, inputs: impl IntoIterator<Item = &'a [u64]>) {
+        let mut group: CarrySaveGroup<'_> = [&[]; CARRY_SAVE_INPUTS];
+        let mut len = 0;
+        for words in inputs {
+            self.check_words(words);
+            group[len] = words;
+            len += 1;
+            if len == CARRY_SAVE_INPUTS {
+                self.fold_group(&group);
+                len = 0;
+            }
+        }
+        for words in &group[..len] {
+            self.add_words(words);
+        }
+    }
+
+    /// Bulk add of `n` vectors the caller computes on the fly (a fused
+    /// bind, a masked table select, a freshly derived feature):
+    /// `fill(i, slot)` writes input `i` into `slot`, a `⌈dim/64⌉`-word
+    /// buffer owned by the accumulator whose previous contents it must
+    /// overwrite. Full groups of 16 are staged in a block the
+    /// accumulator keeps across [`Self::clear`] and folded by one
+    /// carry-save step each, so steady-state use allocates nothing;
+    /// `fill` runs for `i = 0, 1, …, n − 1` in order. Bits at positions
+    /// ≥ `dim` are ignored.
+    ///
+    /// Bit-exact with calling [`Self::add_words`] on each filled slot in
+    /// turn.
+    pub fn add_staged(&mut self, n: usize, mut fill: impl FnMut(usize, &mut [u64])) {
+        let n_words = self.n_words;
+        let grouped = n - n % CARRY_SAVE_INPUTS;
+        if grouped > 0 {
+            let mut staging = std::mem::take(&mut self.staging);
+            staging.resize(CARRY_SAVE_INPUTS * n_words, 0);
+            for start in (0..grouped).step_by(CARRY_SAVE_INPUTS) {
+                for (j, slot) in staging.chunks_exact_mut(n_words).enumerate() {
+                    fill(start + j, slot);
+                }
+                let group = std::array::from_fn(|j| &staging[j * n_words..(j + 1) * n_words]);
+                self.fold_group(&group);
+            }
+            self.staging = staging;
+        }
+        for i in grouped..n {
+            fill(i, &mut self.scratch);
+            self.add_scratch();
+        }
+    }
+
+    fn check_words(&self, words: &[u64]) {
         assert_eq!(
             self.n_words,
             words.len(),
             "word-count mismatch in bit-sliced add"
         );
-        self.scratch.copy_from_slice(words);
-        let tail = self.dim % 64;
+    }
+
+    /// Clears bits at positions ≥ `dim` in the last word of `words`.
+    fn mask_tail(dim: usize, words: &mut [u64]) {
+        let tail = dim % 64;
         if tail != 0 {
-            self.scratch[self.n_words - 1] &= (1u64 << tail) - 1;
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
         }
-        self.ripple_scratch();
     }
 
-    /// Adds the bound pair `a × b` without materializing the product —
-    /// one XOR per word feeding the ripple directly (the record-encoding
-    /// hot loop, paper Eq. 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn add_bound_pair(&mut self, a: &BinaryHv, b: &BinaryHv) {
-        assert_eq!(self.dim, a.dim(), "dimension mismatch in bit-sliced add");
-        assert_eq!(self.dim, b.dim(), "dimension mismatch in bit-sliced add");
-        let wa = a.bits().words();
-        let wb = b.bits().words();
-        (kernel::active().xor_into)(wa, wb, &mut self.scratch);
-        self.ripple_scratch();
-    }
-
-    /// Ripple-carry increments every dimension whose bit is set in
-    /// `scratch`, consuming the scratch buffer as the carry vector.
-    fn ripple_scratch(&mut self) {
+    /// Adds the vector held in `scratch`, consuming it as the carry.
+    fn add_scratch(&mut self) {
+        Self::mask_tail(self.dim, &mut self.scratch);
         self.count += 1;
-        let k = kernel::active();
+        self.ripple_from(0);
+    }
+
+    /// Folds one group of 16 inputs into the four low planes with the
+    /// carry-save step, then ripples its sixteens carry upwards.
+    fn fold_group(&mut self, group: &CarrySaveGroup<'_>) {
+        while self.planes.len() < 4 {
+            self.planes.push(vec![0; self.n_words]);
+        }
+        let [ones, twos, fours, eights, ..] = &mut self.planes[..] else {
+            unreachable!("the four low planes were just allocated");
+        };
+        let low = [
+            &mut ones[..],
+            &mut twos[..],
+            &mut fours[..],
+            &mut eights[..],
+        ];
+        let live = (self.kernel.carry_save_16)(group, low, &mut self.scratch);
+        // Counters are independent per bit position, so garbage past
+        // `dim` in an input reaches only the tail bits it was added to.
+        for plane in self.planes.iter_mut().take(4) {
+            Self::mask_tail(self.dim, plane);
+        }
+        Self::mask_tail(self.dim, &mut self.scratch);
+        self.count += CARRY_SAVE_INPUTS;
+        if live {
+            self.ripple_from(4);
+        }
+    }
+
+    /// Ripple-carry adds the carry vector in `scratch` into the counters
+    /// from plane `first` up (`first ≤ n_planes()`), consuming it.
+    fn ripple_from(&mut self, first: usize) {
         let scratch = &mut self.scratch;
-        let mut p = 0;
-        loop {
-            if p == self.planes.len() {
-                // Remaining carries overflow into a fresh plane; adding a
-                // carry to an all-zero plane can itself not carry again.
-                if scratch.iter().any(|&c| c != 0) {
-                    self.planes.push(scratch.clone());
-                }
+        for plane in &mut self.planes[first..] {
+            if !(self.kernel.ripple_step)(plane, scratch) {
                 return;
             }
-            if !(k.ripple_step)(&mut self.planes[p], scratch) {
-                return;
-            }
-            p += 1;
+        }
+        // Remaining carries overflow into a fresh plane; adding a carry
+        // to an all-zero plane can itself not carry again.
+        if scratch.iter().any(|&c| c != 0) {
+            self.planes.push(scratch.clone());
         }
     }
 
@@ -222,7 +342,7 @@ impl BitSliceAccumulator {
     fn threshold_masks(&self, threshold: u64) -> (Vec<u64>, Vec<u64>) {
         let t_bits = (u64::BITS - threshold.leading_zeros()) as usize;
         let p_max = self.planes.len().max(t_bits);
-        let k = kernel::active();
+        let k = self.kernel;
         let mut gt = vec![0u64; self.n_words];
         let mut eq = vec![u64::MAX; self.n_words];
         for p in (0..p_max).rev() {
@@ -344,14 +464,20 @@ mod tests {
 
     #[test]
     fn bound_pair_add_matches_explicit_bind() {
+        // The fused bind (paper Eq. 2) the encoders stage: one XOR per
+        // word straight into the slot, never a materialized product.
         let mut rng = HvRng::from_seed(4);
+        let pairs: Vec<(BinaryHv, BinaryHv)> = (0..21)
+            .map(|_| (rng.binary_hv(300), rng.binary_hv(300)))
+            .collect();
         let mut fused = BitSliceAccumulator::new(300);
+        fused.add_staged(pairs.len(), |i, slot| {
+            let (a, b) = &pairs[i];
+            (kernel::active().xor_into)(a.bits().words(), b.bits().words(), slot);
+        });
         let mut explicit = BitSliceAccumulator::new(300);
-        for _ in 0..5 {
-            let a = rng.binary_hv(300);
-            let b = rng.binary_hv(300);
-            fused.add_bound_pair(&a, &b);
-            explicit.add(&a.bind(&b));
+        for (a, b) in &pairs {
+            explicit.add(&a.bind(b));
         }
         assert_eq!(fused.to_int(), explicit.to_int());
     }

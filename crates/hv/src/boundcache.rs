@@ -3,15 +3,27 @@
 //! Record-based encoding adds `FeaHV_i × ValHV_{f_i}` for every feature
 //! (paper Eq. 2). Batch encoders amortize the bind by precomputing all
 //! `N × M` bound pairs once; this helper owns that lazily-built cache
-//! and the row-accumulation loop, so the standard and the locked
+//! and the row-accumulation loops, so the standard and the locked
 //! encoder share one implementation of the hot path (and a tie-policy
-//! or layout change can never make them diverge).
+//! or layout change can never make them diverge). Every loop feeds the
+//! accumulator's carry-save bulk add: table rows zero-copy when warm,
+//! fused binds or masked selects through its staging slots otherwise.
 
 use std::sync::OnceLock;
 
 use crate::binary::BinaryHv;
 use crate::bitslice::BitSliceAccumulator;
+use crate::kernel;
 use crate::level::LevelHvs;
+
+/// `lv` as a table index, panicking when it is not a level of `M = m`
+/// (a row index past `M` would otherwise address another feature's
+/// bound pairs).
+fn level_index(lv: u16, m: usize) -> usize {
+    let lv = usize::from(lv);
+    assert!(lv < m, "level index {lv} out of range (M = {m})");
+    lv
+}
 
 /// Lazily built cache of `FeaHV_i × ValHV_v` bound pairs, keyed
 /// `i·M + v`, plus the bit-sliced row-accumulation loop that consumes
@@ -71,8 +83,8 @@ impl BoundPairCache {
     }
 
     /// Accumulates one quantized row into a (cleared) accumulator:
-    /// pre-bound adds when warm, fused XOR adds when cold. Bit-exact
-    /// either way.
+    /// pre-bound table rows when warm, fused XOR binds when cold, both
+    /// through the carry-save bulk add. Bit-exact either way.
     ///
     /// # Panics
     ///
@@ -84,15 +96,31 @@ impl BoundPairCache {
         values: &LevelHvs,
         levels: &[u16],
     ) {
+        assert_eq!(
+            acc.dim(),
+            values.dim(),
+            "dimension mismatch in bit-sliced add"
+        );
+        let m = values.m();
         if let Some(cache) = self.cache.get() {
-            let m = values.m();
-            for (i, &lv) in levels.iter().enumerate() {
-                acc.add(&cache[i * m + usize::from(lv)]);
-            }
+            acc.add_slices(
+                levels
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &lv)| cache[i * m + level_index(lv, m)].bits().words()),
+            );
         } else {
-            for (i, &lv) in levels.iter().enumerate() {
-                acc.add_bound_pair(values.level(usize::from(lv)), &features[i]);
-            }
+            let xor_into = kernel::active().xor_into;
+            acc.add_staged(levels.len(), |i, slot| {
+                let fea = &features[i];
+                assert_eq!(
+                    fea.dim(),
+                    values.dim(),
+                    "dimension mismatch in bit-sliced add"
+                );
+                let value = values.level(level_index(levels[i], m));
+                xor_into(value.bits().words(), fea.bits().words(), slot);
+            });
         }
     }
 
@@ -108,8 +136,7 @@ impl BoundPairCache {
     /// Warms the table eagerly (idempotent) so there is never a
     /// warm/cold branch, and is bit-exact with the data-dependent path:
     /// OR-ing the masked entries reproduces `cache[i·M + lv]` exactly.
-    ///
-    /// `select` is a caller-owned scratch buffer (resized to `⌈D/64⌉`)
+    /// The selection is written into the accumulator's staging slots,
     /// so per-worker encode loops stay zero-alloc across rows.
     ///
     /// # Panics
@@ -121,32 +148,30 @@ impl BoundPairCache {
         features: &[BinaryHv],
         values: &LevelHvs,
         levels: &[u16],
-        select: &mut Vec<u64>,
     ) {
+        assert_eq!(
+            acc.dim(),
+            values.dim(),
+            "dimension mismatch in bit-sliced add"
+        );
         self.warm(features, values);
         let cache = self.cache.get().expect("warm() built the table");
         let m = values.m();
-        let n_words = acc.dim().div_ceil(64);
-        select.resize(n_words, 0);
-        for (i, &lv) in levels.iter().enumerate() {
-            assert!(
-                usize::from(lv) < m,
-                "level index {lv} out of range (M = {m})"
-            );
+        acc.add_staged(levels.len(), |i, select| {
+            let lv = level_index(levels[i], m) as u64;
             select.iter_mut().for_each(|w| *w = 0);
             for v in 0..m {
                 // All-ones iff v == lv: `x | -x` has its top bit set for
                 // every nonzero x, so the shifted bit is 1 exactly when
                 // the XOR difference is nonzero — no data-dependent
                 // branch anywhere in the selection.
-                let eq = (v as u64) ^ u64::from(lv);
+                let eq = (v as u64) ^ lv;
                 let mask = ((eq | eq.wrapping_neg()) >> 63).wrapping_sub(1);
                 for (s, &w) in select.iter_mut().zip(cache[i * m + v].bits().words()) {
                     *s |= w & mask;
                 }
             }
-            acc.add_words(select);
-        }
+        });
     }
 }
 
@@ -199,18 +224,11 @@ mod tests {
         let oblivious = BoundPairCache::new();
         assert!(!oblivious.is_warm());
 
-        let mut select = Vec::new();
         for levels in [[0u16, 3, 1, 2, 3], [3, 3, 3, 3, 3], [0, 0, 0, 0, 0]] {
             let mut acc_dd = BitSliceAccumulator::new(300);
             data_dependent.accumulate_row(&mut acc_dd, &features, &values, &levels);
             let mut acc_ob = BitSliceAccumulator::new(300);
-            oblivious.accumulate_row_oblivious(
-                &mut acc_ob,
-                &features,
-                &values,
-                &levels,
-                &mut select,
-            );
+            oblivious.accumulate_row_oblivious(&mut acc_ob, &features, &values, &levels);
             assert_eq!(acc_dd.to_int(), acc_ob.to_int(), "levels {levels:?}");
             assert_eq!(
                 acc_dd.majority_ties_positive(),
@@ -228,7 +246,21 @@ mod tests {
         let values = LevelHvs::generate(&mut rng, 64, 4).unwrap();
         let cache = BoundPairCache::new();
         let mut acc = BitSliceAccumulator::new(64);
-        cache.accumulate_row_oblivious(&mut acc, &features, &values, &[0, 4], &mut Vec::new());
+        cache.accumulate_row_oblivious(&mut acc, &features, &values, &[0, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn warm_accumulate_rejects_bad_level() {
+        // Level 5 on feature 0 of a 2 × 4 table would address feature
+        // 1's level 1 if the index were not checked.
+        let mut rng = HvRng::from_seed(6);
+        let features = rng.orthogonal_pool(64, 2);
+        let values = LevelHvs::generate(&mut rng, 64, 4).unwrap();
+        let cache = BoundPairCache::new();
+        cache.warm(&features, &values);
+        let mut acc = BitSliceAccumulator::new(64);
+        cache.accumulate_row(&mut acc, &features, &values, &[5, 0]);
     }
 
     #[test]

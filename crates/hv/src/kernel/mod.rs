@@ -1,12 +1,13 @@
 //! Unified SIMD kernel backend layer with runtime dispatch.
 //!
 //! Every hot bit-kernel in this crate — XOR-accumulate, popcount
-//! reduction, the bit-sliced ripple-carry increment, the word-parallel
-//! majority/threshold comparison, the Hamming-distance row scan of the
-//! sharded search engine, and the integer dot product behind cosine
-//! search — funnels through one [`Kernel`] dispatch table instead of
-//! hand-written `u64` loops duplicated per call site. Three
-//! interchangeable backends implement the table:
+//! reduction, the bit-sliced accumulator's Harley–Seal carry-save step
+//! and its ripple-carry increment, the word-parallel majority/threshold
+//! comparison, the Hamming-distance row scan of the sharded search
+//! engine, and the integer dot product behind cosine search — funnels
+//! through one [`Kernel`] dispatch table instead of hand-written `u64`
+//! loops duplicated per call site. Three interchangeable backends
+//! implement the table:
 //!
 //! * **`scalar`** — the original word-parallel `u64` code, extracted
 //!   verbatim from the former per-file loops. This is the *reference*:
@@ -49,12 +50,49 @@
 //! 3. `tests/kernel_equivalence.rs` picks it up automatically via
 //!    [`available`] — no new test code needed for bit-exactness.
 
+/// The Harley–Seal carry-save network of [`Kernel::carry_save_16`]
+/// (Muła/Kurz/Lemire, arXiv:1611.07612), written once and expanded by
+/// the scalar and AVX2 backends over their own word types (the portable
+/// backend shares the scalar step). `$csa(a, b, c)` is the
+/// backend's full adder returning `(carry, sum)` of `a + b + c` per bit;
+/// `$x` holds the 16 inputs and `$low` the four low counter planes
+/// `[ones, twos, fours, eights]`. Evaluates to the updated low planes
+/// and the sixteens carry: 15 full adders per word position.
+macro_rules! harley_seal {
+    ($csa:expr, $x:expr, $low:expr) => {{
+        let x = $x;
+        let [ones, twos, fours, eights] = $low;
+        let (twos_a, ones) = $csa(ones, x[0], x[1]);
+        let (twos_b, ones) = $csa(ones, x[2], x[3]);
+        let (fours_a, twos) = $csa(twos, twos_a, twos_b);
+        let (twos_a, ones) = $csa(ones, x[4], x[5]);
+        let (twos_b, ones) = $csa(ones, x[6], x[7]);
+        let (fours_b, twos) = $csa(twos, twos_a, twos_b);
+        let (eights_a, fours) = $csa(fours, fours_a, fours_b);
+        let (twos_a, ones) = $csa(ones, x[8], x[9]);
+        let (twos_b, ones) = $csa(ones, x[10], x[11]);
+        let (fours_a, twos) = $csa(twos, twos_a, twos_b);
+        let (twos_a, ones) = $csa(ones, x[12], x[13]);
+        let (twos_b, ones) = $csa(ones, x[14], x[15]);
+        let (fours_b, twos) = $csa(twos, twos_a, twos_b);
+        let (eights_b, fours) = $csa(fours, fours_a, fours_b);
+        let (sixteens, eights) = $csa(eights, eights_a, eights_b);
+        ([ones, twos, fours, eights], sixteens)
+    }};
+}
+
 mod portable;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
 use std::sync::OnceLock;
+
+/// Input vectors one [`Kernel::carry_save_16`] step folds.
+pub const CARRY_SAVE_INPUTS: usize = 16;
+
+/// The packed input vectors of one [`Kernel::carry_save_16`] step.
+pub type CarrySaveGroup<'a> = [&'a [u64]; CARRY_SAVE_INPUTS];
 
 /// Dispatch table of the primitive word-level operations the engine
 /// needs. One instance per backend; selected once via [`active`].
@@ -81,6 +119,16 @@ pub struct Kernel {
     /// `carry_out = plane & carry; plane ^= carry; carry = carry_out`,
     /// returning whether any carry survives into the next plane.
     pub ripple_step: fn(plane: &mut [u64], carry: &mut [u64]) -> bool,
+    /// Harley–Seal carry-save step of the bit-sliced accumulator: adds
+    /// the [`CARRY_SAVE_INPUTS`] vectors `inputs` to the counters whose
+    /// four low bit-planes are `low` (`[ones, twos, fours, eights]`),
+    /// updating those planes in place and overwriting `carry` with the
+    /// sixteens carry into plane 4; returns whether any carry is set.
+    /// The four low counter bits plus 16 inputs stay below 32, so the
+    /// carry is one bit per dimension, and the caller ripples it over
+    /// the higher planes with `ripple_step`.
+    pub carry_save_16:
+        fn(inputs: &CarrySaveGroup<'_>, low: [&mut [u64]; 4], carry: &mut [u64]) -> bool,
     /// One plane step of the word-parallel threshold comparison
     /// (most-significant plane first): with `t_bit` the threshold's bit
     /// at this plane, `gt |= eq & plane; eq &= !plane` when `t_bit` is
@@ -167,6 +215,16 @@ pub fn by_name(name: &str) -> Option<&'static Kernel> {
 #[must_use]
 pub fn scalar() -> &'static Kernel {
     &scalar::KERNEL
+}
+
+/// Words every backend's `carry_save_16` processes: the shortest of its
+/// 21 slices, so mismatched lengths stay memory-safe.
+fn carry_save_len(inputs: &CarrySaveGroup<'_>, low: &[&mut [u64]; 4], carry: &[u64]) -> usize {
+    inputs
+        .iter()
+        .map(|s| s.len())
+        .chain(low.iter().map(|s| s.len()))
+        .fold(carry.len(), usize::min)
 }
 
 /// Resolves an optional `HYPERVEC_KERNEL` override to a backend.

@@ -11,7 +11,7 @@
 //! operation is integral and lane reassociation of wrapping integer
 //! sums is exact (see the module docs in [`super`]).
 
-use super::Kernel;
+use super::{scalar, Kernel};
 
 /// Words processed per unrolled lane block.
 const LANES: usize = 4;
@@ -24,6 +24,9 @@ pub(super) static KERNEL: Kernel = Kernel {
     popcount,
     hamming,
     ripple_step,
+    // No lane version yet: one benchmarked no faster than the scalar
+    // step, so this backend shares it.
+    carry_save_16: scalar::carry_save_16,
     threshold_step,
     hamming_rows,
     hamming_rows_stride,

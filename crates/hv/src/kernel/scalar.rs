@@ -1,10 +1,13 @@
 //! Scalar `u64` word-parallel backend — the reference implementation.
 //!
 //! These are the loops that used to live inline in `bitvec.rs`,
-//! `bitslice.rs` and `search.rs`, extracted unchanged. Every other
-//! backend must match them bit-for-bit.
+//! `bitslice.rs` and `search.rs`, extracted unchanged, plus the
+//! word-at-a-time Harley–Seal step. Every other backend must match them
+//! bit-for-bit.
 
-use super::Kernel;
+use std::ops::Range;
+
+use super::{carry_save_len, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
 
 /// The scalar reference backend.
 pub(super) static KERNEL: Kernel = Kernel {
@@ -14,6 +17,7 @@ pub(super) static KERNEL: Kernel = Kernel {
     popcount,
     hamming,
     ripple_step,
+    carry_save_16,
     threshold_step,
     hamming_rows,
     hamming_rows_stride,
@@ -57,6 +61,44 @@ fn ripple_step(plane: &mut [u64], carry: &mut [u64]) -> bool {
         live |= carry_out != 0;
     }
     live
+}
+
+/// Full adder over 64 independent bit positions: `(carry, sum)` of
+/// `a + b + c`.
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    ((a & b) | (u & c), u ^ c)
+}
+
+pub(super) fn carry_save_16(
+    inputs: &CarrySaveGroup<'_>,
+    low: [&mut [u64]; 4],
+    carry: &mut [u64],
+) -> bool {
+    let n = carry_save_len(inputs, &low, carry);
+    carry_save_words(inputs, low, carry, 0..n) != 0
+}
+
+/// The Harley–Seal network one word at a time over `words`, returning
+/// the OR of the carries it wrote: the whole scalar step, and the tail
+/// of the AVX2 one.
+pub(super) fn carry_save_words(
+    inputs: &CarrySaveGroup<'_>,
+    low: [&mut [u64]; 4],
+    carry: &mut [u64],
+    words: Range<usize>,
+) -> u64 {
+    let [ones, twos, fours, eights] = low;
+    let mut any = 0u64;
+    for w in words {
+        let x: [u64; CARRY_SAVE_INPUTS] = std::array::from_fn(|j| inputs[j][w]);
+        let ([o, t, f, e], sixteens) =
+            harley_seal!(csa, x, [ones[w], twos[w], fours[w], eights[w]]);
+        (ones[w], twos[w], fours[w], eights[w]) = (o, t, f, e);
+        carry[w] = sixteens;
+        any |= sixteens;
+    }
+    any
 }
 
 fn threshold_step(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &mut [u64]) {

@@ -27,7 +27,7 @@ use std::arch::x86_64::{
     _mm256_unpacklo_epi64, _mm256_xor_si256,
 };
 
-use super::Kernel;
+use super::{carry_save_len, scalar, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
 
 /// `u64` words per 256-bit vector.
 const WORDS: usize = 4;
@@ -45,6 +45,7 @@ pub(super) static KERNEL: Kernel = Kernel {
     popcount,
     hamming,
     ripple_step,
+    carry_save_16,
     threshold_step,
     hamming_rows,
     hamming_rows_stride,
@@ -106,6 +107,11 @@ fn dot_rows_stride(q_block: &[i32], rows: &[i32], stride: usize, dots: &mut [i64
 fn dot_i16_rows_stride(q_block: &[i16], rows: &[i16], stride: usize, dots: &mut [i64]) {
     // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
     unsafe { dot_i16_rows_stride_avx2(q_block, rows, stride, dots) }
+}
+
+fn carry_save_16(inputs: &CarrySaveGroup<'_>, low: [&mut [u64]; 4], carry: &mut [u64]) -> bool {
+    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
+    unsafe { carry_save_16_avx2(inputs, low, carry) }
 }
 
 /// Per-byte popcount of a 256-bit vector via the nibble lookup table,
@@ -548,4 +554,56 @@ unsafe fn dot_i16_rows_stride_avx2(q_block: &[i16], rows: &[i16], stride: usize,
         dots[r] = dots[r].wrapping_add(dot);
         r += 1;
     }
+}
+
+/// Full adder over 256 independent bit positions: `(carry, sum)` of
+/// `a + b + c`.
+#[target_feature(enable = "avx2")]
+unsafe fn csa256(a: __m256i, b: __m256i, c: __m256i) -> (__m256i, __m256i) {
+    let u = _mm256_xor_si256(a, b);
+    (
+        _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(u, c)),
+        _mm256_xor_si256(u, c),
+    )
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn carry_save_16_avx2(
+    inputs: &CarrySaveGroup<'_>,
+    low: [&mut [u64]; 4],
+    carry: &mut [u64],
+) -> bool {
+    // `n` is the shortest of all 21 slices, so every vector block below
+    // is in bounds for each of them.
+    let n = carry_save_len(inputs, &low, carry);
+    let [ones, twos, fours, eights] = low;
+    let blocks = n / WORDS;
+    let mut any = _mm256_setzero_si256();
+    for i in 0..blocks {
+        let at = i * WORDS;
+        let mut x = [_mm256_setzero_si256(); CARRY_SAVE_INPUTS];
+        for (v, input) in x.iter_mut().zip(inputs) {
+            *v = _mm256_loadu_si256(input.as_ptr().add(at).cast());
+        }
+        let low = [
+            _mm256_loadu_si256(ones.as_ptr().add(at).cast()),
+            _mm256_loadu_si256(twos.as_ptr().add(at).cast()),
+            _mm256_loadu_si256(fours.as_ptr().add(at).cast()),
+            _mm256_loadu_si256(eights.as_ptr().add(at).cast()),
+        ];
+        let ([o, t, f, e], sixteens) = harley_seal!(csa256, x, low);
+        _mm256_storeu_si256(ones.as_mut_ptr().add(at).cast(), o);
+        _mm256_storeu_si256(twos.as_mut_ptr().add(at).cast(), t);
+        _mm256_storeu_si256(fours.as_mut_ptr().add(at).cast(), f);
+        _mm256_storeu_si256(eights.as_mut_ptr().add(at).cast(), e);
+        _mm256_storeu_si256(carry.as_mut_ptr().add(at).cast(), sixteens);
+        any = _mm256_or_si256(any, sixteens);
+    }
+    let tail = scalar::carry_save_words(
+        inputs,
+        [ones, twos, fours, eights],
+        carry,
+        blocks * WORDS..n,
+    );
+    _mm256_testz_si256(any, any) == 0 || tail != 0
 }

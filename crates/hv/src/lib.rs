@@ -26,11 +26,13 @@
 //! Bundling through an [`IntHv`] costs one scalar add per dimension per
 //! vector. [`BitSliceAccumulator`] removes that bottleneck by storing
 //! the per-dimension counters *bit-sliced*: counter bit `p` of all `D`
-//! dimensions is one packed `u64` plane, and adding a (possibly bound)
-//! hypervector is a ripple-carry increment over planes — whole-word
-//! `AND`/`XOR` instead of 64 scalar adds, with amortized ~2 word
-//! operations per add. The engine is **bit-exact** with the scalar
-//! path by construction:
+//! dimensions is one packed `u64` plane, so counter updates are
+//! whole-word `AND`/`XOR` instead of 64 scalar adds. A single add is a
+//! ripple-carry increment that, at `D = 10 000`, walks nearly every
+//! plane; the bulk adds the encoders use fold each 16 inputs with one
+//! Harley–Seal carry-save step into the four low planes and ripple only
+//! the sixteens carry — about one full adder per input word. The engine
+//! is **bit-exact** with the scalar path by construction:
 //!
 //! * **Layout** — `planes[p][w]` is bit `p` of the counters for
 //!   dimensions `64·w..64·w+63`; the bipolar sum at dimension `d` is
@@ -123,14 +125,14 @@
 //! ## Kernel backends
 //!
 //! All of the loops above — XOR-accumulate, popcount reduction, the
-//! ripple-carry increment, the threshold comparison, the
-//! Hamming-distance row scans, and the integer dot products (the
-//! one-pair `dot_i32` plus the strided multi-row `dot_rows_stride` /
-//! `dot_i16_rows_stride` primitives that sweep a query block over
-//! row-interleaved planes) — execute through the [`kernel`] dispatch
-//! table rather than per-file `u64` loops. Three backends implement
-//! it: `scalar` (the reference, always available), `avx2` (`std::arch`
-//! x86_64 intrinsics, installed when
+//! carry-save step and the ripple-carry increment, the threshold
+//! comparison, the Hamming-distance row scans, and the integer dot
+//! products (the one-pair `dot_i32` plus the strided multi-row
+//! `dot_rows_stride` / `dot_i16_rows_stride` primitives that sweep a
+//! query block over row-interleaved planes) — execute through the
+//! [`kernel`] dispatch table rather than per-file `u64` loops. Three
+//! backends implement it: `scalar` (the reference, always available),
+//! `avx2` (`std::arch` x86_64 intrinsics, installed when
 //! `is_x86_feature_detected!("avx2")` confirms support — the strided
 //! int kernels unroll four rows sharing each query load, `vpmuldq` for
 //! i32 and `vpmaddwd` with group-deferred i64 widening for i16), and

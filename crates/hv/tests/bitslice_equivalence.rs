@@ -2,9 +2,10 @@
 //! bit-identical to the scalar [`BundleAccumulator`] — full hypervector
 //! equality, not just similarity — across random dimensions (including
 //! non-word-aligned ones like 130 and the paper-scale 10 000), bundle
-//! sizes, tie policies and scratch-buffer reuse.
+//! sizes, tie policies and scratch-buffer reuse; and its carry-save bulk
+//! adds are bit-identical to the same vectors added one at a time.
 
-use hypervec::{BinaryHv, BitSliceAccumulator, BundleAccumulator, HvRng};
+use hypervec::{kernel, BinaryHv, BitSliceAccumulator, BundleAccumulator, HvRng};
 use proptest::prelude::*;
 
 /// Dimensions that exercise word boundaries and paper scale.
@@ -66,15 +67,20 @@ proptest! {
     }
 
     #[test]
-    fn bound_pair_accumulation_is_bit_identical(d in dims(), n in 1usize..=17, seed in any::<u64>()) {
+    fn bound_pair_accumulation_is_bit_identical(d in dims(), n in 1usize..=40, seed in any::<u64>()) {
+        // Fused binds written into the staging slots, as the encoders'
+        // cold path does, against the scalar fused add.
         let mut rng = HvRng::from_seed(seed);
+        let pairs: Vec<(BinaryHv, BinaryHv)> =
+            (0..n).map(|_| (rng.binary_hv(d), rng.binary_hv(d))).collect();
         let mut fast = BitSliceAccumulator::new(d);
         let mut slow = BundleAccumulator::new(d);
-        for _ in 0..n {
-            let a = rng.binary_hv(d);
-            let b = rng.binary_hv(d);
-            fast.add_bound_pair(&a, &b);
-            slow.add_bound_pair(&a, &b);
+        fast.add_staged(n, |i, slot| {
+            let (a, b) = &pairs[i];
+            (kernel::active().xor_into)(a.bits().words(), b.bits().words(), slot);
+        });
+        for (a, b) in &pairs {
+            slow.add_bound_pair(a, b);
         }
         prop_assert_eq!(fast.to_int(), slow.sums().clone());
         prop_assert_eq!(fast.majority_ties_positive(), slow.majority_ties_positive());
@@ -111,5 +117,52 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.counts(), naive);
+    }
+
+    #[test]
+    fn bulk_adds_match_sequential_adds(
+        d in dims(),
+        pre in prop_oneof![0usize..=40, 250usize..=270],
+        n in 0usize..=100,
+        seed in any::<u64>(),
+        tie_seed in any::<u64>(),
+    ) {
+        // Both bulk front doors against one-at-a-time `add`, on an
+        // accumulator that already holds counts (past 255 for the upper
+        // `pre` range, so carries run beyond eight planes), with garbage
+        // past `dim` in every bulk input.
+        let mut rng = HvRng::from_seed(seed);
+        let hvs: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(d)).collect();
+        let dirty: Vec<Vec<u64>> = hvs
+            .iter()
+            .map(|hv| {
+                let mut words = hv.bits().words().to_vec();
+                if !d.is_multiple_of(64) {
+                    *words.last_mut().unwrap() |= rng.next_u64() & !((1u64 << (d % 64)) - 1);
+                }
+                words
+            })
+            .collect();
+        let (mut sequential, _) = filled_pair(d, pre, seed ^ 0x5EED);
+        let mut sliced = sequential.clone();
+        let mut staged = sequential.clone();
+        for hv in &hvs {
+            sequential.add(hv);
+        }
+        sliced.add_slices(dirty.iter().map(Vec::as_slice));
+        staged.add_staged(n, |i, slot| slot.copy_from_slice(&dirty[i]));
+        for bulk in [&sliced, &staged] {
+            prop_assert_eq!(bulk.count(), sequential.count());
+            prop_assert_eq!(bulk.counts(), sequential.counts());
+            prop_assert_eq!(bulk.to_int(), sequential.to_int());
+            prop_assert_eq!(bulk.majority_ties_positive(), sequential.majority_ties_positive());
+            let mut rng_bulk = HvRng::from_seed(tie_seed);
+            let mut rng_seq = HvRng::from_seed(tie_seed);
+            prop_assert_eq!(
+                bulk.majority_with(&mut rng_bulk),
+                sequential.majority_with(&mut rng_seq)
+            );
+            prop_assert_eq!(rng_bulk.next_u64(), rng_seq.next_u64());
+        }
     }
 }

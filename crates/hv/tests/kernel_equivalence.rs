@@ -6,8 +6,8 @@
 //! including float score sequences, argmax winners and lowest-index tie
 //! order.
 
-use hypervec::kernel::{self, Kernel};
-use hypervec::{BinaryHv, HvRng, IntHv, ShardedClassMemory};
+use hypervec::kernel::{self, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
+use hypervec::{BinaryHv, BitSliceAccumulator, HvRng, IntHv, ShardedClassMemory};
 use proptest::prelude::*;
 
 /// Word-slice lengths that exercise the SIMD blocks and scalar tails.
@@ -27,6 +27,25 @@ fn words(rng: &mut HvRng, n: usize) -> Vec<u64> {
 
 fn ints(rng: &mut HvRng, n: usize) -> Vec<i32> {
     (0..n).map(|_| rng.next_u64() as i32).collect()
+}
+
+/// Runs one `carry_save_16` step on copies of `low` (with a carry
+/// buffer full of garbage it must overwrite): the planes, the carry and
+/// the live flag.
+fn carry_save_once(
+    k: &Kernel,
+    inputs: &[Vec<u64>],
+    low: &[Vec<u64>],
+    stale_carry: &[u64],
+) -> (Vec<Vec<u64>>, Vec<u64>, bool) {
+    let group: CarrySaveGroup<'_> = std::array::from_fn(|j| inputs[j].as_slice());
+    let mut low = low.to_vec();
+    let mut carry = stale_carry.to_vec();
+    let [ones, twos, fours, eights] = &mut low[..] else {
+        unreachable!("four low planes")
+    };
+    let live = (k.carry_save_16)(&group, [ones, twos, fours, eights], &mut carry);
+    (low, carry, live)
 }
 
 /// Every backend that is *not* the scalar reference, paired with it.
@@ -86,6 +105,74 @@ proptest! {
             prop_assert_eq!(&got_plane, &want_plane, "ripple plane: {}", k.name);
             prop_assert_eq!(&got_carry, &want_carry, "ripple carry: {}", k.name);
             prop_assert_eq!(got_live, want_live, "ripple live flag: {}", k.name);
+        }
+    }
+
+    #[test]
+    fn carry_save_16_matches_scalar(n in word_lens(), seed in any::<u64>()) {
+        // `word_lens` includes lengths that are not multiples of the
+        // 4-word vector block, so every backend's scalar tail runs too.
+        let mut rng = HvRng::from_seed(seed);
+        let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
+        let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
+        let stale = words(&mut rng, n);
+        let want = carry_save_once(kernel::scalar(), &inputs, &low, &stale);
+        for k in non_scalar_backends() {
+            prop_assert_eq!(
+                carry_save_once(k, &inputs, &low, &stale),
+                want.clone(),
+                "carry_save_16: {}", k.name
+            );
+        }
+    }
+
+    #[test]
+    fn carry_save_16_scalar_adds_exactly(n in 0usize..=6, seed in any::<u64>()) {
+        // The reference itself, bit by bit: the new low bits plus 16 ×
+        // the carry equal the old low bits plus the 16 input bits.
+        let mut rng = HvRng::from_seed(seed);
+        let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
+        let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
+        let (new_low, carry, live) =
+            carry_save_once(kernel::scalar(), &inputs, &low, &words(&mut rng, n));
+        let value = |planes: &[Vec<u64>], w: usize, b: usize| -> u64 {
+            planes
+                .iter()
+                .enumerate()
+                .map(|(p, plane)| ((plane[w] >> b) & 1) << p)
+                .sum()
+        };
+        for w in 0..n {
+            for b in 0..64 {
+                let added: u64 = inputs.iter().map(|x| (x[w] >> b) & 1).sum();
+                prop_assert_eq!(
+                    value(&new_low, w, b) + 16 * ((carry[w] >> b) & 1),
+                    value(&low, w, b) + added,
+                    "word {} bit {}", w, b
+                );
+            }
+        }
+        prop_assert_eq!(live, carry.iter().any(|&c| c != 0));
+    }
+
+    #[test]
+    fn bulk_bundling_is_bit_identical_across_backends(
+        dim in dims(),
+        n in 0usize..=70,
+        seed in any::<u64>(),
+    ) {
+        // The accumulator's carry-save bulk add driven through each
+        // backend explicitly, against the scalar reference's planes.
+        let mut rng = HvRng::from_seed(seed);
+        let hvs: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(dim)).collect();
+        let bundle = |k: &'static Kernel| {
+            let mut acc = BitSliceAccumulator::with_kernel(dim, k);
+            acc.add_slices(hvs.iter().map(|hv| hv.bits().words()));
+            (acc.counts(), acc.majority_ties_positive())
+        };
+        let want = bundle(kernel::scalar());
+        for k in non_scalar_backends() {
+            prop_assert_eq!(bundle(k), want.clone(), "bulk add: {}", k.name);
         }
     }
 

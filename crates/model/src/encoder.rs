@@ -308,9 +308,18 @@ mod tests {
     use super::*;
 
     fn encoder(seed: u64) -> RecordEncoder {
-        let mut rng = HvRng::from_seed(seed);
-        RecordEncoder::generate(&mut rng, 9, 4, 1024).unwrap()
+        encoder_with(seed, 9)
     }
+
+    /// [`encoder`]'s shape at `n_features` features.
+    fn encoder_with(seed: u64, n_features: usize) -> RecordEncoder {
+        let mut rng = HvRng::from_seed(seed);
+        RecordEncoder::generate(&mut rng, n_features, 4, 1024).unwrap()
+    }
+
+    /// Feature counts below, at and past the accumulator's 16-input
+    /// carry-save group.
+    const FEATURE_COUNTS: [usize; 3] = [9, 16, 40];
 
     #[test]
     fn shapes_are_reported() {
@@ -334,14 +343,16 @@ mod tests {
 
     #[test]
     fn engine_matches_scalar_reference() {
-        let e = encoder(10);
-        for variant in 0..4u16 {
-            let row: Vec<u16> = (0..9).map(|i| (i as u16 + variant) % 4).collect();
-            assert_eq!(
-                e.encode_int(&row),
-                e.encode_int_scalar(&row),
-                "variant {variant}"
-            );
+        for n in FEATURE_COUNTS {
+            let e = encoder_with(10, n);
+            for variant in 0..4u16 {
+                let row: Vec<u16> = (0..n).map(|i| (i as u16 + variant) % 4).collect();
+                assert_eq!(
+                    e.encode_int(&row),
+                    e.encode_int_scalar(&row),
+                    "N {n} variant {variant}"
+                );
+            }
         }
     }
 
@@ -357,17 +368,23 @@ mod tests {
 
     #[test]
     fn batch_matches_per_sample_encodes() {
-        let e = encoder(11);
-        let rows: Vec<Vec<u16>> = (0..13)
-            .map(|s| (0..9).map(|i| ((s + i) % 4) as u16).collect())
-            .collect();
-        let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-        let batch_bin = e.encode_batch_binary(&refs);
-        let batch_int = e.encode_batch_int(&refs);
-        assert_eq!(batch_bin.len(), rows.len());
-        for (i, row) in refs.iter().enumerate() {
-            assert_eq!(batch_bin[i], e.encode_binary(row), "row {i}");
-            assert_eq!(batch_int[i], e.encode_int(row), "row {i}");
+        for n in FEATURE_COUNTS {
+            let e = encoder_with(11, n);
+            let rows: Vec<Vec<u16>> = (0..13)
+                .map(|s| (0..n).map(|i| ((s + i) % 4) as u16).collect())
+                .collect();
+            let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+            // Single encodes before the batch take the cold fused-bind
+            // path; the batch warms the bound-pair table for the rest.
+            let cold_int: Vec<IntHv> = refs.iter().map(|row| e.encode_int(row)).collect();
+            let batch_bin = e.encode_batch_binary(&refs);
+            let batch_int = e.encode_batch_int(&refs);
+            assert_eq!(batch_bin.len(), rows.len());
+            for (i, row) in refs.iter().enumerate() {
+                assert_eq!(batch_bin[i], e.encode_binary(row), "N {n} row {i}");
+                assert_eq!(batch_int[i], e.encode_int(row), "N {n} row {i}");
+                assert_eq!(batch_int[i], cold_int[i], "N {n} cold row {i}");
+            }
         }
     }
 

@@ -2,8 +2,12 @@
 //! bit-identical to the naive per-sample scalar path for both the
 //! standard and the locked encoder, in both derivation modes, across
 //! random shapes including non-word-aligned dimensions (130) and the
-//! paper-scale D = 10 000. Full hypervectors are compared, never just
-//! similarities — the paper's figures depend on exact encodings.
+//! paper-scale D = 10 000. Feature counts run from 1 to 40, so rows
+//! take the accumulator's per-add path (N < 16), one carry-save group,
+//! and several groups plus a remainder; the paper's ISOLET shape
+//! (N = 617) is pinned as a fixed case. Full hypervectors are compared,
+//! never just similarities — the paper's figures depend on exact
+//! encodings.
 
 use hdc_model::{Encoder, RecordEncoder};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
@@ -39,7 +43,7 @@ proptest! {
     #[test]
     fn record_encoder_batch_is_bit_exact_with_scalar(
         d in dims(),
-        n in 3usize..=12,
+        n in 1usize..=40,
         m in 2usize..=8,
         seed in any::<u64>(),
     ) {
@@ -48,6 +52,9 @@ proptest! {
         let batch_rows = rows(n, m, 9, seed ^ 1);
         let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
 
+        // Single encodes before any batch run the cold fused-bind path;
+        // the batch below warms the bound-pair table.
+        let cold_int: Vec<_> = refs.iter().map(|row| enc.encode_int(row)).collect();
         let batch_bin = enc.encode_batch_binary(&refs);
         let batch_int = enc.encode_batch_int(&refs);
         for (i, row) in refs.iter().enumerate() {
@@ -55,6 +62,7 @@ proptest! {
             let scalar_int = enc.encode_int_scalar(row);
             prop_assert_eq!(&batch_int[i], &scalar_int, "int row {}", i);
             prop_assert_eq!(&batch_int[i], &enc.encode_int(row), "int row {}", i);
+            prop_assert_eq!(&cold_int[i], &scalar_int, "cold int row {}", i);
             prop_assert_eq!(&batch_bin[i], &scalar_int.sign_ties_positive(), "bin row {}", i);
             prop_assert_eq!(&batch_bin[i], &enc.encode_binary(row), "bin row {}", i);
         }
@@ -63,7 +71,7 @@ proptest! {
     #[test]
     fn locked_encoder_batch_is_bit_exact_in_both_modes(
         d in dims(),
-        n in 3usize..=10,
+        n in 1usize..=40,
         m in 2usize..=6,
         layers in 1usize..=3,
         seed in any::<u64>(),
@@ -73,6 +81,11 @@ proptest! {
         let mut enc = LockedEncoder::generate(&mut rng, &cfg).unwrap();
         let batch_rows = rows(n, m, 7, seed ^ 2);
         let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
+
+        // Cached single encodes before any batch take the cold path.
+        for (i, row) in refs.iter().enumerate() {
+            prop_assert_eq!(enc.encode_int(row), enc.encode_int_scalar(row), "cold int row {}", i);
+        }
 
         for mode in [DeriveMode::Cached, DeriveMode::OnTheFly] {
             enc.set_mode(mode);
@@ -92,7 +105,7 @@ proptest! {
 
     #[test]
     fn modes_and_paths_agree_with_each_other(
-        n in 3usize..=8,
+        n in 1usize..=40,
         m in 2usize..=5,
         seed in any::<u64>(),
     ) {
@@ -111,5 +124,75 @@ proptest! {
         for (i, row) in refs.iter().enumerate() {
             prop_assert_eq!(&cached[i], &enc.encode_binary(row), "row {}", i);
         }
+    }
+}
+
+/// The paper's ISOLET shape pinned as a fixed case: N = 617 features is
+/// 38 carry-save groups and a 9-input remainder per row, at M = 16 and
+/// D = 10 000. Both encoders, every locked derivation mode, cold single
+/// encodes, the table-warming batch and warm single encodes, all against
+/// the scalar reference.
+#[test]
+fn isolet_shape_encodes_are_bit_exact_with_scalar() {
+    let (n, m, d) = (617, 16, 10_000);
+    // `M` rows: the batch crosses the bound-pair table's warm threshold.
+    let batch_rows = rows(n, m, m, 617);
+    let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
+    let checked = [0, m - 1];
+
+    fn check<E: Encoder + Sync>(
+        enc: &E,
+        refs: &[&[u16]],
+        checked: &[usize],
+        scalar: impl Fn(&[u16]) -> hypervec::IntHv,
+        label: &str,
+    ) {
+        let want: Vec<_> = checked.iter().map(|&r| scalar(refs[r])).collect();
+        for (&r, want) in checked.iter().zip(&want) {
+            assert_eq!(&enc.encode_int(refs[r]), want, "{label} cold int row {r}");
+            assert_eq!(
+                enc.encode_binary(refs[r]),
+                want.sign_ties_positive(),
+                "{label} cold bin row {r}"
+            );
+        }
+        let batch_int = enc.encode_batch_int(refs);
+        let batch_bin = enc.encode_batch_binary(refs);
+        for (&r, want) in checked.iter().zip(&want) {
+            assert_eq!(&batch_int[r], want, "{label} batch int row {r}");
+            assert_eq!(
+                batch_bin[r],
+                want.sign_ties_positive(),
+                "{label} batch bin row {r}"
+            );
+            assert_eq!(&enc.encode_int(refs[r]), want, "{label} warm int row {r}");
+        }
+    }
+
+    let mut rng = HvRng::from_seed(617);
+    let record = RecordEncoder::generate(&mut rng, n, m, d).unwrap();
+    check(
+        &record,
+        &refs,
+        &checked,
+        |row| record.encode_int_scalar(row),
+        "record",
+    );
+
+    let mut locked = LockedEncoder::generate(&mut rng, &LockConfig::paper_validation(n)).unwrap();
+    for mode in [
+        DeriveMode::Cached,
+        DeriveMode::OnTheFly,
+        DeriveMode::Hardened,
+    ] {
+        locked.set_mode(mode);
+        let label = format!("locked {mode:?}");
+        check(
+            &locked,
+            &refs,
+            &checked,
+            |row| locked.encode_int_scalar(row),
+            &label,
+        );
     }
 }
