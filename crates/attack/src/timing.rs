@@ -6,8 +6,10 @@
 //! victim [`LockedEncoder`] and applies Welch's unequal-variance t-test
 //! ([`welch_t`]) to decide whether encode latency betrays the
 //! bound-pair cache state. Against the default cached mode the channel
-//! is real — a cold table encodes through the fused bind path, a table
-//! warmed by recent batch traffic through precomputed pairs — while
+//! is real wherever the table fits `BoundPairCache::TABLE_BUDGET_BYTES`
+//! — a cold table encodes through the fused bind path, a table warmed
+//! by recent batch traffic through precomputed pairs (above the budget
+//! no batch builds a table, so there is no warmth to read) — while
 //! [`DeriveMode::Hardened`](hdlock::DeriveMode) performs fixed work per
 //! encode and defeats the probe. `SECURITY.md` discusses the threat
 //! model; the `hardened` section of `BENCH_search.json` prices the
@@ -220,7 +222,8 @@ pub fn warmth_distinguisher(
     queries += 2;
 
     // Batch traffic against the warm victim only: `M` rows crosses the
-    // warm_for_batch threshold and builds its bound-pair table.
+    // warm_for_batch threshold and, for a victim whose table fits the
+    // budget, builds it.
     let batch_rows: Vec<Vec<u16>> = (0..m).map(|v| vec![v as u16; n]).collect();
     let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
     let _ = warm.encode_batch_binary(&refs);

@@ -4,10 +4,13 @@
 //! the word-parallel engine (single-sample and batch, single- and
 //! multi-threaded) for the standard and the locked encoder, then writes
 //! `BENCH_encoding.json` so the perf trajectory is tracked across PRs.
-//! Beside them: the bundling core on every kernel backend, and the
-//! carry-save bulk add against the per-add ripple loop it replaced at
-//! the paper's ISOLET shape (`D = 10 000, N = 617`), as interleaved
-//! trials in one process (`speedup_carry_save_vs_ripple`).
+//! Beside them: the bundling core on every kernel backend, and two
+//! ratios at the paper's ISOLET shape (`D = 10 000, N = 617, M = 16`),
+//! each the median of interleaved trial pairs in one process: the
+//! carry-save bulk add against the per-add ripple loop it replaced
+//! (`speedup_carry_save_vs_ripple`), and the fused-bind row path
+//! against the precomputed bound-pair table it replaced at that shape
+//! (`speedup_fused_vs_table`).
 //!
 //! Usage: `bench_encoding [--dim D] [--features N] [--levels M]
 //! [--batch B] [--out PATH]` — defaults reproduce the acceptance
@@ -19,13 +22,17 @@ use std::time::Instant;
 use hdc_model::{Encoder, RecordEncoder};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hdlock_bench::summarize;
-use hypervec::{kernel, BitSliceAccumulator, HvRng};
+use hypervec::{kernel, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, LevelHvs};
 
-/// The paper's ISOLET shape for the carry-save vs ripple ratio.
+/// The paper's ISOLET shape for the two same-process ratios.
 const ISOLET_DIM: usize = 10_000;
 const ISOLET_FEATURES: usize = 617;
-/// Interleaved carry-save / ripple trial pairs behind the ratio (odd,
-/// so the median is one of them).
+const ISOLET_LEVELS: usize = 16;
+/// Distinct rows behind the fused vs table ratio, so table reads are
+/// spread over the whole table as in served traffic.
+const ISOLET_ROWS: usize = 64;
+/// Interleaved trial pairs behind each ratio (odd, so the median is
+/// one of them).
 const RATIO_TRIALS: usize = 7;
 
 struct Options {
@@ -94,10 +101,10 @@ fn bundle_inputs(dim: usize, n_features: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
 }
 
 /// Samples/second of the bit-sliced bundling core on one explicit
-/// kernel backend: the cold fused-bind bulk add
-/// (`BitSliceAccumulator::add_staged`) the encoders run per sample,
-/// isolated from encoder bookkeeping so the per-backend numbers track
-/// the raw SIMD speedup.
+/// kernel backend: the fused-bind bulk add
+/// (`BitSliceAccumulator::add_bound_pairs`) the encoders run per sample
+/// without a bound-pair table, isolated from encoder bookkeeping so the
+/// per-backend numbers track the raw SIMD speedup.
 fn kernel_bundle_throughput(
     k: &'static kernel::Kernel,
     dim: usize,
@@ -108,10 +115,32 @@ fn kernel_bundle_throughput(
     let mut acc = BitSliceAccumulator::with_kernel(dim, k);
     throughput(1, min_secs, || {
         acc.clear();
-        acc.add_staged(n_features, |i, slot| {
-            (k.xor_into)(&feature_words[i], &value_words, slot);
-        });
+        acc.add_bound_pairs(
+            feature_words
+                .iter()
+                .map(|fea| (fea.as_slice(), value_words.as_slice())),
+        );
         std::hint::black_box(&acc);
+    })
+}
+
+/// Rows/second of `BoundPairCache::accumulate_row` over `rows` on the
+/// active backend, one thread: table rows when `cache` is warm, the
+/// fused bind when it is cold.
+fn row_bundle_throughput(
+    cache: &BoundPairCache,
+    features: &[BinaryHv],
+    values: &LevelHvs,
+    rows: &[Vec<u16>],
+    min_secs: f64,
+) -> f64 {
+    let mut acc = BitSliceAccumulator::new(values.dim());
+    throughput(rows.len(), min_secs, || {
+        for row in rows {
+            acc.clear();
+            cache.accumulate_row(&mut acc, features, values, row);
+            std::hint::black_box(&acc);
+        }
     })
 }
 
@@ -282,6 +311,47 @@ fn main() {
     let (ratio_min, ratio_max) = (spread.min, spread.max);
     let carry_save_speedup = median(ratios);
 
+    // Fused bind vs warm bound-pair table at the ISOLET shape, where
+    // the table (11.8 MiB) is over `BoundPairCache::TABLE_BUDGET_BYTES`
+    // and encoders no longer build it: the same interleaved pairs.
+    let mut isolet_rng = HvRng::from_seed(617);
+    let features = isolet_rng.orthogonal_pool(ISOLET_DIM, ISOLET_FEATURES);
+    let values = LevelHvs::generate(&mut isolet_rng, ISOLET_DIM, ISOLET_LEVELS)
+        .expect("ISOLET level hypervectors");
+    let isolet_rows: Vec<Vec<u16>> = (0..ISOLET_ROWS)
+        .map(|_| {
+            (0..ISOLET_FEATURES)
+                .map(|_| isolet_rng.index(ISOLET_LEVELS) as u16)
+                .collect()
+        })
+        .collect();
+    let table = BoundPairCache::new();
+    table.warm(&features, &values);
+    let no_table = BoundPairCache::new();
+    let (mut fused, mut tabled, mut fused_ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..RATIO_TRIALS {
+        let f = row_bundle_throughput(&no_table, &features, &values, &isolet_rows, 0.2);
+        let t = row_bundle_throughput(&table, &features, &values, &isolet_rows, 0.2);
+        fused.push(f);
+        tabled.push(t);
+        fused_ratios.push(f / t);
+    }
+    assert!(
+        !no_table.is_warm(),
+        "the fused rung must never build a table"
+    );
+    results.push(Measurement {
+        name: "isolet_row_fused".to_owned(),
+        samples_per_sec: median(fused),
+    });
+    results.push(Measurement {
+        name: "isolet_row_table".to_owned(),
+        samples_per_sec: median(tabled),
+    });
+    let fused_spread = summarize(&fused_ratios);
+    let (fused_min, fused_max) = (fused_spread.min, fused_spread.max);
+    let fused_speedup = median(fused_ratios);
+
     let scalar = results[0].samples_per_sec;
     let batch_best = results
         .iter()
@@ -305,6 +375,11 @@ fn main() {
     println!(
         "  carry-save vs ripple bundling (D = {ISOLET_DIM}, N = {ISOLET_FEATURES}): \
          {carry_save_speedup:.2}x median over {RATIO_TRIALS} pairs ({ratio_min:.2}–{ratio_max:.2})"
+    );
+    println!(
+        "  fused bind vs bound-pair table rows (D = {ISOLET_DIM}, N = {ISOLET_FEATURES}, \
+         M = {ISOLET_LEVELS}, {ISOLET_ROWS} rows): {fused_speedup:.2}x median over \
+         {RATIO_TRIALS} pairs ({fused_min:.2}–{fused_max:.2})"
     );
 
     let mut json = String::new();
@@ -342,8 +417,13 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"speedup_carry_save_vs_ripple\": {carry_save_speedup:.2}"
+        "  \"speedup_carry_save_vs_ripple\": {carry_save_speedup:.2},"
     );
+    let _ = writeln!(
+        json,
+        "  \"fused_vs_table\": {{ \"dim\": {ISOLET_DIM}, \"n_features\": {ISOLET_FEATURES}, \"m_levels\": {ISOLET_LEVELS}, \"rows\": {ISOLET_ROWS}, \"pairs\": {RATIO_TRIALS}, \"min\": {fused_min:.2}, \"max\": {fused_max:.2} }},"
+    );
+    let _ = writeln!(json, "  \"speedup_fused_vs_table\": {fused_speedup:.2}");
     let _ = writeln!(json, "}}");
     std::fs::write(&opts.out, json).expect("write benchmark JSON");
     println!("(json written to {})", opts.out);

@@ -6,7 +6,8 @@
 //! accuracy on every benchmark (the mapping leaks completely), and
 //! reasoning time ordered PAMAP ≪ UCIHAR < ISOLET < MNIST < FACE
 //! (it scales with the feature count). Absolute times differ from the
-//! paper's Python-on-i7 numbers; see EXPERIMENTS.md.
+//! paper's Python-on-i7 numbers, because this is compiled Rust on other
+//! hardware: compare the ordering and the accuracies, not the seconds.
 
 use std::time::Instant;
 

@@ -98,7 +98,11 @@ pub fn derive_feature_into(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeriveMode {
     /// Derive all `N` feature hypervectors once and cache them (one
-    /// vault read total). The fast software path.
+    /// vault read total). The fast software path: each row binds and
+    /// bundles the cached features in one fused carry-save pass, and a
+    /// batch of at least `M` rows builds the `N × M` bound-pair table
+    /// only when it fits [`BoundPairCache::TABLE_BUDGET_BYTES`] (2 MiB).
+    /// At the paper's ISOLET shape (11.8 MiB of table) it never does.
     #[default]
     Cached,
     /// Re-derive from the key on every encoded sample (one vault read
@@ -143,8 +147,10 @@ pub struct LockedEncoder {
     values: LevelHvs,
     vault: KeyVault,
     derived: Vec<BinaryHv>,
-    /// Shared lazily-built `(feature, level)` bound-pair cache over the
-    /// cached derived features (cached-mode batch encoding).
+    /// Shared `(feature, level)` bound-pair cache over the cached
+    /// derived features: in cached mode a batch builds its table only
+    /// under [`BoundPairCache::TABLE_BUDGET_BYTES`]; hardened mode
+    /// builds it eagerly at any size for its constant-time select.
     bound_cache: BoundPairCache,
     mode: DeriveMode,
     n_layers: usize,

@@ -14,16 +14,30 @@
 //! carries. At `D = 10 000` some dimension almost always does, so one
 //! add costs about one ripple step per allocated plane — ~`log2(count)`
 //! plane passes, ten at the paper's `N = 617` features, not a small
-//! constant. The bulk adds ([`BitSliceAccumulator::add_slices`],
-//! [`BitSliceAccumulator::add_staged`]) remove that factor: each group
-//! of 16 inputs goes through one Harley–Seal carry-save step
-//! (Muła/Kurz/Lemire, arXiv:1611.07612) — 15 full adders per word that
-//! fold the group into the four low planes (ones/twos/fours/eights) —
-//! and only the resulting sixteens carry ripples over the planes above.
-//! Per input that is about one full adder (five word operations) plus
-//! a sixteenth of a ripple, roughly a 4× saving at the ISOLET shape
-//! (`speedup_carry_save_vs_ripple` in `bench_encoding`). Fewer
-//! than 16 leftover inputs take the per-add path. Either way the planes
+//! constant. The bulk adds remove that factor with Harley–Seal carry-
+//! save steps (Muła/Kurz/Lemire, arXiv:1611.07612). Each group of 16
+//! inputs goes through one step — 15 full adders per word that fold
+//! the group into the four low planes (ones/twos/fours/eights) and
+//! leave a sixteens carry. All three bulk adds share one loop that goes
+//! further:
+//!
+//! * a last, shorter group is padded with zero inputs rather than added
+//!   one by one;
+//! * every 16 nonzero sixteens carries go through a second carry-save
+//!   step into planes 4–7, and only its 256s carry ripples over the
+//!   planes above; fewer than 16 left over at the end ripple from
+//!   plane 4.
+//!
+//! Per input that is about one full adder (five word operations), a
+//! sixteenth of one more and a 256th of a ripple, against one ripple
+//! step per plane for a single add (`speedup_carry_save_vs_ripple` in
+//! `bench_encoding` measures both at the ISOLET shape). The front
+//! doors differ in where the inputs come from: `add_bound_pairs` XORs
+//! zero-copy `(feature, value)` slices as the fused-bind step loads
+//! them (paper Eq. 2 without a table or a staging copy),
+//! [`BitSliceAccumulator::add_staged`] has the caller write each input
+//! into a staging slot, and [`BitSliceAccumulator::add_slices`] reads
+//! caller slices zero-copy (a bound-pair table). Either way the planes
 //! end up holding the same binary counts, so every result below is
 //! identical whichever path filled them.
 //!
@@ -49,7 +63,7 @@
 use crate::binary::BinaryHv;
 use crate::bitvec::BitWords;
 use crate::dense::IntHv;
-use crate::kernel::{self, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
+use crate::kernel::{self, CarrySaveGroup, CarrySavePlanes, Kernel, CARRY_SAVE_INPUTS};
 use crate::rng::HvRng;
 
 /// Word-parallel bundling accumulator over bit-sliced counter planes.
@@ -80,8 +94,13 @@ pub struct BitSliceAccumulator {
     /// Carry scratch buffer reused across adds (zero-alloc hot path).
     scratch: Vec<u64>,
     /// Input slots for [`Self::add_staged`], `n_words` each, allocated
-    /// on the first full group and kept across [`Self::clear`].
+    /// on first use and kept across [`Self::clear`].
     staging: Vec<u64>,
+    /// The bulk adds' pending sixteens carries, up to 16 slots of
+    /// `n_words`.
+    sixteens: Vec<u64>,
+    /// `n_words` zero words that pad a bulk add's last, short group.
+    zeros: Vec<u64>,
     /// Number of vectors added.
     count: usize,
     /// Backend every plane update runs on.
@@ -117,6 +136,8 @@ impl BitSliceAccumulator {
             planes: Vec::new(),
             scratch: vec![0; n_words],
             staging: Vec::new(),
+            sixteens: Vec::new(),
+            zeros: Vec::new(),
             count: 0,
             kernel,
         }
@@ -137,8 +158,9 @@ impl BitSliceAccumulator {
     /// Number of counter bit-planes currently allocated. Per-vector adds
     /// grow the stack only when a carry runs past the top plane, so it
     /// never exceeds `⌊log2(count)⌋ + 1`; a bulk add also allocates the
-    /// four low planes its carry-save step writes, even when the counts
-    /// would fit in fewer. [`Self::clear`] keeps them all.
+    /// four low planes its carry-save step writes, and the eight of the
+    /// second carry-save level once a bulk add runs one, even when the
+    /// counts would fit in fewer. [`Self::clear`] keeps them all.
     #[must_use]
     pub fn n_planes(&self) -> usize {
         self.planes.len()
@@ -177,15 +199,14 @@ impl BitSliceAccumulator {
     ///
     /// Panics if `words.len()` differs from `⌈dim/64⌉`.
     pub fn add_words(&mut self, words: &[u64]) {
-        self.check_words(words);
+        check_words(self.n_words, words);
         self.scratch.copy_from_slice(words);
         self.add_scratch();
     }
 
     /// Bulk add of packed vectors the caller already holds (a
-    /// precomputed bound-pair table): every 16 inputs go through one
-    /// carry-save step read straight from the caller's slices, the last
-    /// `n % 16` through [`Self::add_words`]. Bits at positions ≥ `dim`
+    /// precomputed bound-pair table), read straight from the caller's
+    /// slices by the shared carry-save loop. Bits at positions ≥ `dim`
     /// are ignored.
     ///
     /// Bit-exact with calling [`Self::add_words`] on each input in turn.
@@ -194,61 +215,82 @@ impl BitSliceAccumulator {
     ///
     /// Panics if an input's length differs from `⌈dim/64⌉`.
     pub fn add_slices<'a>(&mut self, inputs: impl IntoIterator<Item = &'a [u64]>) {
-        let mut group: CarrySaveGroup<'_> = [&[]; CARRY_SAVE_INPUTS];
-        let mut len = 0;
-        for words in inputs {
-            self.check_words(words);
-            group[len] = words;
-            len += 1;
-            if len == CARRY_SAVE_INPUTS {
-                self.fold_group(&group);
-                len = 0;
+        let n_words = self.n_words;
+        let mut inputs = inputs.into_iter();
+        self.bulk_add(|k, zeros, low, carry| {
+            let mut group: CarrySaveGroup<'_> = [zeros; CARRY_SAVE_INPUTS];
+            let mut len = 0;
+            for (slot, words) in group.iter_mut().zip(&mut inputs) {
+                check_words(n_words, words);
+                *slot = words;
+                len += 1;
             }
-        }
-        for words in &group[..len] {
-            self.add_words(words);
-        }
+            (len, len > 0 && (k.carry_save_16)(&group, low, carry))
+        });
     }
 
-    /// Bulk add of `n` vectors the caller computes on the fly (a fused
-    /// bind, a masked table select, a freshly derived feature):
-    /// `fill(i, slot)` writes input `i` into `slot`, a `⌈dim/64⌉`-word
-    /// buffer owned by the accumulator whose previous contents it must
-    /// overwrite. Full groups of 16 are staged in a block the
-    /// accumulator keeps across [`Self::clear`] and folded by one
-    /// carry-save step each, so steady-state use allocates nothing;
-    /// `fill` runs for `i = 0, 1, …, n − 1` in order. Bits at positions
-    /// ≥ `dim` are ignored.
+    /// Bulk add of bound pairs `feature ^ value` (paper Eq. 2) given as
+    /// zero-copy `(feature words, value words)` slices: the fused-bind
+    /// carry-save step XORs each pair as it loads it, so no bound vector
+    /// is ever written to memory. The encoders' cold row path. Bits at
+    /// positions ≥ `dim` are ignored.
+    ///
+    /// Bit-exact with calling [`Self::add_words`] on each `feature ^
+    /// value` in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice's length differs from `⌈dim/64⌉`.
+    pub fn add_bound_pairs<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a [u64], &'a [u64])>) {
+        let n_words = self.n_words;
+        let mut pairs = pairs.into_iter();
+        self.bulk_add(|k, zeros, low, carry| {
+            let mut a: CarrySaveGroup<'_> = [zeros; CARRY_SAVE_INPUTS];
+            let mut b = a;
+            let mut len = 0;
+            for ((fea_slot, val_slot), (fea, val)) in a.iter_mut().zip(b.iter_mut()).zip(&mut pairs)
+            {
+                check_words(n_words, fea);
+                check_words(n_words, val);
+                (*fea_slot, *val_slot) = (fea, val);
+                len += 1;
+            }
+            (len, len > 0 && (k.bind_carry_save_16)(&a, &b, low, carry))
+        });
+    }
+
+    /// Bulk add of `n` vectors the caller computes on the fly (a masked
+    /// table select, a freshly derived feature): `fill(i, slot)` writes
+    /// input `i` into `slot`, a `⌈dim/64⌉`-word buffer owned by the
+    /// accumulator whose previous contents it must overwrite. Each group
+    /// of 16 is staged in a block the accumulator keeps across
+    /// [`Self::clear`] and folded by the shared carry-save loop, so
+    /// steady-state use allocates nothing; `fill` runs for `i = 0, 1,
+    /// …, n − 1` in order. Bits at positions ≥ `dim` are ignored.
     ///
     /// Bit-exact with calling [`Self::add_words`] on each filled slot in
     /// turn.
     pub fn add_staged(&mut self, n: usize, mut fill: impl FnMut(usize, &mut [u64])) {
         let n_words = self.n_words;
-        let grouped = n - n % CARRY_SAVE_INPUTS;
-        if grouped > 0 {
-            let mut staging = std::mem::take(&mut self.staging);
-            staging.resize(CARRY_SAVE_INPUTS * n_words, 0);
-            for start in (0..grouped).step_by(CARRY_SAVE_INPUTS) {
-                for (j, slot) in staging.chunks_exact_mut(n_words).enumerate() {
-                    fill(start + j, slot);
-                }
-                let group = std::array::from_fn(|j| &staging[j * n_words..(j + 1) * n_words]);
-                self.fold_group(&group);
+        let mut staging = std::mem::take(&mut self.staging);
+        staging.resize(CARRY_SAVE_INPUTS * n_words, 0);
+        let mut next = 0;
+        self.bulk_add(|k, zeros, low, carry| {
+            let len = (n - next).min(CARRY_SAVE_INPUTS);
+            for (j, slot) in staging.chunks_exact_mut(n_words).take(len).enumerate() {
+                fill(next + j, slot);
             }
-            self.staging = staging;
-        }
-        for i in grouped..n {
-            fill(i, &mut self.scratch);
-            self.add_scratch();
-        }
-    }
-
-    fn check_words(&self, words: &[u64]) {
-        assert_eq!(
-            self.n_words,
-            words.len(),
-            "word-count mismatch in bit-sliced add"
-        );
+            let group = std::array::from_fn(|j| {
+                if j < len {
+                    &staging[j * n_words..(j + 1) * n_words]
+                } else {
+                    zeros
+                }
+            });
+            next += len;
+            (len, len > 0 && (k.carry_save_16)(&group, low, carry))
+        });
+        self.staging = staging;
     }
 
     /// Clears bits at positions ≥ `dim` in the last word of `words`.
@@ -265,50 +307,100 @@ impl BitSliceAccumulator {
     fn add_scratch(&mut self) {
         Self::mask_tail(self.dim, &mut self.scratch);
         self.count += 1;
-        self.ripple_from(0);
+        Self::ripple(&mut self.planes, self.kernel, 0, &mut self.scratch);
     }
 
-    /// Folds one group of 16 inputs into the four low planes with the
-    /// carry-save step, then ripples its sixteens carry upwards.
-    fn fold_group(&mut self, group: &CarrySaveGroup<'_>) {
-        while self.planes.len() < 4 {
+    /// Allocates counter planes up to `n` (zeroed).
+    fn grow_planes(&mut self, n: usize) {
+        while self.planes.len() < n {
             self.planes.push(vec![0; self.n_words]);
         }
-        let [ones, twos, fours, eights, ..] = &mut self.planes[..] else {
-            unreachable!("the four low planes were just allocated");
-        };
-        let low = [
-            &mut ones[..],
-            &mut twos[..],
-            &mut fours[..],
-            &mut eights[..],
-        ];
-        let live = (self.kernel.carry_save_16)(group, low, &mut self.scratch);
-        // Counters are independent per bit position, so garbage past
-        // `dim` in an input reaches only the tail bits it was added to.
-        for plane in self.planes.iter_mut().take(4) {
-            Self::mask_tail(self.dim, plane);
+    }
+
+    /// The loop the bulk adds share. `fold(kernel, zeros, low, carry)`
+    /// runs one carry-save step over the next (at most 16) inputs into
+    /// the four low planes `low`, padding a short group with the zero
+    /// slice `zeros`, writes its sixteens carry into `carry` and returns
+    /// how many inputs it added — 0 once they run out (then it must not
+    /// have touched `low` or `carry`) — and whether the carry is
+    /// nonzero. Every 16 nonzero sixteens carries go through a second
+    /// carry-save step into planes 4–7, whose 256s carry ripples from
+    /// plane 8; the fewer than 16 left at the end ripple from plane 4
+    /// one by one. Slots for pending carries grow with use and are kept
+    /// across [`Self::clear`].
+    fn bulk_add(
+        &mut self,
+        mut fold: impl FnMut(&'static Kernel, &[u64], CarrySavePlanes<'_>, &mut [u64]) -> (usize, bool),
+    ) {
+        let n_words = self.n_words;
+        self.grow_planes(4);
+        self.zeros.resize(n_words, 0);
+        let mut sixteens = std::mem::take(&mut self.sixteens);
+        let mut pending = 0;
+        loop {
+            if sixteens.len() < (pending + 1) * n_words {
+                sixteens.resize((pending + 1) * n_words, 0);
+            }
+            let carry = &mut sixteens[pending * n_words..(pending + 1) * n_words];
+            let [ones, twos, fours, eights, ..] = &mut self.planes[..] else {
+                unreachable!("the four low planes were allocated above");
+            };
+            let low = [ones, twos, fours, eights].map(|plane| plane.as_mut_slice());
+            let (added, live) = fold(self.kernel, &self.zeros, low, carry);
+            if added == 0 {
+                break;
+            }
+            // Counters are independent per bit position, so garbage past
+            // `dim` in an input reaches only the tail bits it was added
+            // to; masking here keeps it out of every higher plane.
+            for plane in &mut self.planes[..4] {
+                Self::mask_tail(self.dim, plane);
+            }
+            Self::mask_tail(self.dim, carry);
+            self.count += added;
+            if !live {
+                continue;
+            }
+            pending += 1;
+            if pending == CARRY_SAVE_INPUTS {
+                self.fold_sixteens(&sixteens);
+                pending = 0;
+            }
         }
-        Self::mask_tail(self.dim, &mut self.scratch);
-        self.count += CARRY_SAVE_INPUTS;
-        if live {
-            self.ripple_from(4);
+        for carry in sixteens.chunks_exact_mut(n_words).take(pending) {
+            Self::ripple(&mut self.planes, self.kernel, 4, carry);
+        }
+        self.sixteens = sixteens;
+    }
+
+    /// The second carry-save level: folds 16 sixteens carries into
+    /// planes 4–7 (sixteens to 128s) and ripples their 256s carry from
+    /// plane 8.
+    fn fold_sixteens(&mut self, sixteens: &[u64]) {
+        self.grow_planes(8);
+        let n_words = self.n_words;
+        let group = std::array::from_fn(|j| &sixteens[j * n_words..(j + 1) * n_words]);
+        let [_, _, _, _, p4, p5, p6, p7, ..] = &mut self.planes[..] else {
+            unreachable!("planes 4–7 were just allocated");
+        };
+        let low = [p4, p5, p6, p7].map(|plane| plane.as_mut_slice());
+        if (self.kernel.carry_save_16)(&group, low, &mut self.scratch) {
+            Self::ripple(&mut self.planes, self.kernel, 8, &mut self.scratch);
         }
     }
 
-    /// Ripple-carry adds the carry vector in `scratch` into the counters
-    /// from plane `first` up (`first ≤ n_planes()`), consuming it.
-    fn ripple_from(&mut self, first: usize) {
-        let scratch = &mut self.scratch;
-        for plane in &mut self.planes[first..] {
-            if !(self.kernel.ripple_step)(plane, scratch) {
+    /// Ripple-carry adds `carry` into the counters from plane `first` up
+    /// (`first ≤ planes.len()`), consuming it.
+    fn ripple(planes: &mut Vec<Vec<u64>>, kernel: &Kernel, first: usize, carry: &mut [u64]) {
+        for plane in &mut planes[first..] {
+            if !(kernel.ripple_step)(plane, carry) {
                 return;
             }
         }
         // Remaining carries overflow into a fresh plane; adding a carry
         // to an all-zero plane can itself not carry again.
-        if scratch.iter().any(|&c| c != 0) {
-            self.planes.push(scratch.clone());
+        if carry.iter().any(|&c| c != 0) {
+            planes.push(carry.to_vec());
         }
     }
 
@@ -402,6 +494,15 @@ impl BitSliceAccumulator {
     }
 }
 
+/// Panics unless `words` holds exactly `n_words` words.
+fn check_words(n_words: usize, words: &[u64]) {
+    assert_eq!(
+        n_words,
+        words.len(),
+        "word-count mismatch in bit-sliced add"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,14 +565,21 @@ mod tests {
 
     #[test]
     fn bound_pair_add_matches_explicit_bind() {
-        // The fused bind (paper Eq. 2) the encoders stage: one XOR per
-        // word straight into the slot, never a materialized product.
+        // The fused bind (paper Eq. 2) the encoders run, never a
+        // materialized product: XORed in the carry-save step as it loads
+        // each pair, or one XOR per word straight into a staging slot.
         let mut rng = HvRng::from_seed(4);
         let pairs: Vec<(BinaryHv, BinaryHv)> = (0..21)
             .map(|_| (rng.binary_hv(300), rng.binary_hv(300)))
             .collect();
         let mut fused = BitSliceAccumulator::new(300);
-        fused.add_staged(pairs.len(), |i, slot| {
+        fused.add_bound_pairs(
+            pairs
+                .iter()
+                .map(|(a, b)| (a.bits().words(), b.bits().words())),
+        );
+        let mut staged = BitSliceAccumulator::new(300);
+        staged.add_staged(pairs.len(), |i, slot| {
             let (a, b) = &pairs[i];
             (kernel::active().xor_into)(a.bits().words(), b.bits().words(), slot);
         });
@@ -480,6 +588,7 @@ mod tests {
             explicit.add(&a.bind(b));
         }
         assert_eq!(fused.to_int(), explicit.to_int());
+        assert_eq!(staged.to_int(), explicit.to_int());
     }
 
     #[test]

@@ -1,19 +1,44 @@
 //! Shared `(feature, level)` bound-pair cache for record-style encoders.
 //!
 //! Record-based encoding adds `FeaHV_i × ValHV_{f_i}` for every feature
-//! (paper Eq. 2). Batch encoders amortize the bind by precomputing all
-//! `N × M` bound pairs once; this helper owns that lazily-built cache
-//! and the row-accumulation loops, so the standard and the locked
-//! encoder share one implementation of the hot path (and a tie-policy
-//! or layout change can never make them diverge). Every loop feeds the
-//! accumulator's carry-save bulk add: table rows zero-copy when warm,
-//! fused binds or masked selects through its staging slots otherwise.
+//! (paper Eq. 2). This helper owns the row-accumulation loops, so the
+//! standard and the locked encoder share one implementation of the hot
+//! path (and a tie-policy or layout change can never make them
+//! diverge), plus an optional precomputed table of all `N × M` bound
+//! pairs. Every loop feeds one of the accumulator's carry-save bulk
+//! adds: table rows zero-copy when the table exists, `(feature, value)`
+//! pairs zero-copy through the fused-bind step when it does not, masked
+//! selects through its staging slots in the oblivious loop.
+//!
+//! ## When the table is built
+//!
+//! The table trades `N·M·⌈D/64⌉·8` bytes for one XOR per word, and it
+//! only pays while it stays cache-resident. A row reads `N` table rows
+//! scattered over the whole table, against `N` feature rows plus `M`
+//! value rows for the fused bind. Measured at `M = 16, D = 10 000` on a
+//! 2-vCPU Xeon VM with a 2 MiB L2 per core (AVX2, one pinned thread, 64
+//! distinct rows, medians of 11 interleaved pairs): at `N = 64` the
+//! table is 1.23 MiB, stays in L2 and is 1.28× faster than the fused
+//! bind; the two draw level around `N = 256` (4.9 MiB); at the paper's
+//! ISOLET shape (`N = 617`) the table is 11.8 MiB, every row gathers
+//! from L3, and the fused bind — 775 KB of features — is 1.26× faster.
+//! So [`BoundPairCache::warm_for_batch`] builds the table only up to
+//! [`BoundPairCache::TABLE_BUDGET_BYTES`], the L2 size: past it the
+//! table wins by a few percent at most, in a benchmark where nothing
+//! else competes for the cache, and costs its bytes of key-derived
+//! state. Above the budget a cached encoder holds no table at all.
+//! [`BoundPairCache::warm`] builds it at any size: the constant-time
+//! select of the hardened mode needs it.
+//!
+//! The crossover is the AVX2 backend's. On the compute-bound scalar
+//! backend the table stays ahead at the ISOLET shape too, in the same
+//! isolated benchmark (the fused bind reads 0.6–0.7× its speed); the
+//! budget applies there as well.
 
 use std::sync::OnceLock;
 
 use crate::binary::BinaryHv;
 use crate::bitslice::BitSliceAccumulator;
-use crate::kernel;
 use crate::level::LevelHvs;
 
 /// `lv` as a table index, panicking when it is not a level of `M = m`
@@ -26,8 +51,8 @@ fn level_index(lv: u16, m: usize) -> usize {
 }
 
 /// Lazily built cache of `FeaHV_i × ValHV_v` bound pairs, keyed
-/// `i·M + v`, plus the bit-sliced row-accumulation loop that consumes
-/// it (falling back to fused XOR accumulation while cold).
+/// `i·M + v`, plus the bit-sliced row-accumulation loops that consume
+/// it (falling back to the fused-bind bulk add while cold).
 #[derive(Debug, Default)]
 pub struct BoundPairCache {
     cache: OnceLock<Vec<BinaryHv>>,
@@ -46,6 +71,18 @@ impl Clone for BoundPairCache {
 }
 
 impl BoundPairCache {
+    /// Largest table, in bytes, that [`Self::warm_for_batch`] builds:
+    /// a 2 MiB L2, past which the table stops being a clear win over
+    /// the fused bind (measurements in the module docs). A constant
+    /// rather than an option.
+    pub const TABLE_BUDGET_BYTES: usize = 2 << 20;
+
+    /// Bytes of the `N × M` table for `n_features` features over
+    /// `values`.
+    fn table_bytes(n_features: usize, values: &LevelHvs) -> usize {
+        n_features * values.m() * values.dim().div_ceil(64) * std::mem::size_of::<u64>()
+    }
+
     /// Creates an empty (cold) cache.
     #[must_use]
     pub fn new() -> Self {
@@ -60,7 +97,8 @@ impl BoundPairCache {
         self.cache.get().is_some()
     }
 
-    /// Builds the `N × M` bound pairs once; later calls are free.
+    /// Builds the `N × M` bound pairs once, at any size; later calls are
+    /// free.
     pub fn warm(&self, features: &[BinaryHv], values: &LevelHvs) {
         let _ = self.cache.get_or_init(|| {
             let m = values.m();
@@ -75,16 +113,20 @@ impl BoundPairCache {
     }
 
     /// Warms the cache only when a batch of `batch_len` rows amortizes
-    /// the `N × M` build cost (heuristic: at least `M` rows).
+    /// the `N × M` build cost (heuristic: at least `M` rows) and the
+    /// table fits [`Self::TABLE_BUDGET_BYTES`].
     pub fn warm_for_batch(&self, features: &[BinaryHv], values: &LevelHvs, batch_len: usize) {
-        if batch_len >= values.m() {
+        if batch_len >= values.m()
+            && Self::table_bytes(features.len(), values) <= Self::TABLE_BUDGET_BYTES
+        {
             self.warm(features, values);
         }
     }
 
     /// Accumulates one quantized row into a (cleared) accumulator:
-    /// pre-bound table rows when warm, fused XOR binds when cold, both
-    /// through the carry-save bulk add. Bit-exact either way.
+    /// pre-bound table rows when warm, zero-copy `(feature, value)`
+    /// pairs through the fused-bind bulk add when cold. Bit-exact either
+    /// way.
     ///
     /// # Panics
     ///
@@ -110,17 +152,16 @@ impl BoundPairCache {
                     .map(|(i, &lv)| cache[i * m + level_index(lv, m)].bits().words()),
             );
         } else {
-            let xor_into = kernel::active().xor_into;
-            acc.add_staged(levels.len(), |i, slot| {
+            acc.add_bound_pairs(levels.iter().enumerate().map(|(i, &lv)| {
                 let fea = &features[i];
                 assert_eq!(
                     fea.dim(),
                     values.dim(),
                     "dimension mismatch in bit-sliced add"
                 );
-                let value = values.level(level_index(levels[i], m));
-                xor_into(value.bits().words(), fea.bits().words(), slot);
-            });
+                let value = values.level(level_index(lv, m));
+                (fea.bits().words(), value.bits().words())
+            }));
         }
     }
 
@@ -199,6 +240,45 @@ mod tests {
         warm.accumulate_row(&mut acc_warm, &features, &values, &levels);
 
         assert_eq!(acc_cold.to_int(), acc_warm.to_int());
+
+        // The table budget: at D = 4096 and M = 16 a table of 256
+        // features is exactly `TABLE_BUDGET_BYTES`, one of 257 is a
+        // feature over it. A batch of `M` rows warms the first and
+        // leaves the second cold, and a row accumulates bit-identically
+        // on the cold fused path, the batch-warmed cache and an
+        // explicitly warmed table.
+        for (n, fits) in [(256, true), (257, false)] {
+            let (dim, m) = (4096, 16);
+            let mut rng = HvRng::from_seed(n as u64);
+            let features = rng.orthogonal_pool(dim, n);
+            let values = LevelHvs::generate(&mut rng, dim, m).unwrap();
+            let levels: Vec<u16> = (0..n).map(|_| rng.index(m) as u16).collect();
+            assert_eq!(
+                BoundPairCache::table_bytes(n, &values) <= BoundPairCache::TABLE_BUDGET_BYTES,
+                fits
+            );
+            let row = |cache: &BoundPairCache| {
+                let mut acc = BitSliceAccumulator::new(dim);
+                cache.accumulate_row(&mut acc, &features, &values, &levels);
+                (acc.to_int(), acc.majority_ties_positive())
+            };
+
+            let batch = BoundPairCache::new();
+            batch.warm_for_batch(&features, &values, m - 1);
+            assert!(!batch.is_warm(), "N = {n}: fewer than M rows stay cold");
+            let cold = row(&batch);
+            batch.warm_for_batch(&features, &values, m);
+            assert_eq!(batch.is_warm(), fits, "N = {n}: a batch of M rows");
+            let batched = row(&batch);
+
+            let warm = BoundPairCache::new();
+            warm.warm(&features, &values);
+            assert!(warm.is_warm(), "N = {n}: warm() builds at any size");
+            let tabled = row(&warm);
+
+            assert_eq!(cold, tabled, "N = {n}: cold vs table");
+            assert_eq!(batched, tabled, "N = {n}: batch-warmed vs table");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every hot bit-kernel in this crate — XOR-accumulate, popcount
 //! reduction, the bit-sliced accumulator's Harley–Seal carry-save step
-//! and its ripple-carry increment, the word-parallel majority/threshold
+//! (plain, and fused with the bind of its inputs) and its ripple-carry
+//! increment, the word-parallel majority/threshold
 //! comparison, the Hamming-distance row scan of the sharded search
 //! engine, and the integer dot product behind cosine search — funnels
 //! through one [`Kernel`] dispatch table instead of hand-written `u64`
@@ -50,30 +51,33 @@
 //! 3. `tests/kernel_equivalence.rs` picks it up automatically via
 //!    [`available`] — no new test code needed for bit-exactness.
 
-/// The Harley–Seal carry-save network of [`Kernel::carry_save_16`]
-/// (Muła/Kurz/Lemire, arXiv:1611.07612), written once and expanded by
-/// the scalar and AVX2 backends over their own word types (the portable
-/// backend shares the scalar step). `$csa(a, b, c)` is the
-/// backend's full adder returning `(carry, sum)` of `a + b + c` per bit;
-/// `$x` holds the 16 inputs and `$low` the four low counter planes
-/// `[ones, twos, fours, eights]`. Evaluates to the updated low planes
-/// and the sixteens carry: 15 full adders per word position.
+/// The Harley–Seal carry-save network of [`Kernel::carry_save_16`] and
+/// [`Kernel::bind_carry_save_16`] (Muła/Kurz/Lemire, arXiv:1611.07612),
+/// written once and expanded by the scalar and AVX2 backends over their
+/// own word types (the portable backend shares the scalar steps).
+/// `$csa(a, b, c)` is the backend's full adder returning `(carry, sum)`
+/// of `a + b + c` per bit; `$x(j)` yields input `j` (a load, or the XOR
+/// of two loads for the fused bind), called where the network consumes
+/// it so only a few inputs are live at once; `$low` holds the four low
+/// counter planes `[ones, twos, fours, eights]`. Evaluates to the
+/// updated low planes and the sixteens carry: 15 full adders per word
+/// position.
 macro_rules! harley_seal {
     ($csa:expr, $x:expr, $low:expr) => {{
         let x = $x;
         let [ones, twos, fours, eights] = $low;
-        let (twos_a, ones) = $csa(ones, x[0], x[1]);
-        let (twos_b, ones) = $csa(ones, x[2], x[3]);
+        let (twos_a, ones) = $csa(ones, x(0), x(1));
+        let (twos_b, ones) = $csa(ones, x(2), x(3));
         let (fours_a, twos) = $csa(twos, twos_a, twos_b);
-        let (twos_a, ones) = $csa(ones, x[4], x[5]);
-        let (twos_b, ones) = $csa(ones, x[6], x[7]);
+        let (twos_a, ones) = $csa(ones, x(4), x(5));
+        let (twos_b, ones) = $csa(ones, x(6), x(7));
         let (fours_b, twos) = $csa(twos, twos_a, twos_b);
         let (eights_a, fours) = $csa(fours, fours_a, fours_b);
-        let (twos_a, ones) = $csa(ones, x[8], x[9]);
-        let (twos_b, ones) = $csa(ones, x[10], x[11]);
+        let (twos_a, ones) = $csa(ones, x(8), x(9));
+        let (twos_b, ones) = $csa(ones, x(10), x(11));
         let (fours_a, twos) = $csa(twos, twos_a, twos_b);
-        let (twos_a, ones) = $csa(ones, x[12], x[13]);
-        let (twos_b, ones) = $csa(ones, x[14], x[15]);
+        let (twos_a, ones) = $csa(ones, x(12), x(13));
+        let (twos_b, ones) = $csa(ones, x(14), x(15));
         let (fours_b, twos) = $csa(twos, twos_a, twos_b);
         let (eights_b, fours) = $csa(fours, fours_a, fours_b);
         let (sixteens, eights) = $csa(eights, eights_a, eights_b);
@@ -93,6 +97,11 @@ pub const CARRY_SAVE_INPUTS: usize = 16;
 
 /// The packed input vectors of one [`Kernel::carry_save_16`] step.
 pub type CarrySaveGroup<'a> = [&'a [u64]; CARRY_SAVE_INPUTS];
+
+/// The four counter planes a carry-save step updates in place,
+/// least-significant first (`[ones, twos, fours, eights]` for the
+/// accumulator's first level).
+pub type CarrySavePlanes<'a> = [&'a mut [u64]; 4];
 
 /// Dispatch table of the primitive word-level operations the engine
 /// needs. One instance per backend; selected once via [`active`].
@@ -128,7 +137,18 @@ pub struct Kernel {
     /// carry is one bit per dimension, and the caller ripples it over
     /// the higher planes with `ripple_step`.
     pub carry_save_16:
-        fn(inputs: &CarrySaveGroup<'_>, low: [&mut [u64]; 4], carry: &mut [u64]) -> bool,
+        fn(inputs: &CarrySaveGroup<'_>, low: CarrySavePlanes<'_>, carry: &mut [u64]) -> bool,
+    /// `carry_save_16` fused with the bind of its inputs: adds the 16
+    /// bound pairs `a[k] ^ b[k]` (paper Eq. 2) without materializing
+    /// them — `a` the feature words, `b` the value words of an encoded
+    /// row. Planes, carry and return value are exactly those of
+    /// `carry_save_16` over the XORed words.
+    pub bind_carry_save_16: fn(
+        a: &CarrySaveGroup<'_>,
+        b: &CarrySaveGroup<'_>,
+        low: CarrySavePlanes<'_>,
+        carry: &mut [u64],
+    ) -> bool,
     /// One plane step of the word-parallel threshold comparison
     /// (most-significant plane first): with `t_bit` the threshold's bit
     /// at this plane, `gt |= eq & plane; eq &= !plane` when `t_bit` is
@@ -217,11 +237,18 @@ pub fn scalar() -> &'static Kernel {
     &scalar::KERNEL
 }
 
-/// Words every backend's `carry_save_16` processes: the shortest of its
-/// 21 slices, so mismatched lengths stay memory-safe.
-fn carry_save_len(inputs: &CarrySaveGroup<'_>, low: &[&mut [u64]; 4], carry: &[u64]) -> usize {
-    inputs
-        .iter()
+/// Words every backend's carry-save step processes: the shortest of its
+/// input (`a`, and `b` for the fused bind), plane and carry slices, so
+/// mismatched lengths stay memory-safe — and every backend processes
+/// the same words.
+fn carry_save_len(
+    a: &CarrySaveGroup<'_>,
+    b: &CarrySaveGroup<'_>,
+    low: &CarrySavePlanes<'_>,
+    carry: &[u64],
+) -> usize {
+    a.iter()
+        .chain(b)
         .map(|s| s.len())
         .chain(low.iter().map(|s| s.len()))
         .fold(carry.len(), usize::min)

@@ -24,9 +24,10 @@ pub(super) static KERNEL: Kernel = Kernel {
     popcount,
     hamming,
     ripple_step,
-    // No lane version yet: one benchmarked no faster than the scalar
-    // step, so this backend shares it.
+    // No lane versions yet: one benchmarked no faster than the scalar
+    // step, so this backend shares the scalar steps.
     carry_save_16: scalar::carry_save_16,
+    bind_carry_save_16: scalar::bind_carry_save_16,
     threshold_step,
     hamming_rows,
     hamming_rows_stride,

@@ -2,12 +2,12 @@
 //!
 //! These are the loops that used to live inline in `bitvec.rs`,
 //! `bitslice.rs` and `search.rs`, extracted unchanged, plus the
-//! word-at-a-time Harley–Seal step. Every other backend must match them
-//! bit-for-bit.
+//! word-at-a-time Harley–Seal steps (plain and fused-bind). Every other
+//! backend must match them bit-for-bit.
 
 use std::ops::Range;
 
-use super::{carry_save_len, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
+use super::{carry_save_len, CarrySaveGroup, CarrySavePlanes, Kernel, CARRY_SAVE_INPUTS};
 
 /// The scalar reference backend.
 pub(super) static KERNEL: Kernel = Kernel {
@@ -18,6 +18,7 @@ pub(super) static KERNEL: Kernel = Kernel {
     hamming,
     ripple_step,
     carry_save_16,
+    bind_carry_save_16,
     threshold_step,
     hamming_rows,
     hamming_rows_stride,
@@ -72,26 +73,48 @@ fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
 
 pub(super) fn carry_save_16(
     inputs: &CarrySaveGroup<'_>,
-    low: [&mut [u64]; 4],
+    low: CarrySavePlanes<'_>,
     carry: &mut [u64],
 ) -> bool {
-    let n = carry_save_len(inputs, &low, carry);
-    carry_save_words(inputs, low, carry, 0..n) != 0
+    let n = carry_save_len(inputs, inputs, &low, carry);
+    carry_save_words::<false>(inputs, inputs, low, carry, 0..n) != 0
 }
 
-/// The Harley–Seal network one word at a time over `words`, returning
-/// the OR of the carries it wrote: the whole scalar step, and the tail
-/// of the AVX2 one.
-pub(super) fn carry_save_words(
-    inputs: &CarrySaveGroup<'_>,
-    low: [&mut [u64]; 4],
+pub(super) fn bind_carry_save_16(
+    a: &CarrySaveGroup<'_>,
+    b: &CarrySaveGroup<'_>,
+    low: CarrySavePlanes<'_>,
+    carry: &mut [u64],
+) -> bool {
+    let n = carry_save_len(a, b, &low, carry);
+    carry_save_words::<true>(a, b, low, carry, 0..n) != 0
+}
+
+/// The Harley–Seal network one word at a time over `words`, on the
+/// inputs `a` — or, with `BIND`, on the bound pairs `a[j] ^ b[j]` —
+/// returning the OR of the carries it wrote: the whole scalar steps,
+/// and the tail of the AVX2 ones.
+pub(super) fn carry_save_words<const BIND: bool>(
+    a: &CarrySaveGroup<'_>,
+    b: &CarrySaveGroup<'_>,
+    low: CarrySavePlanes<'_>,
     carry: &mut [u64],
     words: Range<usize>,
 ) -> u64 {
-    let [ones, twos, fours, eights] = low;
+    // Every slice cut to exactly `words.end` lets the compiler drop the
+    // per-word bounds checks of the 16 (or 32) input loads.
+    let end = words.end;
+    let a: [&[u64]; CARRY_SAVE_INPUTS] = std::array::from_fn(|j| &a[j][..end]);
+    let b: [&[u64]; CARRY_SAVE_INPUTS] = if BIND {
+        std::array::from_fn(|j| &b[j][..end])
+    } else {
+        a
+    };
+    let [ones, twos, fours, eights] = low.map(|plane| &mut plane[..end]);
+    let carry = &mut carry[..end];
     let mut any = 0u64;
     for w in words {
-        let x: [u64; CARRY_SAVE_INPUTS] = std::array::from_fn(|j| inputs[j][w]);
+        let x = |j: usize| if BIND { a[j][w] ^ b[j][w] } else { a[j][w] };
         let ([o, t, f, e], sixteens) =
             harley_seal!(csa, x, [ones[w], twos[w], fours[w], eights[w]]);
         (ones[w], twos[w], fours[w], eights[w]) = (o, t, f, e);

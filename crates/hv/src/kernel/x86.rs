@@ -27,7 +27,7 @@ use std::arch::x86_64::{
     _mm256_unpacklo_epi64, _mm256_xor_si256,
 };
 
-use super::{carry_save_len, scalar, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
+use super::{carry_save_len, scalar, CarrySaveGroup, CarrySavePlanes, Kernel};
 
 /// `u64` words per 256-bit vector.
 const WORDS: usize = 4;
@@ -46,6 +46,7 @@ pub(super) static KERNEL: Kernel = Kernel {
     hamming,
     ripple_step,
     carry_save_16,
+    bind_carry_save_16,
     threshold_step,
     hamming_rows,
     hamming_rows_stride,
@@ -109,9 +110,19 @@ fn dot_i16_rows_stride(q_block: &[i16], rows: &[i16], stride: usize, dots: &mut 
     unsafe { dot_i16_rows_stride_avx2(q_block, rows, stride, dots) }
 }
 
-fn carry_save_16(inputs: &CarrySaveGroup<'_>, low: [&mut [u64]; 4], carry: &mut [u64]) -> bool {
+fn carry_save_16(inputs: &CarrySaveGroup<'_>, low: CarrySavePlanes<'_>, carry: &mut [u64]) -> bool {
     // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
-    unsafe { carry_save_16_avx2(inputs, low, carry) }
+    unsafe { carry_save_16_avx2::<false>(inputs, inputs, low, carry) }
+}
+
+fn bind_carry_save_16(
+    a: &CarrySaveGroup<'_>,
+    b: &CarrySaveGroup<'_>,
+    low: CarrySavePlanes<'_>,
+    carry: &mut [u64],
+) -> bool {
+    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
+    unsafe { carry_save_16_avx2::<true>(a, b, low, carry) }
 }
 
 /// Per-byte popcount of a 256-bit vector via the nibble lookup table,
@@ -567,24 +578,31 @@ unsafe fn csa256(a: __m256i, b: __m256i, c: __m256i) -> (__m256i, __m256i) {
     )
 }
 
+/// Both carry-save steps: on the inputs `a`, or with `BIND` on the
+/// bound pairs `a[j] ^ b[j]`, XORed in registers as they are loaded.
 #[target_feature(enable = "avx2")]
-unsafe fn carry_save_16_avx2(
-    inputs: &CarrySaveGroup<'_>,
-    low: [&mut [u64]; 4],
+unsafe fn carry_save_16_avx2<const BIND: bool>(
+    a: &CarrySaveGroup<'_>,
+    b: &CarrySaveGroup<'_>,
+    low: CarrySavePlanes<'_>,
     carry: &mut [u64],
 ) -> bool {
-    // `n` is the shortest of all 21 slices, so every vector block below
-    // is in bounds for each of them.
-    let n = carry_save_len(inputs, &low, carry);
+    // `n` is the shortest of all input, plane and carry slices, so
+    // every vector block below is in bounds for each of them.
+    let n = carry_save_len(a, b, &low, carry);
     let [ones, twos, fours, eights] = low;
     let blocks = n / WORDS;
     let mut any = _mm256_setzero_si256();
     for i in 0..blocks {
         let at = i * WORDS;
-        let mut x = [_mm256_setzero_si256(); CARRY_SAVE_INPUTS];
-        for (v, input) in x.iter_mut().zip(inputs) {
-            *v = _mm256_loadu_si256(input.as_ptr().add(at).cast());
-        }
+        let x = |j: usize| {
+            let v = _mm256_loadu_si256(a[j].as_ptr().add(at).cast());
+            if BIND {
+                _mm256_xor_si256(v, _mm256_loadu_si256(b[j].as_ptr().add(at).cast()))
+            } else {
+                v
+            }
+        };
         let low = [
             _mm256_loadu_si256(ones.as_ptr().add(at).cast()),
             _mm256_loadu_si256(twos.as_ptr().add(at).cast()),
@@ -599,8 +617,9 @@ unsafe fn carry_save_16_avx2(
         _mm256_storeu_si256(carry.as_mut_ptr().add(at).cast(), sixteens);
         any = _mm256_or_si256(any, sixteens);
     }
-    let tail = scalar::carry_save_words(
-        inputs,
+    let tail = scalar::carry_save_words::<BIND>(
+        a,
+        b,
         [ones, twos, fours, eights],
         carry,
         blocks * WORDS..n,

@@ -30,8 +30,14 @@
 //! whole-word `AND`/`XOR` instead of 64 scalar adds. A single add is a
 //! ripple-carry increment that, at `D = 10 000`, walks nearly every
 //! plane; the bulk adds the encoders use fold each 16 inputs with one
-//! Harley–Seal carry-save step into the four low planes and ripple only
-//! the sixteens carry — about one full adder per input word. The engine
+//! Harley–Seal carry-save step into the four low planes and (on the
+//! fused and staged paths) each 16 of those sixteens carries with a
+//! second step into the next four, rippling only what is left — about
+//! one full adder per input word. The
+//! encoders' row path fuses the bind into that step: it reads each
+//! feature and value hypervector once and XORs them in registers, so
+//! no bound pair is written to memory, and a precomputed [`BoundPairCache`]
+//! table replaces it only where the table fits a 2 MiB L2. The engine
 //! is **bit-exact** with the scalar path by construction:
 //!
 //! * **Layout** — `planes[p][w]` is bit `p` of the counters for

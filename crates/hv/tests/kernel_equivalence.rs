@@ -29,22 +29,32 @@ fn ints(rng: &mut HvRng, n: usize) -> Vec<i32> {
     (0..n).map(|_| rng.next_u64() as i32).collect()
 }
 
-/// Runs one `carry_save_16` step on copies of `low` (with a carry
-/// buffer full of garbage it must overwrite): the planes, the carry and
-/// the live flag.
+/// The slices of `inputs` as one carry-save group.
+fn group(inputs: &[Vec<u64>]) -> CarrySaveGroup<'_> {
+    std::array::from_fn(|j| inputs[j].as_slice())
+}
+
+/// Runs one carry-save step — `carry_save_16` on `a`, or with `b` the
+/// fused `bind_carry_save_16` on `a[j] ^ b[j]` — on copies of `low`
+/// (with a carry buffer full of garbage it must overwrite): the planes,
+/// the carry and the live flag.
 fn carry_save_once(
     k: &Kernel,
-    inputs: &[Vec<u64>],
+    a: &[Vec<u64>],
+    b: Option<&[Vec<u64>]>,
     low: &[Vec<u64>],
     stale_carry: &[u64],
 ) -> (Vec<Vec<u64>>, Vec<u64>, bool) {
-    let group: CarrySaveGroup<'_> = std::array::from_fn(|j| inputs[j].as_slice());
     let mut low = low.to_vec();
     let mut carry = stale_carry.to_vec();
     let [ones, twos, fours, eights] = &mut low[..] else {
         unreachable!("four low planes")
     };
-    let live = (k.carry_save_16)(&group, [ones, twos, fours, eights], &mut carry);
+    let planes = [ones, twos, fours, eights].map(|plane| plane.as_mut_slice());
+    let live = match b {
+        None => (k.carry_save_16)(&group(a), planes, &mut carry),
+        Some(b) => (k.bind_carry_save_16)(&group(a), &group(b), planes, &mut carry),
+    };
     (low, carry, live)
 }
 
@@ -116,10 +126,10 @@ proptest! {
         let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
         let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
         let stale = words(&mut rng, n);
-        let want = carry_save_once(kernel::scalar(), &inputs, &low, &stale);
+        let want = carry_save_once(kernel::scalar(), &inputs, None, &low, &stale);
         for k in non_scalar_backends() {
             prop_assert_eq!(
-                carry_save_once(k, &inputs, &low, &stale),
+                carry_save_once(k, &inputs, None, &low, &stale),
                 want.clone(),
                 "carry_save_16: {}", k.name
             );
@@ -134,7 +144,7 @@ proptest! {
         let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
         let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
         let (new_low, carry, live) =
-            carry_save_once(kernel::scalar(), &inputs, &low, &words(&mut rng, n));
+            carry_save_once(kernel::scalar(), &inputs, None, &low, &words(&mut rng, n));
         let value = |planes: &[Vec<u64>], w: usize, b: usize| -> u64 {
             planes
                 .iter()
@@ -156,19 +166,86 @@ proptest! {
     }
 
     #[test]
-    fn bulk_bundling_is_bit_identical_across_backends(
-        dim in dims(),
-        n in 0usize..=70,
+    fn bind_carry_save_16_matches_scalar(
+        n in word_lens(),
+        ragged in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // The accumulator's carry-save bulk add driven through each
-        // backend explicitly, against the scalar reference's planes.
+        // Lengths off the 4-word vector block run every backend's scalar
+        // tail. When `ragged`, each of the 37 slices (16 + 16 inputs, 4
+        // planes, carry) gets its own length `n + 0..=5`: every backend
+        // must then process the same shortest prefix and never touch a
+        // word past it.
+        let mut rng = HvRng::from_seed(seed);
+        let extra: Vec<usize> = (0..37)
+            .map(|_| if ragged { rng.index(6) } else { 0 })
+            .collect();
+        let mut slice = |i: usize| words(&mut rng, n + extra[i]);
+        let a: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(&mut slice).collect();
+        let b: Vec<Vec<u64>> = (16..16 + CARRY_SAVE_INPUTS).map(&mut slice).collect();
+        let low: Vec<Vec<u64>> = (32..36).map(&mut slice).collect();
+        let stale = slice(36);
+        let want = carry_save_once(kernel::scalar(), &a, Some(&b), &low, &stale);
+        let common = extra.iter().min().map_or(n, |e| n + e);
+        for (before, after) in low.iter().zip(&want.0).chain([(&stale, &want.1)]) {
+            prop_assert_eq!(&before[common..], &after[common..], "words past the shortest slice");
+        }
+        for k in non_scalar_backends() {
+            prop_assert_eq!(
+                carry_save_once(k, &a, Some(&b), &low, &stale),
+                want.clone(),
+                "bind_carry_save_16: {}", k.name
+            );
+        }
+    }
+
+    #[test]
+    fn bind_carry_save_16_scalar_adds_exactly(n in 0usize..=6, seed in any::<u64>()) {
+        // The fused reference is the plain step over the bound pairs:
+        // identical planes, carry and live flag to `carry_save_16` on
+        // `a[j] ^ b[j]`, which `carry_save_16_scalar_adds_exactly`
+        // checks bit by bit.
+        let mut rng = HvRng::from_seed(seed);
+        let a: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
+        let b: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
+        let bound: Vec<Vec<u64>> = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| x.iter().zip(y).map(|(p, q)| p ^ q).collect())
+            .collect();
+        let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
+        let stale = words(&mut rng, n);
+        prop_assert_eq!(
+            carry_save_once(kernel::scalar(), &a, Some(&b), &low, &stale),
+            carry_save_once(kernel::scalar(), &bound, None, &low, &stale)
+        );
+    }
+
+    #[test]
+    fn bulk_bundling_is_bit_identical_across_backends(
+        dim in dims(),
+        n in prop_oneof![0usize..=70, 255usize..=273],
+        seed in any::<u64>(),
+    ) {
+        // The accumulator's carry-save bulk adds (plain and fused-bind)
+        // driven through each backend explicitly, against the scalar
+        // reference's planes.
         let mut rng = HvRng::from_seed(seed);
         let hvs: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(dim)).collect();
+        let keys: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(dim)).collect();
         let bundle = |k: &'static Kernel| {
             let mut acc = BitSliceAccumulator::with_kernel(dim, k);
             acc.add_slices(hvs.iter().map(|hv| hv.bits().words()));
-            (acc.counts(), acc.majority_ties_positive())
+            let mut bound = BitSliceAccumulator::with_kernel(dim, k);
+            bound.add_bound_pairs(
+                hvs.iter().zip(&keys).map(|(hv, key)| (hv.bits().words(), key.bits().words())),
+            );
+            (
+                acc.counts(),
+                acc.majority_ties_positive(),
+                bound.counts(),
+                bound.majority_ties_positive(),
+            )
         };
         let want = bundle(kernel::scalar());
         for k in non_scalar_backends() {

@@ -130,9 +130,10 @@ pub trait Encoder {
 pub struct RecordEncoder {
     features: ItemMemory,
     values: LevelHvs,
-    /// Shared lazily-built `(feature, level)` bound-pair cache; batch
-    /// encoding warms it once and every subsequent add is a single
-    /// pre-bound vector.
+    /// Shared `(feature, level)` bound-pair cache; a batch warms its
+    /// table once when it fits [`BoundPairCache::TABLE_BUDGET_BYTES`],
+    /// after which every add is a single pre-bound vector. Otherwise
+    /// rows take the fused-bind bulk add.
     bound_cache: BoundPairCache,
 }
 
@@ -213,8 +214,8 @@ impl RecordEncoder {
     }
 
     /// Accumulates one row into a (cleared) bit-sliced accumulator via
-    /// the shared bound-pair cache (pre-bound adds when warm, fused
-    /// XOR adds when cold).
+    /// the shared bound-pair cache (pre-bound adds when warm, the
+    /// fused-bind bulk add when cold).
     fn accumulate_row(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
         self.bound_cache
             .accumulate_row(acc, self.features.rows(), &self.values, levels);
@@ -230,7 +231,8 @@ impl RecordEncoder {
         for row in rows {
             self.check_row(row);
         }
-        // Warm the cache before forking when the batch amortizes it.
+        // Warm the cache before forking when the batch amortizes it and
+        // the table fits the budget.
         self.bound_cache
             .warm_for_batch(self.features.rows(), &self.values, rows.len());
         par::par_chunk_map(rows.len(), 4, |range| {

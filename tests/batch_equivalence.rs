@@ -128,14 +128,17 @@ proptest! {
 }
 
 /// The paper's ISOLET shape pinned as a fixed case: N = 617 features is
-/// 38 carry-save groups and a 9-input remainder per row, at M = 16 and
-/// D = 10 000. Both encoders, every locked derivation mode, cold single
-/// encodes, the table-warming batch and warm single encodes, all against
-/// the scalar reference.
+/// 38 full carry-save groups and a zero-padded group of 9 per row, at
+/// M = 16 and D = 10 000. Both encoders, every locked derivation mode:
+/// single encodes before and after a batch of `M` rows, and the batch
+/// itself, all against the scalar reference. The 11.8 MiB bound-pair
+/// table is over `BoundPairCache::TABLE_BUDGET_BYTES`, so the batch
+/// leaves the record and cached encoders on the fused-bind path;
+/// hardened mode builds its table eagerly.
 #[test]
 fn isolet_shape_encodes_are_bit_exact_with_scalar() {
     let (n, m, d) = (617, 16, 10_000);
-    // `M` rows: the batch crosses the bound-pair table's warm threshold.
+    // `M` rows: enough to warm a table under the budget, not this one.
     let batch_rows = rows(n, m, m, 617);
     let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
     let checked = [0, m - 1];
