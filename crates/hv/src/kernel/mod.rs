@@ -4,8 +4,9 @@
 //! reduction, the bit-sliced accumulator's Harley–Seal carry-save step
 //! (plain, and fused with the bind of its inputs) and its ripple-carry
 //! increment, the word-parallel majority/threshold
-//! comparison, the Hamming-distance row scan of the sharded search
-//! engine, and the integer dot product behind cosine search — funnels
+//! comparison, the strided Hamming and integer dot-product row scans
+//! that every batch search and top-k pass runs over the block-major
+//! planes, and the integer dot product behind cosine search — funnels
 //! through one [`Kernel`] dispatch table instead of hand-written `u64`
 //! loops duplicated per call site. Three interchangeable backends
 //! implement the table:
@@ -111,7 +112,11 @@ pub type CarrySavePlanes<'a> = [&'a mut [u64]; 4];
 /// memory-safe — every backend bounds its loops by the shortest slice
 /// involved (or panics on a safe slice index) — but which elements get
 /// processed is then backend-defined, so results across backends are
-/// only guaranteed identical for equal-length inputs.
+/// only guaranteed identical for equal-length inputs. The strided row
+/// scans are the exception: they read row `r` of `n = dist.len()` (or
+/// `dots.len()`) at `rows[r·stride .. r·stride + q_block.len()]`, so
+/// `rows` must hold at least `(n − 1)·stride + q_block.len()` elements,
+/// and every backend panics when it is shorter.
 #[derive(Debug, Clone, Copy)]
 pub struct Kernel {
     /// Backend name as reported by [`name`] and the serving layer.
@@ -154,16 +159,13 @@ pub struct Kernel {
     /// at this plane, `gt |= eq & plane; eq &= !plane` when `t_bit` is
     /// 0, `eq &= plane` when it is 1.
     pub threshold_step: fn(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &mut [u64]),
-    /// Hamming-distance row scan: `rows` holds `dist.len()` rows of
-    /// `q_block.len()` words back to back; `dist[r] +=
-    /// Σ popcount(q_block ^ rows[r])`. The batch-search hot loop.
-    pub hamming_rows: fn(q_block: &[u64], rows: &[u64], dist: &mut [u32]),
-    /// Strided variant of `hamming_rows` for the pruned top-k coarse
-    /// pass: row `r` occupies `rows[r * stride ..]` but only its first
-    /// `q_block.len()` words are scanned — a free word-prefix subsample
-    /// of each block-major plane block. `stride == q_block.len()`
-    /// degenerates to `hamming_rows`. Requires `stride >=
-    /// q_block.len()`.
+    /// Hamming-distance row scan, the hot loop of batch search and of
+    /// both top-k passes: row `r` occupies `rows[r * stride ..]` and
+    /// `dist[r] += Σ popcount(q_block ^ row)` over its first
+    /// `q_block.len()` words. `stride == q_block.len()` scans
+    /// contiguous rows (every whole plane block); a shorter query block
+    /// reads a word prefix of each row (a narrow pruned top-k probe).
+    /// Requires `stride >= q_block.len()`.
     pub hamming_rows_stride: fn(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]),
     /// Wrapping `i64` dot product of two `i32` slices (cosine search).
     pub dot_i32: fn(a: &[i32], b: &[i32]) -> i64,

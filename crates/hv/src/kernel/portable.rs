@@ -29,8 +29,9 @@ pub(super) static KERNEL: Kernel = Kernel {
     carry_save_16: scalar::carry_save_16,
     bind_carry_save_16: scalar::bind_carry_save_16,
     threshold_step,
-    hamming_rows,
-    hamming_rows_stride,
+    // A lane version read slower than the scalar row loop on 16-word
+    // plane blocks, so this backend shares the scalar scan.
+    hamming_rows_stride: scalar::hamming_rows_stride,
     dot_i32,
     dot_rows_stride,
     dot_i16_rows_stride,
@@ -166,20 +167,6 @@ fn threshold_step(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &mut [u64]) {
             *g |= *e & b;
             *e &= !b;
         }
-    }
-}
-
-fn hamming_rows(q_block: &[u64], rows: &[u64], dist: &mut [u32]) {
-    let len = q_block.len();
-    for (r, d) in dist.iter_mut().enumerate() {
-        *d += hamming(q_block, &rows[r * len..(r + 1) * len]) as u32;
-    }
-}
-
-fn hamming_rows_stride(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]) {
-    let len = q_block.len();
-    for (r, d) in dist.iter_mut().enumerate() {
-        *d += hamming(q_block, &rows[r * stride..r * stride + len]) as u32;
     }
 }
 

@@ -20,7 +20,6 @@ pub(super) static KERNEL: Kernel = Kernel {
     carry_save_16,
     bind_carry_save_16,
     threshold_step,
-    hamming_rows,
     hamming_rows_stride,
     dot_i32,
     dot_rows_stride,
@@ -137,19 +136,7 @@ fn threshold_step(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &mut [u64]) {
     }
 }
 
-fn hamming_rows(q_block: &[u64], rows: &[u64], dist: &mut [u32]) {
-    let len = q_block.len();
-    for (r, d) in dist.iter_mut().enumerate() {
-        let row = &rows[r * len..(r + 1) * len];
-        let mut acc = 0u32;
-        for (a, w) in q_block.iter().zip(row) {
-            acc += (a ^ w).count_ones();
-        }
-        *d += acc;
-    }
-}
-
-fn hamming_rows_stride(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]) {
+pub(super) fn hamming_rows_stride(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]) {
     let len = q_block.len();
     for (r, d) in dist.iter_mut().enumerate() {
         let row = &rows[r * stride..r * stride + len];

@@ -13,7 +13,8 @@
 //! **only after** `is_x86_feature_detected!("avx2")` has confirmed the
 //! CPU supports AVX2, which is the sole precondition of the
 //! `#[target_feature(enable = "avx2")]` functions below. All pointer
-//! accesses are unaligned loads/stores within slice bounds.
+//! accesses are unaligned loads/stores within slice bounds; the strided
+//! row scans assert their row bounds before entering the unsafe body.
 
 #![allow(unsafe_code)]
 
@@ -48,7 +49,6 @@ pub(super) static KERNEL: Kernel = Kernel {
     carry_save_16,
     bind_carry_save_16,
     threshold_step,
-    hamming_rows,
     hamming_rows_stride,
     dot_i32,
     dot_rows_stride,
@@ -85,13 +85,25 @@ fn threshold_step(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &mut [u64]) {
     unsafe { threshold_step_avx2(plane, t_bit, gt, eq) }
 }
 
-fn hamming_rows(q_block: &[u64], rows: &[u64], dist: &mut [u32]) {
-    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
-    unsafe { hamming_rows_avx2(q_block, rows, dist) }
+/// Panics unless `rows` holds all `n` strided rows a four-row loop
+/// reads through raw pointers: row `r` spans `r·stride .. r·stride +
+/// len` (the precondition stated on [`Kernel`]).
+fn assert_rows_fit(rows: usize, n: usize, stride: usize, len: usize) {
+    if let Some(last) = n.checked_sub(1) {
+        let end = last
+            .checked_mul(stride)
+            .and_then(|start| start.checked_add(len));
+        assert!(
+            end.is_some_and(|end| end <= rows),
+            "strided row scan: {n} rows of stride {stride} and length {len} overrun {rows} elements"
+        );
+    }
 }
 
 fn hamming_rows_stride(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]) {
-    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
+    assert_rows_fit(rows.len(), dist.len(), stride, q_block.len());
+    // SAFETY: AVX2 availability is guaranteed by the dispatch layer, and
+    // the assert keeps every row read inside `rows`.
     unsafe { hamming_rows_stride_avx2(q_block, rows, stride, dist) }
 }
 
@@ -101,12 +113,16 @@ fn dot_i32(a: &[i32], b: &[i32]) -> i64 {
 }
 
 fn dot_rows_stride(q_block: &[i32], rows: &[i32], stride: usize, dots: &mut [i64]) {
-    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
+    assert_rows_fit(rows.len(), dots.len(), stride, q_block.len());
+    // SAFETY: AVX2 availability is guaranteed by the dispatch layer, and
+    // the assert keeps every row read inside `rows`.
     unsafe { dot_rows_stride_avx2(q_block, rows, stride, dots) }
 }
 
 fn dot_i16_rows_stride(q_block: &[i16], rows: &[i16], stride: usize, dots: &mut [i64]) {
-    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
+    assert_rows_fit(rows.len(), dots.len(), stride, q_block.len());
+    // SAFETY: AVX2 availability is guaranteed by the dispatch layer, and
+    // the assert keeps every row read inside `rows`.
     unsafe { dot_i16_rows_stride_avx2(q_block, rows, stride, dots) }
 }
 
@@ -278,22 +294,19 @@ unsafe fn threshold_step_avx2(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &m
     }
 }
 
-#[target_feature(enable = "avx2")]
-unsafe fn hamming_rows_avx2(q_block: &[u64], rows: &[u64], dist: &mut [u32]) {
-    let len = q_block.len();
-    for (r, d) in dist.iter_mut().enumerate() {
-        *d += hamming_avx2(q_block, &rows[r * len..(r + 1) * len]) as u32;
-    }
-}
-
+/// # Safety
+///
+/// The CPU must support AVX2, and `rows` must hold all `dist.len()`
+/// rows read at `stride` (what [`assert_rows_fit`] checks).
 #[target_feature(enable = "avx2")]
 unsafe fn hamming_rows_stride_avx2(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]) {
-    // The strided scan is the pruned top-k coarse pass: short prefixes
-    // (tens of words) over many rows, so per-row overhead — not the
-    // popcount itself — is what shows up. Rows go two at a time so each
-    // query-word load is shared and the two popcount chains overlap;
-    // the sums stay plain wrapping adds of the same per-word popcounts,
-    // so the result is bit-identical to the one-row path.
+    // Every row scan runs here: short rows (a 16-word plane block or a
+    // narrower probe prefix) over many rows, so per-row overhead — not
+    // the popcount itself — is what shows up. Rows go four at a time so
+    // each query-word load is shared, the four popcount chains overlap
+    // and one transposed reduction serves all four rows; the sums stay
+    // plain wrapping adds of the same per-word popcounts, so the result
+    // is bit-identical to the one-row path.
     let len = q_block.len();
     let blocks = len / WORDS;
     let n = dist.len();
@@ -391,6 +404,10 @@ unsafe fn dot_i32_avx2(a: &[i32], b: &[i32]) -> i64 {
     dot
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `rows` must hold all `dots.len()`
+/// rows read at `stride` (what [`assert_rows_fit`] checks).
 #[target_feature(enable = "avx2")]
 unsafe fn dot_rows_stride_avx2(q_block: &[i32], rows: &[i32], stride: usize, dots: &mut [i64]) {
     // The int twin of `hamming_rows_stride_avx2`: rows go four at a
@@ -507,6 +524,10 @@ unsafe fn dot_i16_avx2(a: &[i16], b: &[i16]) -> i64 {
     dot
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `rows` must hold all `dots.len()`
+/// rows read at `stride` (what [`assert_rows_fit`] checks).
 #[target_feature(enable = "avx2")]
 unsafe fn dot_i16_rows_stride_avx2(q_block: &[i16], rows: &[i16], stride: usize, dots: &mut [i64]) {
     // vpmaddwd multiplies 16 i16 pairs and sums adjacent products into

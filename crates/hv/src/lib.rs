@@ -64,14 +64,14 @@
 //! [`BinaryHv`] at a time:
 //!
 //! * **Packed planes** — binary rows live as contiguous `u64` words in
-//!   *block-major* order: within each dimension block
-//!   ([`search::BLOCK_WORDS`] words) the rows are laid out back to
-//!   back, so comparing every class against a query inside one block is
-//!   a linear walk over a few KiB that stays cache-resident while a
-//!   whole chunk of queries streams over it. Integer rows mirror the
-//!   same shape: row-interleaved i32 planes in
-//!   [`search::INT_BLOCK_DIMS`]-dimension blocks, plus an i16 *sidecar*
-//!   plane (values saturated to ±32767) that drives the `vpmaddwd`
+//!   *block-major* order: within each block of
+//!   [`search::INT_BLOCK_DIMS`] = 1024 dimensions
+//!   ([`search::BLOCK_WORDS`] words, 128 B per row) the rows are laid
+//!   out back to back, so comparing every class against a query inside
+//!   one block is a linear walk over a few KiB that stays
+//!   cache-resident while a whole chunk of queries streams over it.
+//!   Integer rows share the same blocks: row-interleaved i32 planes,
+//!   plus an i16 *sidecar* plane (values saturated to ±32767) that drives the `vpmaddwd`
 //!   fast path — a memory whose values never hit the clamp records
 //!   that fact, and queries that narrow losslessly take the half-width
 //!   plane with bit-identical dots.
@@ -100,14 +100,16 @@
 //! bottleneck. `search_topk_binary` / `search_topk_int` shard the rows
 //! across workers, stream each shard tile by tile through the
 //! block-major planes, and keep *bounded heaps* of the k best
-//! candidates — `O(tile + k)` memory per worker, merged
+//! candidates (a row that does not beat a full heap's worst key never
+//! reaches it) — `O(tile + k)` memory per worker, merged
 //! deterministically, and **bit-identical** (rows, tie order, score
 //! bits) to stably sorting the full score vector.
 //!
 //! `search_topk_binary_pruned` adds a coarse-quantized multi-probe
 //! scan: a first pass reads only the leading packed words of every row
-//! ([`ProbeConfig::probe_words`] of `⌈D/64⌉`, free in the block-major
-//! layout), keeps `probe_factor · k` candidates per query, and
+//! ([`ProbeConfig::probe_words`] of `⌈D/64⌉`; the default is exactly
+//! the first plane block, one contiguous stream), keeps
+//! `probe_factor · k` candidates per query, and
 //! rescores the survivors with exact full-width distances.
 //! `search_topk_int_pruned` is the cosine twin under the same
 //! [`ProbeConfig`] semantics: its coarse pass runs the i16-quantized
@@ -125,23 +127,26 @@
 //!
 //! Because the survivor set — and therefore the rescoring work — is
 //! data-dependent, the pruned scans are bypassed by the serving
-//! layer's constant-time hardened mode in favor of the fixed-shape
-//! exact scan (threat model in the repository's `SECURITY.md`).
+//! layer's constant-time hardened mode in favor of the exact scan,
+//! which reads the same rows for every query; which rows enter its
+//! candidate heaps still depends on the scores (threat model in the
+//! repository's `SECURITY.md`).
 //!
 //! ## Kernel backends
 //!
 //! All of the loops above — XOR-accumulate, popcount reduction, the
 //! carry-save step and the ripple-carry increment, the threshold
-//! comparison, the Hamming-distance row scans, and the integer dot
-//! products (the one-pair `dot_i32` plus the strided multi-row
+//! comparison, the strided Hamming-distance row scan, and the integer
+//! dot products (the one-pair `dot_i32` plus the strided multi-row
 //! `dot_rows_stride` / `dot_i16_rows_stride` primitives that sweep a
 //! query block over row-interleaved planes) — execute through the
 //! [`kernel`] dispatch table rather than per-file `u64` loops. Three
 //! backends implement it: `scalar` (the reference, always available),
 //! `avx2` (`std::arch` x86_64 intrinsics, installed when
 //! `is_x86_feature_detected!("avx2")` confirms support — the strided
-//! int kernels unroll four rows sharing each query load, `vpmuldq` for
-//! i32 and `vpmaddwd` with group-deferred i64 widening for i16), and
+//! row scans unroll four rows sharing each query load, with the
+//! vpshufb popcount for Hamming, `vpmuldq` for i32 and `vpmaddwd` with
+//! group-deferred i64 widening for i16), and
 //! `portable` (a chunked, autovectorizable variant for other ISAs).
 //!
 //! * **Dispatch rules** — selected once at first use: `avx2` when the

@@ -12,10 +12,14 @@
 //!   words, *block-major*: the words of a dimension block are laid out
 //!   row after row, so scanning all `C` rows over one block is a linear
 //!   walk through a few KiB.
-//! * **Dimension blocking** — blocks of [`BLOCK_WORDS`] words keep the
-//!   row data for one block cache-resident while a whole chunk of
-//!   queries streams over it; distances accumulate in a per-worker
-//!   `queries × rows` matrix.
+//! * **Dimension blocking** — the binary and integer planes share one
+//!   block of [`INT_BLOCK_DIMS`] = 1024 dimensions ([`BLOCK_WORDS`]
+//!   packed words, 128 B per binary row). One block of every row stays
+//!   cache-resident while a whole chunk of queries streams over it, and
+//!   distances accumulate in a per-worker `queries × rows` matrix.
+//!   Every scan of a block — batch search, exact top-k and the pruned
+//!   coarse probe — is one contiguous pass of the kernel's strided
+//!   row scan.
 //! * **Sharding** — batches shard across queries on
 //!   [`par`] scoped threads (each worker owns its distance
 //!   matrix); single-query searches over very large row counts shard
@@ -27,21 +31,26 @@
 //! (same i64 dot, same `√·` and multiplication order), and ties resolve
 //! to the lowest row index exactly like the scalar argmin/argmax loops.
 
+use std::ops::Range;
+
 use crate::binary::BinaryHv;
 use crate::dense::IntHv;
 use crate::error::HvError;
 use crate::kernel::{self, Kernel};
 use crate::par;
 
-/// Words per dimension block: 64 words = 4096 dimensions = 512 B per
-/// row per block, so even ~100 classes stay L2-resident per block.
-pub const BLOCK_WORDS: usize = 64;
-
-/// Dimensions per integer plane block: 1024 × 4 B = 4 KiB per row per
-/// block in the i32 planes (2 KiB in the i16 sidecar), the int twin of
-/// [`BLOCK_WORDS`]. The pruned coarse pass consumes whole leading
-/// blocks, so this is also the granularity of probe truncation.
+/// Dimensions per plane block, one block shared by the binary and
+/// integer planes: 1024 × 4 B = 4 KiB per row per block in the i32
+/// planes (2 KiB in the i16 sidecar, 128 B in the binary planes). The
+/// pruned coarse passes consume whole leading blocks, so this is also
+/// the granularity of probe truncation.
 pub const INT_BLOCK_DIMS: usize = 1024;
+
+/// Words per binary plane block: the [`INT_BLOCK_DIMS`] dimensions of
+/// the shared block, 16 words = 128 B per row per block, so the block
+/// of up to 256 class rows fits a 32 KiB L1 data cache. The default
+/// pruned top-k probe is exactly block 0, one contiguous stream.
+pub const BLOCK_WORDS: usize = INT_BLOCK_DIMS / 64;
 
 /// Largest magnitude representable in the i16 sidecar planes. One short
 /// of `i16::MIN` on the negative side: the AVX2 `vpmaddwd` kernel sums
@@ -61,6 +70,13 @@ const QUERY_CHUNK: usize = 4;
 /// strided sweep consume it while still cached, instead of streaming
 /// the whole chunk's queries through three separate phases.
 const INT_QUERY_TILE: usize = 8;
+
+/// `(start, len)` of block `b` when blocks of `block` units tile
+/// `total` units (the last block may be short).
+fn block_range(b: usize, block: usize, total: usize) -> (usize, usize) {
+    let start = b * block;
+    (start, block.min(total - start))
+}
 
 /// Truncates `values` into the i16 sidecar domain, reporting whether
 /// the narrowing was lossless (every value within `±I16_LIMIT`). The
@@ -247,10 +263,9 @@ impl ShardedClassMemory {
     /// ingest (million-row corpora) appends without repeatedly
     /// reallocating the per-block word vectors.
     pub fn reserve(&mut self, additional: usize) {
-        for (b, block) in self.bin_blocks.iter_mut().enumerate() {
-            let start = b * BLOCK_WORDS;
-            let end = (start + BLOCK_WORDS).min(self.words_per_row);
-            block.reserve(additional * (end - start));
+        for b in 0..self.bin_blocks.len() {
+            let (_, len) = self.bin_block_range(b);
+            self.bin_blocks[b].reserve(additional * len);
         }
     }
 
@@ -269,10 +284,9 @@ impl ShardedClassMemory {
             });
         }
         let words = row.bits().words();
-        for (b, block) in self.bin_blocks.iter_mut().enumerate() {
-            let start = b * BLOCK_WORDS;
-            let end = (start + BLOCK_WORDS).min(self.words_per_row);
-            block.extend_from_slice(&words[start..end]);
+        for b in 0..self.bin_blocks.len() {
+            let (start, len) = self.bin_block_range(b);
+            self.bin_blocks[b].extend_from_slice(&words[start..start + len]);
         }
         self.n_rows += 1;
         Ok(())
@@ -300,11 +314,9 @@ impl ShardedClassMemory {
             });
         }
         let words = row.bits().words();
-        for (b, block) in self.bin_blocks.iter_mut().enumerate() {
-            let start = b * BLOCK_WORDS;
-            let end = (start + BLOCK_WORDS).min(self.words_per_row);
-            let len = end - start;
-            block[j * len..(j + 1) * len].copy_from_slice(&words[start..end]);
+        for b in 0..self.bin_blocks.len() {
+            let (start, len) = self.bin_block_range(b);
+            self.bin_blocks[b][j * len..(j + 1) * len].copy_from_slice(&words[start..start + len]);
         }
         Ok(())
     }
@@ -338,18 +350,13 @@ impl ShardedClassMemory {
         self.int_blocks = vec![Vec::new(); n_blocks];
         self.int_i16_blocks = vec![Vec::new(); n_blocks];
         self.int_fits_i16 = true;
-        for (b, (block, narrow)) in self
-            .int_blocks
-            .iter_mut()
-            .zip(self.int_i16_blocks.iter_mut())
-            .enumerate()
-        {
-            let start = b * INT_BLOCK_DIMS;
-            let end = (start + INT_BLOCK_DIMS).min(self.dim);
-            block.reserve(rows.len() * (end - start));
-            narrow.reserve(rows.len() * (end - start));
+        for b in 0..n_blocks {
+            let (start, len) = self.int_block_range(b);
+            let (block, narrow) = (&mut self.int_blocks[b], &mut self.int_i16_blocks[b]);
+            block.reserve(rows.len() * len);
+            narrow.reserve(rows.len() * len);
             for row in rows {
-                let vals = &row.values()[start..end];
+                let vals = &row.values()[start..start + len];
                 block.extend_from_slice(vals);
                 for &v in vals {
                     self.int_fits_i16 &= (-I16_LIMIT..=I16_LIMIT).contains(&v);
@@ -383,18 +390,14 @@ impl ShardedClassMemory {
                 found: row.dim(),
             });
         }
-        for (b, (block, narrow)) in self
-            .int_blocks
-            .iter_mut()
-            .zip(self.int_i16_blocks.iter_mut())
-            .enumerate()
-        {
-            let start = b * INT_BLOCK_DIMS;
-            let end = (start + INT_BLOCK_DIMS).min(self.dim);
-            let len = end - start;
-            let vals = &row.values()[start..end];
-            block[j * len..(j + 1) * len].copy_from_slice(vals);
-            for (n, &v) in narrow[j * len..(j + 1) * len].iter_mut().zip(vals) {
+        for b in 0..self.int_blocks.len() {
+            let (start, len) = self.int_block_range(b);
+            let vals = &row.values()[start..start + len];
+            self.int_blocks[b][j * len..(j + 1) * len].copy_from_slice(vals);
+            for (n, &v) in self.int_i16_blocks[b][j * len..(j + 1) * len]
+                .iter_mut()
+                .zip(vals)
+            {
                 self.int_fits_i16 &= (-I16_LIMIT..=I16_LIMIT).contains(&v);
                 *n = v.clamp(-I16_LIMIT, I16_LIMIT) as i16;
             }
@@ -449,11 +452,14 @@ impl ShardedClassMemory {
         self.int_fits_i16
     }
 
+    /// `(start_word, block_len)` of binary plane block `b`.
+    pub(crate) fn bin_block_range(&self, b: usize) -> (usize, usize) {
+        block_range(b, BLOCK_WORDS, self.words_per_row)
+    }
+
     /// `(start_dim, block_len)` of integer plane block `b`.
     pub(crate) fn int_block_range(&self, b: usize) -> (usize, usize) {
-        let start = b * INT_BLOCK_DIMS;
-        let end = (start + INT_BLOCK_DIMS).min(self.dim);
-        (start, end - start)
+        block_range(b, INT_BLOCK_DIMS, self.dim)
     }
 
     /// Narrows a query to the i16 sidecar domain when that narrowing is
@@ -473,16 +479,15 @@ impl ShardedClassMemory {
         Ok(())
     }
 
-    /// Hamming distances from `q_words` to every row, accumulated into
-    /// `dist` (must be zeroed, length `n_rows`) via `k`'s row-scan
-    /// kernel.
-    pub(crate) fn hamming_into(&self, k: &Kernel, q_words: &[u64], dist: &mut [u32]) {
+    /// Hamming distances from `q_words` to the rows in `rows`,
+    /// accumulated into `dist` (one entry per row) via `k`'s row-scan
+    /// kernel: one contiguous scan per plane block.
+    fn hamming_into(&self, k: &Kernel, q_words: &[u64], rows: Range<usize>, dist: &mut [u32]) {
         for (b, block) in self.bin_blocks.iter().enumerate() {
-            let start = b * BLOCK_WORDS;
-            let end = (start + BLOCK_WORDS).min(self.words_per_row);
-            (k.hamming_rows)(&q_words[start..end], block, dist);
+            let (start, len) = self.bin_block_range(b);
+            let block_rows = &block[rows.start * len..rows.end * len];
+            (k.hamming_rows_stride)(&q_words[start..start + len], block_rows, len, dist);
         }
-        crate::stats::record_hamming_rows(dist.len() as u64);
     }
 
     /// Bipolar-cosine score of a Hamming distance — identical floating-
@@ -507,36 +512,19 @@ impl ShardedClassMemory {
         self.check_query_dim(query.dim())?;
         let k = kernel::active();
         let q_words = query.bits().words();
-        if self.n_rows < ROW_SHARD_MIN {
-            let mut dist = vec![0u32; self.n_rows];
-            self.hamming_into(k, q_words, &mut dist);
-            let mut best = (0usize, u32::MAX);
-            for (r, &d) in dist.iter().enumerate() {
-                if d < best.1 {
-                    best = (r, d);
-                }
-            }
-            return Ok((best.0, best.1 as usize));
-        }
-        // Row-sharded: each worker scans a contiguous row range and the
-        // per-chunk minima merge by (distance, index) — deterministic.
-        let minima: Vec<(u32, usize)> = par::par_chunk_map(self.n_rows, 256, |range| {
-            let mut best: Option<(u32, usize)> = None;
-            for r in range {
-                let mut d = 0u32;
-                for (b, block) in self.bin_blocks.iter().enumerate() {
-                    let start = b * BLOCK_WORDS;
-                    let end = (start + BLOCK_WORDS).min(self.words_per_row);
-                    let len = end - start;
-                    let row = &block[r * len..(r + 1) * len];
-                    d += (k.hamming)(&q_words[start..end], row) as u32;
-                }
-                if best.is_none_or(|(bd, _)| d < bd) {
-                    best = Some((d, r));
-                }
-            }
-            best.into_iter().collect()
-        });
+        // Each scan of a contiguous row range yields its minimum by
+        // (distance, index), so the minima merge deterministically.
+        let scan = |range: Range<usize>| -> Vec<(u32, usize)> {
+            let mut dist = vec![0u32; range.len()];
+            self.hamming_into(k, q_words, range.clone(), &mut dist);
+            dist.into_iter().zip(range).min().into_iter().collect()
+        };
+        let minima = if self.n_rows < ROW_SHARD_MIN {
+            crate::stats::record_hamming_rows(self.n_rows as u64);
+            scan(0..self.n_rows)
+        } else {
+            par::par_chunk_map(self.n_rows, 256, scan)
+        };
         let (d, r) = minima
             .into_iter()
             .min()
@@ -581,12 +569,11 @@ impl ShardedClassMemory {
             let chunk = range.len();
             let mut dist = vec![0u32; chunk * n_rows];
             for (b, block) in self.bin_blocks.iter().enumerate() {
-                let start = b * BLOCK_WORDS;
-                let end = (start + BLOCK_WORDS).min(self.words_per_row);
+                let (start, len) = self.bin_block_range(b);
                 for (qi, q) in range.clone().enumerate() {
-                    let q_block = &queries[q].bits().words()[start..end];
+                    let q_block = &queries[q].bits().words()[start..start + len];
                     let drow = &mut dist[qi * n_rows..(qi + 1) * n_rows];
-                    (k.hamming_rows)(q_block, block, drow);
+                    (k.hamming_rows_stride)(q_block, block, len, drow);
                 }
             }
             crate::stats::record_hamming_rows((chunk * n_rows) as u64);

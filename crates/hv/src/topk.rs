@@ -13,15 +13,20 @@
 //!   tile by tile through the block-major planes and keeps a *bounded
 //!   heap* of the k best `(distance, row)` (binary) or `(score, row)`
 //!   (integer) candidates; the per-shard heaps merge deterministically
-//!   at the end. Memory per worker is `O(tile + k)` regardless of the
-//!   row count.
+//!   at the end. Once a heap is full its worst key bounds the scan, and
+//!   a row that does not beat it never reaches the heap. Memory per
+//!   worker is `O(tile + k)` regardless of the row count.
 //! * **Pruned top-k** ([`ShardedClassMemory::search_topk_binary_pruned`]
 //!   / [`ShardedClassMemory::search_topk_int_pruned`]) — a coarse pass
 //!   scans only the leading `probe_words` packed words (binary) or
-//!   `probe_words · 64` dimensions (int) of every row — free in the
-//!   block-major layouts: the same rows at a shorter stride — keeps
+//!   `probe_words · 64` dimensions (int) of every row, keeps
 //!   `probe_factor · k` candidates per query, then rescores the
-//!   survivors exactly at full width. The int coarse pass runs on the
+//!   survivors exactly at full width. Both planes are blocked in the
+//!   same 1024 dimensions, so the default probe of [`BLOCK_WORDS`]
+//!   words is exactly block 0: one contiguous stream over the leading
+//!   block of every row. Wider probes read whole leading blocks, and a
+//!   probe that ends inside a block reads a prefix of each of its rows
+//!   at the block stride. The int coarse pass runs on the
 //!   i16-saturating quantized sidecar planes (Prive-HD-style quantized
 //!   coarse scoring), ranking by *normalized* partial scores so rows of
 //!   different norms compare fairly under the cosine metric. Below
@@ -122,11 +127,13 @@ impl BatchTopKResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeConfig {
     /// Packed words sampled per row in the coarse pass, taken from the
-    /// leading words (64 dimensions per word) so the subsample is one
-    /// contiguous strided pass — hypervector dimensions are i.i.d., so
-    /// any fixed word subset is equally informative. Clamped to
-    /// `1..=⌈D/64⌉`; at `⌈D/64⌉` the coarse pass is the exact scan and
-    /// the result is bit-identical to exact top-k.
+    /// leading words (64 dimensions per word) — hypervector dimensions
+    /// are i.i.d., so any fixed word subset is equally informative. The
+    /// default, [`BLOCK_WORDS`], is exactly plane block 0, so the
+    /// coarse pass is one contiguous stream; other widths read whole
+    /// leading blocks plus a strided prefix of the block they end in.
+    /// Clamped to `1..=⌈D/64⌉`; at `⌈D/64⌉` the coarse pass is the
+    /// exact scan and the result is bit-identical to exact top-k.
     pub probe_words: usize,
     /// Candidate multiple: the coarse pass keeps `probe_factor · k`
     /// rows per query for exact rescoring (clamped to ≥ 1). The recall
@@ -141,7 +148,7 @@ pub struct ProbeConfig {
 impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
-            probe_words: 16,
+            probe_words: BLOCK_WORDS,
             probe_factor: 32,
             exact_threshold: 32_768,
         }
@@ -197,6 +204,16 @@ impl<T: Ord> BoundedTopK<T> {
             if item < *worst {
                 *worst = item;
             }
+        }
+    }
+
+    /// The worst retained item once the heap is full — what a new item
+    /// must beat to enter — or `None` while it still has room.
+    fn bound(&self) -> Option<&T> {
+        if self.heap.len() == self.k {
+            self.heap.peek()
+        } else {
+            None
         }
     }
 
@@ -479,19 +496,18 @@ impl ShardedClassMemory {
     fn row_hamming(&self, kern: &Kernel, q_words: &[u64], row: usize) -> u32 {
         let mut d = 0u32;
         for (b, block) in self.bin_blocks().iter().enumerate() {
-            let start = b * BLOCK_WORDS;
-            let end = (start + BLOCK_WORDS).min(self.words_per_row());
-            let len = end - start;
-            d += (kern.hamming)(&q_words[start..end], &block[row * len..(row + 1) * len]) as u32;
+            let (start, len) = self.bin_block_range(b);
+            let row_words = &block[row * len..(row + 1) * len];
+            d += (kern.hamming)(&q_words[start..start + len], row_words) as u32;
         }
         d
     }
 
     /// Row-sharded bounded-heap scan shared by exact top-k
     /// (`probe_words == words_per_row`) and the coarse pass of the
-    /// pruned scan (shorter prefixes, strided row reads). Returns one
-    /// entry per worker shard: per-query candidate lists sorted best
-    /// first by `(distance, row)`.
+    /// pruned scan (the leading blocks, or a strided prefix of the last
+    /// one). Returns one entry per worker shard: per-query candidate
+    /// lists sorted best first by `(distance, row)`.
     ///
     /// The pass ticks [`crate::stats`] in full-row equivalents: a
     /// prefix of `probe_words` of a row's `words_per_row` words counts
@@ -503,7 +519,6 @@ impl ShardedClassMemory {
         keep: usize,
         probe_words: usize,
     ) -> Vec<Vec<Vec<(u32, usize)>>> {
-        let words_per_row = self.words_per_row();
         let nq = queries.len();
         let shards = par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
             let mut heaps: Vec<BoundedTopK<(u32, usize)>> =
@@ -514,18 +529,15 @@ impl ShardedClassMemory {
                 let tile_end = (tile_start + TOPK_ROW_TILE).min(range.end);
                 let tile = tile_end - tile_start;
                 dist[..nq * tile].fill(0);
-                // The probe budget is consumed from the leading blocks:
-                // a narrow probe then costs one strided pass over a
-                // contiguous word prefix instead of several tiny
-                // per-block passes whose per-row reduction overhead
-                // would eat the sampling win. At `probe_words ==
-                // words_per_row` every block is scanned whole and the
-                // pass is exact.
+                // The probe budget is consumed from the leading blocks.
+                // The default probe is exactly block 0, one contiguous
+                // stream of the tile's rows; a probe ending inside a
+                // block reads a prefix of each of its rows at the block
+                // stride. At `probe_words == words_per_row` every block
+                // is scanned whole and the pass is exact.
                 let mut remaining = probe_words;
                 for (b, block) in self.bin_blocks().iter().enumerate() {
-                    let start = b * BLOCK_WORDS;
-                    let end = (start + BLOCK_WORDS).min(words_per_row);
-                    let len = end - start;
+                    let (start, len) = self.bin_block_range(b);
                     let prefix = remaining.min(len);
                     remaining -= prefix;
                     if prefix == 0 {
@@ -535,16 +547,20 @@ impl ShardedClassMemory {
                     for (qi, q) in queries.iter().enumerate() {
                         let q_block = &q.bits().words()[start..start + prefix];
                         let drow = &mut dist[qi * tile..(qi + 1) * tile];
-                        if prefix == len {
-                            (kern.hamming_rows)(q_block, rows, drow);
-                        } else {
-                            (kern.hamming_rows_stride)(q_block, rows, len, drow);
-                        }
+                        (kern.hamming_rows_stride)(q_block, rows, len, drow);
                     }
                 }
+                // Once a heap is full its worst distance bounds the
+                // scan. A shard's rows arrive in ascending order, so a
+                // row that ties the worst also loses the `(distance,
+                // row)` tie and is skipped with the rest.
                 for (qi, heap) in heaps.iter_mut().enumerate() {
+                    let mut bound = heap.bound().map(|&(d, _)| d);
                     for (i, &d) in dist[qi * tile..(qi + 1) * tile].iter().enumerate() {
-                        heap.push((d, tile_start + i));
+                        if bound.is_none_or(|worst| d < worst) {
+                            heap.push((d, tile_start + i));
+                            bound = heap.bound().map(|&(d, _)| d);
+                        }
                     }
                 }
                 tile_start = tile_end;
@@ -554,7 +570,7 @@ impl ShardedClassMemory {
         crate::stats::record_hamming_rows(row_equivalents(
             nq * self.n_rows(),
             probe_words,
-            words_per_row,
+            self.words_per_row(),
         ));
         shards
     }
@@ -640,10 +656,17 @@ impl ShardedClassMemory {
                         }
                     }
                 }
+                // The same worst-key bound as the binary pass, in the
+                // heap's `(Desc(score), row)` order.
                 for (qi, heap) in heaps.iter_mut().enumerate() {
+                    let mut bound = heap.bound().map(|&(s, _)| s);
                     for (i, &dot) in dots[qi * tile..(qi + 1) * tile].iter().enumerate() {
                         let row = tile_start + i;
-                        heap.push((Desc(self.int_score_of_dot(row, dot, q_norms[qi])), row));
+                        let score = Desc(self.int_score_of_dot(row, dot, q_norms[qi]));
+                        if bound.is_none_or(|worst| score < worst) {
+                            heap.push((score, row));
+                            bound = heap.bound().map(|&(s, _)| s);
+                        }
                     }
                 }
                 tile_start = tile_end;

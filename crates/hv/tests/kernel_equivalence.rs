@@ -278,6 +278,8 @@ proptest! {
         n_rows in 1usize..=12,
         seed in any::<u64>(),
     ) {
+        // Contiguous rows: the strided scan at `stride == len`, which
+        // every whole-block scan of the search planes runs.
         let scalar = kernel::scalar();
         let mut rng = HvRng::from_seed(seed);
         let q = words(&mut rng, len);
@@ -285,11 +287,11 @@ proptest! {
         // Non-zero starting distances check the += accumulation contract.
         let dist0: Vec<u32> = (0..n_rows).map(|r| r as u32 * 3).collect();
         let mut want = dist0.clone();
-        (scalar.hamming_rows)(&q, &rows, &mut want);
+        (scalar.hamming_rows_stride)(&q, &rows, len, &mut want);
         for k in non_scalar_backends() {
             let mut got = dist0.clone();
-            (k.hamming_rows)(&q, &rows, &mut got);
-            prop_assert_eq!(&got, &want, "hamming_rows: {}", k.name);
+            (k.hamming_rows_stride)(&q, &rows, len, &mut got);
+            prop_assert_eq!(&got, &want, "hamming_rows_stride at stride == len: {}", k.name);
         }
     }
 
@@ -315,12 +317,17 @@ proptest! {
             (k.hamming_rows_stride)(&q, &rows, stride, &mut got);
             prop_assert_eq!(&got, &want, "hamming_rows_stride: {}", k.name);
         }
-        // Full-width stride degenerates to the contiguous row scan.
-        let mut contiguous = dist0.clone();
-        (scalar.hamming_rows)(&q, &rows[..len * n_rows], &mut contiguous);
+        // Full-width stride degenerates to the contiguous row scan: one
+        // `hamming` per row.
+        let contiguous = &rows[..len * n_rows];
+        let per_row: Vec<u32> = dist0
+            .iter()
+            .zip(contiguous.chunks_exact(len))
+            .map(|(&d, row)| d + (scalar.hamming)(&q, row) as u32)
+            .collect();
         let mut strided = dist0.clone();
-        (scalar.hamming_rows_stride)(&q, &rows[..len * n_rows], len, &mut strided);
-        prop_assert_eq!(&strided, &contiguous);
+        (scalar.hamming_rows_stride)(&q, contiguous, len, &mut strided);
+        prop_assert_eq!(&strided, &per_row);
     }
 
     #[test]
@@ -498,6 +505,53 @@ proptest! {
             let got = mem.search_batch_binary_with(k, &refs).unwrap();
             for q in 0..n_queries {
                 prop_assert_eq!(got.best(q), 0, "tie order: {} q {}", k.name, q);
+            }
+        }
+    }
+}
+
+/// The strided row scans read row `r` of `n` at `rows[r·stride ..
+/// r·stride + len]`: a `rows` slice one element short of that must
+/// panic on every backend instead of being read past its end. `n = 4`
+/// is one whole four-row group and `len = 32` is whole vectors of
+/// `u64`, `i32` and `i16` lanes, so the short element would fall to a
+/// vector load rather than a bounds-checked scalar tail.
+#[test]
+fn strided_row_scans_panic_on_short_rows() {
+    use std::panic::catch_unwind;
+    let (n, len) = (4usize, 32usize);
+    for stride in [len, len + 5] {
+        let short = (n - 1) * stride + len - 1;
+        for k in kernel::available() {
+            let scans = [
+                (
+                    "hamming_rows_stride",
+                    catch_unwind(|| {
+                        let (q, rows) = (vec![1u64; len], vec![2u64; short]);
+                        (k.hamming_rows_stride)(&q, &rows, stride, &mut vec![0; n]);
+                    }),
+                ),
+                (
+                    "dot_rows_stride",
+                    catch_unwind(|| {
+                        let (q, rows) = (vec![1i32; len], vec![2i32; short]);
+                        (k.dot_rows_stride)(&q, &rows, stride, &mut vec![0; n]);
+                    }),
+                ),
+                (
+                    "dot_i16_rows_stride",
+                    catch_unwind(|| {
+                        let (q, rows) = (vec![1i16; len], vec![2i16; short]);
+                        (k.dot_i16_rows_stride)(&q, &rows, stride, &mut vec![0; n]);
+                    }),
+                ),
+            ];
+            for (name, scan) in scans {
+                assert!(
+                    scan.is_err(),
+                    "{name} read past `rows`: {} stride {stride}",
+                    k.name
+                );
             }
         }
     }

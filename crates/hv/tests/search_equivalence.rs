@@ -7,13 +7,17 @@
 use hypervec::{BinaryHv, HvRng, IntHv, ShardedClassMemory};
 use proptest::prelude::*;
 
-/// Dimensions exercising word boundaries plus the paper scale.
+/// Dimensions exercising word and 1024-dimension plane-block
+/// boundaries (1025 and 2112 end one word past the first and second
+/// block edges) plus the paper scale.
 fn dims() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(64),
         Just(130),
         200usize..=260,
         Just(1024),
+        Just(1025),
+        Just(2112),
         Just(10_000)
     ]
 }

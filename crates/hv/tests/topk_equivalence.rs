@@ -7,11 +7,16 @@ use hypervec::kernel::{self, Kernel};
 use hypervec::{BinaryHv, HvRng, IntHv, ProbeConfig, ShardedClassMemory, TopKMatch};
 use proptest::prelude::*;
 
+/// Dimensions exercising word and 1024-dimension plane-block
+/// boundaries (1025 and 2112 end one word past the first and second
+/// block edges) plus the paper scale.
 fn dims() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(130),
         60usize..=70,
         Just(1000),
+        Just(1025),
+        Just(2112),
         Just(4096),
         Just(10_000)
     ]
@@ -278,7 +283,9 @@ proptest! {
 }
 
 /// Row-sharded path (beyond the parallel chunk minimum) agrees with the
-/// reference at scale — pinned explicitly rather than sampled.
+/// reference at scale — pinned explicitly rather than sampled — and so
+/// does a tie-heavy corpus, where the heaps' worst-key bound ties most
+/// rows across tiles and shards.
 #[test]
 fn row_sharded_topk_matches_reference() {
     let dim = 256;
@@ -305,6 +312,80 @@ fn row_sharded_topk_matches_reference() {
     for q in 0..refs.len() {
         for m in pruned.matches(q) {
             assert_eq!(m.score.to_bits(), full.scores(q)[m.row].to_bits());
+        }
+    }
+
+    // Every row is one of three hypervectors, so nearly every row ties
+    // the heap's worst key. Copies of base 0 — the nearest to the first
+    // query — sit at rows 999, 1999, …, 8999, so its top-k crosses from
+    // them into ties of the next-nearest base at every k > 9.
+    let dim = 1100;
+    let bins: Vec<BinaryHv> = (0..3).map(|_| rng.binary_hv(dim)).collect();
+    let ints: Vec<IntHv> = bins
+        .iter()
+        .map(|b| {
+            let mut acc = b.to_int();
+            acc.add_binary(&rng.binary_hv(dim));
+            acc
+        })
+        .collect();
+    let picks: Vec<usize> = (0..n_rows)
+        .map(|r| if r % 1000 == 999 { 0 } else { 1 + rng.index(2) })
+        .collect();
+    let rows: Vec<BinaryHv> = picks.iter().map(|&p| bins[p].clone()).collect();
+    let int_rows: Vec<IntHv> = picks.iter().map(|&p| ints[p].clone()).collect();
+    let mut mem = ShardedClassMemory::from_rows(&rows).unwrap();
+    mem.set_int_rows(&int_rows).unwrap();
+    let mut near_base0 = bins[0].clone();
+    for _ in 0..40 {
+        near_base0.flip(rng.index(dim));
+    }
+    let queries = [near_base0, rng.binary_hv(dim), bins[2].clone()];
+    let refs: Vec<&BinaryHv> = queries.iter().collect();
+    let int_queries: Vec<IntHv> = queries.iter().map(BinaryHv::to_int).collect();
+    let int_refs: Vec<&IntHv> = int_queries.iter().collect();
+    let full = mem
+        .search_batch_binary_with(kernel::scalar(), &refs)
+        .unwrap();
+    let full_int = mem
+        .search_batch_int_with(kernel::scalar(), &int_refs)
+        .unwrap();
+    let probe = ProbeConfig {
+        probe_words: mem.dim().div_ceil(64), // full width
+        probe_factor: 2,
+        exact_threshold: 0,
+    };
+    for k in [1, 7, 25] {
+        for kb in kernel::available() {
+            let results = [
+                ("exact", &full, mem.search_topk_binary_with(kb, &refs, k)),
+                (
+                    "pruned",
+                    &full,
+                    mem.search_topk_binary_pruned_with(kb, &refs, k, &probe),
+                ),
+                (
+                    "int exact",
+                    &full_int,
+                    mem.search_topk_int_with(kb, &int_refs, k),
+                ),
+                (
+                    "int pruned",
+                    &full_int,
+                    mem.search_topk_int_pruned_with(kb, &int_refs, k, &probe),
+                ),
+            ];
+            for (path, reference, got) in results {
+                let got = got.unwrap();
+                for q in 0..refs.len() {
+                    assert_eq!(
+                        as_pairs(got.matches(q)),
+                        reference_topk(reference.scores(q), k),
+                        "tied corpus, {path} top-{k}: {} q {q}",
+                        kb.name
+                    );
+                }
+            }
         }
     }
 }
