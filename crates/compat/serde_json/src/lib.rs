@@ -4,10 +4,16 @@
 //! [`to_string`], [`from_str`], the [`Value`] tree (re-exported from the
 //! sibling `serde` stand-in) and an [`Error`] type. The parser is a
 //! complete JSON reader (strings with escapes, exact integers up to
-//! 128 bits, floats, nested containers); the writer lives on
-//! `Value`'s `Display` impl.
+//! 128 bits, floats, containers nested up to 128 deep like the real
+//! crate's default limit); the writer lives on `Value`'s `Display` impl.
 
 pub use serde::{Number, Value};
+
+/// Deepest nesting of arrays and objects the parser accepts: the real
+/// crate's default. The parser recurses once per level, so without a
+/// cap one line of brackets overflows the stack of the thread parsing
+/// it.
+const RECURSION_LIMIT: usize = 128;
 
 /// JSON (de)serialization error.
 #[derive(Debug, Clone)]
@@ -59,6 +65,7 @@ fn parse_value(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -72,6 +79,8 @@ fn parse_value(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -116,8 +125,8 @@ impl Parser<'_> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -125,6 +134,21 @@ impl Parser<'_> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object a level deeper, failing past
+    /// [`RECURSION_LIMIT`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -334,6 +358,41 @@ mod tests {
         assert!(parse_value("[1,]").is_err());
         assert!(parse_value("").is_err());
         assert!(parse_value("1 2").is_err());
+    }
+
+    /// `depth` nested arrays (`[[]]`) or objects (`{"a":{"a":null}}`).
+    fn nesting(depth: usize, object: bool) -> String {
+        let (open, inner, close) = if object {
+            ("{\"a\":", "null", "}")
+        } else {
+            ("[", "", "]")
+        };
+        format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        for object in [false, true] {
+            assert!(
+                parse_value(&nesting(128, object)).is_ok(),
+                "object {object}"
+            );
+            let err = parse_value(&nesting(129, object)).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 2 MiB, the default stack of a spawned thread (a server
+        // connection's), which the uncapped parser overflowed.
+        let errors = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| [false, true].map(|object| parse_value(&nesting(1_000_000, object)).is_err()))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(errors, [true, true]);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //! branchless selection) is only deployable if it changes *when* work
 //! happens, never *what* is computed — the paper's accuracy claims
 //! (Fig. 8) must survive the constant-time rewrite untouched. The CI
-//! kernel matrix runs this file under every `HYPERVEC_KERNEL` backend
-//! (avx2 / scalar / portable), so the equivalence holds on each
-//! word-parallel engine, not just the one the dev box dispatches to.
+//! kernel matrix runs this file under both kernel backends (the default
+//! dispatch, avx2 where the CPU has it, and `HYPERVEC_KERNEL=scalar`),
+//! so the equivalence holds on each word-parallel engine, not just the
+//! one the dev box dispatches to.
 //! Every check runs at feature counts below, at, and past the
 //! accumulator's 16-input carry-save group ([`FEATURE_COUNTS`]).
 
-use hdc_model::{ClassMemory, ClassifySession, Encoder, InferenceSession, ModelKind, TopKSession};
+use hdc_model::{ClassMemory, ClassifySession, Encoder, InferenceSession, ModelKind};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hypervec::{HvRng, ProbeConfig};
 
@@ -114,7 +115,7 @@ fn hardened_session_matches(n: usize) {
             (
                 session.classify_batch(&refs),
                 session.scores_batch(&refs),
-                TopKSession::new(&session, 3).search_batch(&refs),
+                session.search_topk_batch(&refs, 3, None),
             )
         };
 
@@ -134,9 +135,7 @@ fn hardened_session_matches(n: usize) {
         }
         // The probe is silently clamped to the exact scan: a hardened
         // session returns exact results even under pruning tuning.
-        let pruned_request = TopKSession::new(&session, 3)
-            .with_probe(narrow)
-            .search_batch(&refs);
+        let pruned_request = session.search_topk_batch(&refs, 3, Some(&narrow));
         assert_eq!(pruned_request, want_exact_topk, "N {n} {kind:?}");
         enc.set_mode(DeriveMode::Cached);
     }

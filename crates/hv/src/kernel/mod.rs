@@ -8,7 +8,7 @@
 //! that every batch search and top-k pass runs over the block-major
 //! planes, and the integer dot product behind cosine search — funnels
 //! through one [`Kernel`] dispatch table instead of hand-written `u64`
-//! loops duplicated per call site. Three interchangeable backends
+//! loops duplicated per call site. Two interchangeable backends
 //! implement the table:
 //!
 //! * **`scalar`** — the original word-parallel `u64` code, extracted
@@ -19,19 +19,16 @@
 //!   vpshufb nibble-LUT popcount, widening 32→64-bit multiplies),
 //!   compiled on every x86_64 build and installed only when
 //!   `is_x86_feature_detected!("avx2")` says the CPU has it.
-//! * **`portable`** — a `std::simd`-style chunked variant operating on
-//!   `[u64; 4]` lanes in plain Rust, written so LLVM can autovectorize
-//!   it for whatever vector ISA the target has. Always available.
 //!
 //! ## Dispatch rules
 //!
 //! The backend is selected **once**, at first use, into a process-wide
 //! table ([`active`]): `avx2` when the CPU supports it, otherwise
 //! `scalar`. The `HYPERVEC_KERNEL` environment variable overrides the
-//! choice (`scalar`, `avx2`, or `portable`); naming a backend that is
-//! unknown or not available on this machine **fails fast** with the
-//! list of available backends rather than silently falling back, so a
-//! CI matrix or an operator pinning a backend can trust what ran.
+//! choice (`scalar` or `avx2`); naming a backend that is unknown or not
+//! available on this machine **fails fast** with the list of available
+//! backends rather than silently falling back, so a CI matrix or an
+//! operator pinning a backend can trust what ran.
 //!
 //! ## Exactness contract
 //!
@@ -55,7 +52,7 @@
 /// The Harley–Seal carry-save network of [`Kernel::carry_save_16`] and
 /// [`Kernel::bind_carry_save_16`] (Muła/Kurz/Lemire, arXiv:1611.07612),
 /// written once and expanded by the scalar and AVX2 backends over their
-/// own word types (the portable backend shares the scalar steps).
+/// own word types.
 /// `$csa(a, b, c)` is the backend's full adder returning `(carry, sum)`
 /// of `a + b + c` per bit; `$x(j)` yields input `j` (a load, or the XOR
 /// of two loads for the fused bind), called where the network consumes
@@ -86,7 +83,6 @@ macro_rules! harley_seal {
     }};
 }
 
-mod portable;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -203,16 +199,14 @@ pub fn active() -> &'static Kernel {
     )
 }
 
-/// Name of the active backend (`"scalar"`, `"avx2"`, or `"portable"`).
+/// Name of the active backend (`"scalar"` or `"avx2"`).
 #[must_use]
 pub fn name() -> &'static str {
     active().name
 }
 
-/// Every backend available on this machine. `scalar` and `portable`
-/// are always present; `avx2` leads the list when the CPU has it. The
-/// *default dispatch* is avx2-else-scalar (see module docs), not
-/// simply the first entry.
+/// Every backend available on this machine: `avx2` when the CPU has
+/// it, then `scalar`, which is always present.
 #[must_use]
 pub fn available() -> Vec<&'static Kernel> {
     let mut out: Vec<&'static Kernel> = Vec::new();
@@ -220,7 +214,6 @@ pub fn available() -> Vec<&'static Kernel> {
     if std::arch::is_x86_feature_detected!("avx2") {
         out.push(&x86::KERNEL);
     }
-    out.push(&portable::KERNEL);
     out.push(&scalar::KERNEL);
     out
 }
@@ -264,8 +257,7 @@ fn carry_save_len(
 /// the override is unknown or unavailable on this machine.
 fn select(env_override: Option<&str>) -> Result<&'static Kernel, String> {
     // Documented default: avx2 when the CPU has it, otherwise the
-    // scalar reference (portable stays opt-in until it is benchmarked
-    // faster than scalar on a real non-AVX2 target).
+    // scalar reference.
     let fallback = || by_name("avx2").unwrap_or_else(scalar);
     match env_override.map(str::trim) {
         None | Some("") => Ok(fallback()),
@@ -290,7 +282,6 @@ mod tests {
     #[test]
     fn scalar_is_always_available() {
         assert!(available().iter().any(|k| k.name == "scalar"));
-        assert!(available().iter().any(|k| k.name == "portable"));
         assert_eq!(scalar().name, "scalar");
     }
 
@@ -308,17 +299,17 @@ mod tests {
     #[test]
     fn select_honors_explicit_backends() {
         assert_eq!(select(Some("scalar")).unwrap().name, "scalar");
-        assert_eq!(select(Some("portable")).unwrap().name, "portable");
         // Case- and whitespace-insensitive.
         assert_eq!(select(Some(" Scalar ")).unwrap().name, "scalar");
     }
 
     #[test]
     fn select_fails_fast_on_unknown_backend() {
-        let err = select(Some("avx512")).unwrap_err();
-        assert!(err.contains("avx512"), "{err}");
-        assert!(err.contains("scalar"), "names available backends: {err}");
-        assert!(err.contains("portable"), "names available backends: {err}");
+        for unknown in ["avx512", "portable"] {
+            let err = select(Some(unknown)).unwrap_err();
+            assert!(err.contains(unknown), "{err}");
+            assert!(err.contains("scalar"), "names available backends: {err}");
+        }
     }
 
     #[test]

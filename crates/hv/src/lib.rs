@@ -140,21 +140,20 @@
 //! dot products (the one-pair `dot_i32` plus the strided multi-row
 //! `dot_rows_stride` / `dot_i16_rows_stride` primitives that sweep a
 //! query block over row-interleaved planes) — execute through the
-//! [`kernel`] dispatch table rather than per-file `u64` loops. Three
-//! backends implement it: `scalar` (the reference, always available),
-//! `avx2` (`std::arch` x86_64 intrinsics, installed when
+//! [`kernel`] dispatch table rather than per-file `u64` loops. Two
+//! backends implement it: `scalar` (the reference, always available)
+//! and `avx2` (`std::arch` x86_64 intrinsics, installed when
 //! `is_x86_feature_detected!("avx2")` confirms support — the strided
 //! row scans unroll four rows sharing each query load, with the
 //! vpshufb popcount for Hamming, `vpmuldq` for i32 and `vpmaddwd` with
-//! group-deferred i64 widening for i16), and
-//! `portable` (a chunked, autovectorizable variant for other ISAs).
+//! group-deferred i64 widening for i16).
 //!
 //! * **Dispatch rules** — selected once at first use: `avx2` when the
 //!   CPU has it, else `scalar`. Every consumer ([`BitSliceAccumulator`],
 //!   [`ShardedClassMemory`], [`BitVec bulk ops`](bitvec::BitWords),
 //!   [`Similarity`], [`ItemMemory`]) picks the fast path up
 //!   transparently.
-//! * **Env override** — `HYPERVEC_KERNEL=scalar|avx2|portable` forces a
+//! * **Env override** — `HYPERVEC_KERNEL=scalar|avx2` forces a
 //!   backend; an unknown or unavailable name fails fast with the list
 //!   of available backends (never a silent fallback).
 //! * **Bit-exactness** — backends are interchangeable bit-for-bit

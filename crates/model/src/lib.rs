@@ -47,5 +47,5 @@ pub use metrics::{ConfusionMatrix, EvalResult, LatencyStats};
 pub use model::HdcModel;
 pub use ngram::NgramEncoder;
 pub use persist::{PersistError, SavedModel};
-pub use session::{ClassifySession, InferenceSession, OwnedSession, TopKSession};
+pub use session::{ClassifySession, InferenceSession, OwnedSession};
 pub use train::{encode_dataset, train, train_online};

@@ -117,7 +117,7 @@ pub trait ClassifySession: Sync {
     ) -> BatchTopKResult;
 
     /// Name of the SIMD kernel backend every encode and search in this
-    /// session runs on (`"scalar"`, `"avx2"`, or `"portable"`) —
+    /// session runs on (`"scalar"` or `"avx2"`) —
     /// surfaced so operators can verify what is actually executing.
     fn kernel_backend(&self) -> &'static str {
         hypervec::kernel::name()
@@ -353,7 +353,7 @@ impl<'a, E: Encoder + Sync> InferenceSession<'a, E> {
     }
 
     /// Name of the SIMD kernel backend every encode and search in this
-    /// session runs on (`"scalar"`, `"avx2"`, or `"portable"`).
+    /// session runs on (`"scalar"` or `"avx2"`).
     #[must_use]
     pub fn kernel_backend(&self) -> &'static str {
         hypervec::kernel::name()
@@ -607,86 +607,6 @@ impl<E: Encoder + Sync> ClassifySession for OwnedSession<E> {
     }
 }
 
-/// A top-k query surface bound to a session: the `k` and probe tuning
-/// travel with the session reference, so callers (the serving batch
-/// workers, benchmarks) issue `search_batch(rows)` without re-threading
-/// search parameters through every call site.
-///
-/// # Examples
-///
-/// ```
-/// use hdc_datasets::Benchmark;
-/// use hdc_model::{HdcConfig, HdcModel, InferenceSession, TopKSession};
-///
-/// let (train, _) = Benchmark::Face.generate(0.05, 3)?;
-/// let config = HdcConfig::paper_default().with_dim(1024);
-/// let model = HdcModel::fit_standard(&config, &train)?;
-/// let session = InferenceSession::new(model.encoder(), model.memory());
-/// let topk = TopKSession::new(&session, 2);
-/// let query = vec![0u16; session.n_features()];
-/// let hits = topk.search_batch(&[&query[..]]);
-/// assert_eq!(hits.matches(0).len(), 2);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TopKSession<'a, S: ?Sized> {
-    session: &'a S,
-    k: usize,
-    probe: Option<ProbeConfig>,
-}
-
-impl<'a, S: ClassifySession + ?Sized> TopKSession<'a, S> {
-    /// Binds an exact top-`k` search surface to `session`.
-    #[must_use]
-    pub fn new(session: &'a S, k: usize) -> Self {
-        TopKSession {
-            session,
-            k,
-            probe: None,
-        }
-    }
-
-    /// Switches the search path to the pruned coarse/rescore scan:
-    /// leading packed words for binary models, the i16-quantized
-    /// leading dimension blocks for non-binary (cosine) models. At
-    /// full probe width both are bit-identical to the exact scan.
-    #[must_use]
-    pub fn with_probe(mut self, probe: ProbeConfig) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
-    /// The bound `k`.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The bound probe tuning, if any.
-    #[must_use]
-    pub fn probe(&self) -> Option<&ProbeConfig> {
-        self.probe.as_ref()
-    }
-
-    /// The underlying session.
-    #[must_use]
-    pub fn session(&self) -> &S {
-        self.session
-    }
-
-    /// Top-k search of a batch of quantized rows with the bound
-    /// parameters (see [`ClassifySession::search_topk_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width does not match the encoder.
-    #[must_use]
-    pub fn search_batch(&self, rows: &[&[u16]]) -> BatchTopKResult {
-        self.session
-            .search_topk_batch(rows, self.k, self.probe.as_ref())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -800,8 +720,7 @@ mod tests {
             let (enc, memory, rows) = setup(kind, 1030);
             let session = InferenceSession::new(&enc, &memory);
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-            let topk = TopKSession::new(&session, 2);
-            let hits = topk.search_batch(&refs);
+            let hits = session.search_topk_batch(&refs, 2, None);
             let full = session.scores_batch(&refs);
             for q in 0..refs.len() {
                 let scores = full.scores(q);
@@ -827,15 +746,13 @@ mod tests {
         let (enc, memory, rows) = setup(ModelKind::Binary, 1030);
         let session = InferenceSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-        let exact = TopKSession::new(&session, 3).search_batch(&refs);
+        let exact = session.search_topk_batch(&refs, 3, None);
         let probe = ProbeConfig {
             probe_words: session.dim().div_ceil(64),
             probe_factor: 2,
             exact_threshold: 0,
         };
-        let pruned = TopKSession::new(&session, 3)
-            .with_probe(probe)
-            .search_batch(&refs);
+        let pruned = session.search_topk_batch(&refs, 3, Some(&probe));
         assert_eq!(exact, pruned);
     }
 
@@ -844,15 +761,13 @@ mod tests {
         let (enc, memory, rows) = setup(ModelKind::NonBinary, 1030);
         let session = InferenceSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-        let exact = TopKSession::new(&session, 3).search_batch(&refs);
+        let exact = session.search_topk_batch(&refs, 3, None);
         let probe = ProbeConfig {
             probe_words: session.dim().div_ceil(64),
             probe_factor: 2,
             exact_threshold: 0,
         };
-        let pruned = TopKSession::new(&session, 3)
-            .with_probe(probe)
-            .search_batch(&refs);
+        let pruned = session.search_topk_batch(&refs, 3, Some(&probe));
         assert_eq!(exact, pruned);
     }
 
@@ -868,9 +783,7 @@ mod tests {
             probe_factor: 1,
             exact_threshold: 0,
         };
-        let hits = TopKSession::new(&session, 2)
-            .with_probe(probe)
-            .search_batch(&refs);
+        let hits = session.search_topk_batch(&refs, 2, Some(&probe));
         let full = session.scores_batch(&refs);
         for q in 0..refs.len() {
             for m in hits.matches(q) {

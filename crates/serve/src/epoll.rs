@@ -52,7 +52,7 @@ impl PollEvent {
 
 #[cfg(target_os = "linux")]
 mod sys {
-    //! Raw syscall surface. x86-64 `epoll_event` is `#[repr(C, packed)]`.
+    //! Raw syscall surface. Only x86-64 packs `epoll_event`.
 
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
     pub const EPOLL_CTL_ADD: i32 = 1;
@@ -62,12 +62,27 @@ mod sys {
     pub const O_CLOEXEC: i32 = 0x80000;
     pub const RLIMIT_NOFILE: i32 = 7;
 
-    #[repr(C, packed)]
+    /// The kernel's `struct epoll_event`, packed only where the kernel
+    /// packs it (`__EPOLL_PACKED` in `linux/eventpoll.h`: x86-64).
+    /// Elsewhere `data` sits at the C alignment of a `u64`, so
+    /// `epoll_wait` fills its array at a 16-byte stride (12 on 32-bit
+    /// x86, whose `u64` is 4-byte aligned).
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
     pub struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
+
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>()
+            == if cfg!(any(target_arch = "x86_64", target_arch = "x86")) {
+                12
+            } else {
+                16
+            }
+    );
 
     #[repr(C)]
     pub struct Rlimit {

@@ -373,6 +373,53 @@ mod tests {
         });
     }
 
+    /// One line nested far past the JSON parser's recursion limit is a
+    /// structured malformed-JSON error carrying the line's id, and the
+    /// same connection answers the next request.
+    #[test]
+    fn deeply_nested_json_line_is_a_structured_error() {
+        let model = demo::demo_model(&demo::DemoSpec {
+            dim: 512,
+            train_size: 128,
+            ..Default::default()
+        });
+        let registry = fixed_registry(&model);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = AtomicBool::new(false);
+
+        std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                serve_default_core(
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
+            });
+
+            let mut client = Client::connect(addr);
+            let depth = 50_000;
+            let line = format!(
+                "{{\"id\":7,\"levels\":{}{}}}\n",
+                "[".repeat(depth),
+                "]".repeat(depth)
+            );
+            let resp = client.roundtrip(&line);
+            assert_eq!(resp.id, 7);
+            let err = resp.error.unwrap();
+            assert!(err.contains("malformed JSON"), "{err}");
+
+            let resp = client.roundtrip(&protocol::info_request_line(8));
+            assert_eq!(resp.id, 8);
+            assert!(resp.info.is_some());
+
+            drop(client);
+            shutdown.store(true, Ordering::SeqCst);
+            server.join().unwrap().unwrap();
+        });
+    }
+
     /// Concurrent loadgen traffic is batched and every response checks
     /// out against the direct session path.
     #[test]
@@ -790,9 +837,9 @@ mod tests {
     }
 
     /// The `search` request answers top-k hits bit-identical to a
-    /// direct [`hdc_model::TopKSession`] call, on both wire formats,
-    /// through the same batcher — and the loadgen's search mode drives
-    /// it with zero errors.
+    /// direct [`hdc_model::ClassifySession::search_topk_batch`] call,
+    /// on both wire formats, through the same batcher — and the
+    /// loadgen's search mode drives it with zero errors.
     #[test]
     fn search_requests_match_topk_session_on_both_wires() {
         let model = demo::demo_model(&demo::DemoSpec {
@@ -819,12 +866,11 @@ mod tests {
             let mut json = Client::connect(addr);
             let mut bin = BinClient::connect(addr);
             let k = 3;
-            let topk = hdc_model::TopKSession::new(&session, k);
 
             for i in 0..6u16 {
                 let levels: Vec<u16> = (0..16).map(|f| ((usize::from(i) + f) % 8) as u16).collect();
                 let id = u64::from(i) + 1;
-                let want = topk.search_batch(&[levels.as_slice()]);
+                let want = session.search_topk_batch(&[levels.as_slice()], k, None);
                 let want = want.matches(0);
 
                 let jr = json.roundtrip(&protocol::search_request_line(id, &levels, k));
