@@ -29,13 +29,11 @@
 //! rolls up the blocked int batch kernel against the per-row cosine
 //! scan and against the PR 7 recorded baseline.
 //!
-//! A third section measures *connection-count scalability*: a
-//! threaded-core binary+pipelined baseline (the PR 5 shape — a handful
-//! of sockets, deep pipelines) against the epoll event core under an
-//! open-loop fan-in of thousands of concurrent pipelined sockets
-//! ([`loadgen::run_fan_in`]), recording sustained connections,
-//! requests/s, tail latency, and the event-vs-threaded throughput
-//! ratio gated in `ci/bench_gates.json`.
+//! A third section measures *connection-count scalability*: the epoll
+//! event loop under an open-loop fan-in of thousands of concurrent
+//! pipelined sockets ([`loadgen::run_fan_in`]), recording sustained
+//! connections, requests/s and tail latency; the connection count and
+//! error-freedom are gated in `ci/bench_gates.json`.
 //!
 //! Usage: `bench_search [--dim D] [--classes C] [--queries Q]
 //! [--connections K] [--requests R] [--topk-rows N] [--topk-k K]
@@ -756,8 +754,7 @@ fn main() {
     let addr = listener.local_addr().expect("local addr");
     let shutdown = AtomicBool::new(false);
     let batch_config = BatchConfig::default();
-    let serve = |core: CoreKind,
-                 listener: TcpListener,
+    let serve = |listener: TcpListener,
                  batch: BatchConfig,
                  shutdown: &AtomicBool,
                  metrics: Option<&hdc_serve::ServeMetrics>| {
@@ -766,7 +763,12 @@ fn main() {
             ..RegistryServeConfig::default()
         };
         server::serve_registry_with_core_metrics(
-            core, listener, &registry, &config, shutdown, metrics,
+            CoreKind::Event,
+            listener,
+            &registry,
+            &config,
+            shutdown,
+            metrics,
         )
     };
     let load_config = LoadgenConfig {
@@ -787,8 +789,7 @@ fn main() {
         ("binary_pipelined", WireMode::Binary, WIRE_PIPELINE),
     ];
     let (wire_reports, wire_bit_identical) = std::thread::scope(|s| {
-        let server_thread =
-            s.spawn(|| serve(CoreKind::default(), listener, batch_config, &shutdown, None));
+        let server_thread = s.spawn(|| serve(listener, batch_config, &shutdown, None));
         let reports: Vec<(&str, hdc_serve::LoadReport)> = wire_modes
             .iter()
             .map(|&(name, wire_mode, pipeline)| {
@@ -852,14 +853,11 @@ fn main() {
          (batch results bit-identical across wires: {wire_bit_identical})"
     );
 
-    // Concurrency: the event core's reason to exist. First a
-    // threaded-core binary+pipelined baseline (the PR 5 shape — a
-    // handful of sockets, deep pipelines), then the epoll core under
-    // an open-loop fan-in of thousands of concurrent pipelined
-    // sockets. The bench holds BOTH ends of every fan-in socket in
-    // one process, so the fd budget is two descriptors per connection;
-    // clamp loudly rather than die on EMFILE where the hard limit is
-    // low.
+    // Concurrency: the event loop's reason to exist — an open-loop
+    // fan-in of thousands of concurrent pipelined sockets. The bench
+    // holds BOTH ends of every fan-in socket in one process, so the fd
+    // budget is two descriptors per connection; clamp loudly rather
+    // than die on EMFILE where the hard limit is low.
     let fan_target = opts.fan_connections;
     let fd_limits = hdc_serve::epoll::raise_nofile_limit(fan_target as u64 * 2 + 128);
     let fan_connections = match fd_limits {
@@ -873,32 +871,6 @@ fn main() {
             fd_limits.map_or(0, |(soft, _)| soft),
         );
     }
-    let threaded_baseline = {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        let shutdown = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let server_thread =
-                s.spawn(|| serve(CoreKind::Threaded, listener, batch_config, &shutdown, None));
-            let report = loadgen::run(
-                addr,
-                session.n_features(),
-                session.m_levels(),
-                &LoadgenConfig {
-                    wire: WireMode::Binary,
-                    pipeline: WIRE_PIPELINE,
-                    ..load_config
-                },
-            )
-            .expect("threaded baseline load generation");
-            shutdown.store(true, Ordering::SeqCst);
-            server_thread
-                .join()
-                .expect("server thread")
-                .expect("server ran");
-            report
-        })
-    };
     // Deep pipelines and big batches are the event core's levers at
     // 10k-connection fan-in: per-connection windows keep the loop fed
     // between readiness events, and wide batches amortize the
@@ -924,8 +896,7 @@ fn main() {
             ..batch_config
         };
         std::thread::scope(|s| {
-            let server_thread =
-                s.spawn(|| serve(CoreKind::default(), listener, fan_batch, &shutdown, None));
+            let server_thread = s.spawn(|| serve(listener, fan_batch, &shutdown, None));
             let report =
                 loadgen::run_fan_in(addr, session.n_features(), session.m_levels(), &fan_config)
                     .expect("fan-in load generation");
@@ -937,8 +908,6 @@ fn main() {
             report
         })
     };
-    let vs_threaded_binary_pipelined =
-        fan_report.requests_per_sec / threaded_baseline.requests_per_sec;
     println!(
         "serving concurrency: {fan_connections} connections open-loop (pipeline {}): \
          {:.0} requests/s, p50 {} µs, p99 {} µs ({} errors)",
@@ -948,30 +917,17 @@ fn main() {
         fan_report.latency.p99_micros,
         fan_report.errors
     );
-    println!(
-        "  vs threaded-core binary+pipelined ({:.0} requests/s): \
-         {vs_threaded_binary_pipelined:.2}x",
-        threaded_baseline.requests_per_sec
-    );
 
     // Telemetry overhead: identical binary+pipelined runs against a
-    // metrics-off and a metrics-on server on the default core, best of
-    // 3 each. The gate (`serving.telemetry.on_vs_off`) requires the
-    // metrics-on throughput to stay within 3% of off.
+    // metrics-off and a metrics-on server, best of 3 each. The gate
+    // (`serving.telemetry.on_vs_off`) requires the metrics-on
+    // throughput to stay within 3% of off.
     let telemetry_run = |metrics: Option<&hdc_serve::ServeMetrics>| -> f64 {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|s| {
-            let server_thread = s.spawn(|| {
-                serve(
-                    CoreKind::default(),
-                    listener,
-                    batch_config,
-                    &shutdown,
-                    metrics,
-                )
-            });
+            let server_thread = s.spawn(|| serve(listener, batch_config, &shutdown, metrics));
             let best = (0..3)
                 .map(|_| {
                     loadgen::run(
@@ -1285,20 +1241,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "      \"latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {} }},",
+        "      \"latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {} }}",
         fan_report.latency.p50_micros,
         fan_report.latency.p95_micros,
         fan_report.latency.p99_micros,
         fan_report.latency.max_micros
-    );
-    let _ = writeln!(
-        json,
-        "      \"threaded_binary_pipelined_requests_per_sec\": {:.1},",
-        threaded_baseline.requests_per_sec
-    );
-    let _ = writeln!(
-        json,
-        "      \"vs_threaded_binary_pipelined\": {vs_threaded_binary_pipelined:.2}"
     );
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");

@@ -102,7 +102,7 @@ impl std::fmt::Display for ThrottleReason {
 }
 
 /// Per-connection admission state. One instance per accepted
-/// connection, owned by its handler thread.
+/// connection, owned by the event loop's per-connection state.
 #[derive(Debug)]
 pub struct ConnectionAdmission {
     config: AdmissionConfig,

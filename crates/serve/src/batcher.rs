@@ -1,6 +1,6 @@
 //! The request-batching queue and its worker pool.
 //!
-//! Connection handlers enqueue one [`Job`] per request; worker threads
+//! The event loop enqueues one [`Job`] per request; worker threads
 //! pop *batches* — up to `max_batch` jobs, or whatever has accumulated
 //! after `max_wait` — and run one fused `encode_batch → search_batch`
 //! call per batch. Latency under light load is bounded by `max_wait`;
@@ -12,10 +12,10 @@
 //! the same batch call as everything else — a bulk frame is just a
 //! client that pre-batched its own traffic.
 //!
-//! Completions flow back through a [`CompletionSink`]: the threaded
-//! core hands each connection's writer an mpsc channel, the event-loop
-//! core funnels every connection into one channel tagged with the
-//! connection token and nudges the loop through its wakeup pipe.
+//! Completions flow back through a [`CompletionSink`]: every
+//! connection funnels into the event loop's one channel, tagged with
+//! the connection token, and each send nudges the loop through its
+//! wakeup pipe.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,10 +52,9 @@ pub struct BatchConfig {
     /// first, rescore survivors exactly), `None` scans exactly. Non-
     /// binary models always scan exactly.
     pub search_probe: Option<ProbeConfig>,
-    /// Concurrent-connection ceiling of the event-loop core. Accepts
-    /// past the ceiling are answered with a structured `"overloaded"`
-    /// error and closed instead of being silently dropped. The threaded
-    /// core ignores this (its ceiling is thread exhaustion).
+    /// Concurrent-connection ceiling. Accepts past the ceiling are
+    /// answered with a structured `"overloaded"` error and closed
+    /// instead of being silently dropped.
     pub max_connections: usize,
 }
 
@@ -96,7 +95,7 @@ pub enum BulkSlot {
     Rejected(String),
 }
 
-/// Outcome of one job, sent back to its connection handler.
+/// Outcome of one job, sent back to its connection.
 #[derive(Debug, Clone)]
 pub enum JobResult {
     /// Top-1 class.
@@ -113,7 +112,7 @@ pub enum JobResult {
 }
 
 /// A completed job, tagged with the request id it answers so the
-/// connection's writer can interleave out-of-order completions.
+/// connection can interleave out-of-order completions.
 /// Whether scores were requested is carried by the [`JobResult`]
 /// variant itself.
 #[derive(Debug, Clone)]
@@ -127,51 +126,35 @@ pub struct Completion {
 /// One message to a connection's write side.
 #[derive(Debug)]
 pub enum Delivery {
-    /// A batch-worker completion: the writer renders it in the
+    /// A batch-worker completion: the loop renders it in the
     /// connection's negotiated wire format.
     Done(Completion),
-    /// A pre-rendered response produced on the connection's read side
-    /// or by the admin executor (protocol errors, info, admin,
-    /// throttles) — sent verbatim, interleaved in arrival order with
-    /// completions.
+    /// A pre-rendered admin response line from the admin executor —
+    /// sent verbatim, interleaved in arrival order with completions.
     Raw(Vec<u8>),
 }
 
-/// Where a finished job's [`Delivery`] goes.
-///
-/// The threaded core gives every connection its own channel (drained by
-/// that connection's writer thread). The event-loop core shares one
-/// channel across all connections, tags each delivery with the
-/// connection's token, and wakes the loop through the self-pipe.
+/// Where a finished job's [`Delivery`] goes: the event loop's shared
+/// completion channel, tagged with the connection's token, plus the
+/// loop's wakeup pipe.
 #[derive(Debug, Clone)]
-pub enum CompletionSink {
-    /// Per-connection channel to a dedicated writer thread.
-    Channel(mpsc::Sender<Delivery>),
-    /// Shared event-loop channel plus the wakeup pipe.
-    EventLoop {
-        /// The loop's completion channel; deliveries are tagged with
-        /// the connection token.
-        tx: mpsc::Sender<(u64, Delivery)>,
-        /// Token of the connection this job belongs to.
-        token: u64,
-        /// The loop's wakeup pipe.
-        waker: Arc<Waker>,
-    },
+pub struct CompletionSink {
+    /// The loop's completion channel; deliveries are tagged with the
+    /// connection token.
+    pub tx: mpsc::Sender<(u64, Delivery)>,
+    /// Token of the connection this job belongs to.
+    pub token: u64,
+    /// The loop's wakeup pipe.
+    pub waker: Arc<Waker>,
 }
 
 impl CompletionSink {
-    /// Delivers one message. A receiver that hung up already is not an
-    /// error — the connection is tearing down and the delivery is moot.
+    /// Delivers one message and wakes the loop. A receiver that hung up
+    /// already is not an error — the server is tearing down and the
+    /// delivery is moot.
     pub fn send(&self, delivery: Delivery) {
-        match self {
-            CompletionSink::Channel(tx) => {
-                let _ = tx.send(delivery);
-            }
-            CompletionSink::EventLoop { tx, token, waker } => {
-                let _ = tx.send((*token, delivery));
-                waker.wake();
-            }
-        }
+        let _ = self.tx.send((self.token, delivery));
+        self.waker.wake();
     }
 }
 
@@ -180,7 +163,7 @@ impl CompletionSink {
 pub enum JobKind {
     /// One row: classify (optionally with scores) or top-k search.
     Single {
-        /// Quantized feature row (validated by the handler before
+        /// Quantized feature row (validated by the dispatcher before
         /// enqueue).
         levels: Vec<u16>,
         /// Whether the full score vector was requested.
@@ -486,7 +469,7 @@ pub(crate) fn run_batch(
                 served.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // A handler that hung up already is not an error.
+        // A connection that hung up already is not an error.
         job.tx.send(job.complete(result));
     }
 }
@@ -557,7 +540,7 @@ fn run_search_jobs(
 mod tests {
     use super::*;
 
-    fn job(level: u16) -> (Job, mpsc::Receiver<Delivery>) {
+    fn job(level: u16) -> (Job, mpsc::Receiver<(u64, Delivery)>) {
         let (tx, rx) = mpsc::channel();
         (
             Job {
@@ -567,7 +550,11 @@ mod tests {
                     want_scores: false,
                     search_k: None,
                 },
-                tx: CompletionSink::Channel(tx),
+                tx: CompletionSink {
+                    tx,
+                    token: 2,
+                    waker: Arc::new(Waker::new().unwrap()),
+                },
                 enqueued_at: None,
             },
             rx,

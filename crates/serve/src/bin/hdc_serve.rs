@@ -5,8 +5,7 @@
 //! [--levels M] [--classes C] [--batch B] [--wait-us T] [--workers W]
 //! [--pipeline P] [--duration SECS] [--locked L] [--hardened]
 //! [--budget Q] [--rate R] [--burst B] [--sweep S]
-//! [--max-connections C] [--core event|threaded]
-//! [--metrics-addr HOST:PORT]`
+//! [--max-connections C] [--metrics-addr HOST:PORT]`
 //!
 //! `--locked L` serves an HDLock-locked demo model with key depth `L`
 //! (enabling the `{"rekey":…}` admin request); the default is the
@@ -24,13 +23,12 @@
 //! it sends first. `--duration 0` (the default) serves until the
 //! process is killed.
 //!
-//! `--core` picks the connection core: `event` (the epoll loop —
-//! Linux default, 10k+ concurrent connections) or `threaded` (two
-//! blocking threads per connection; the only core off Linux).
-//! `--max-connections C` caps concurrent connections on the event
-//! core — accepts beyond it are answered with a structured
-//! `"overloaded"` error instead of a silent close. The process file
-//! descriptor limit is raised (best effort) to fit the cap at startup.
+//! Connections are served by one epoll event loop (10k+ concurrent
+//! connections), so the server runs on Linux only.
+//! `--max-connections C` caps concurrent connections — accepts beyond
+//! it are answered with a structured `"overloaded"` error instead of a
+//! silent close. The process file descriptor limit is raised (best
+//! effort) to fit the cap at startup.
 //!
 //! `--metrics-addr HOST:PORT` turns on the telemetry plane: every
 //! request stage records into the `hdc_serve::metrics` catalog, swap
@@ -58,7 +56,6 @@ struct Options {
     locked_layers: usize,
     hardened: bool,
     duration_secs: u64,
-    core: CoreKind,
     metrics_addr: Option<String>,
 }
 
@@ -72,7 +69,6 @@ impl Default for Options {
             locked_layers: 0,
             hardened: false,
             duration_secs: 0,
-            core: CoreKind::default(),
             metrics_addr: None,
         }
     }
@@ -136,18 +132,11 @@ fn parse_options() -> Options {
                     .parse()
                     .expect("--max-connections needs an integer")
             }
-            "--core" => {
-                opts.core = match value(i).as_str() {
-                    "event" => CoreKind::Event,
-                    "threaded" => CoreKind::Threaded,
-                    other => panic!("--core needs `event` or `threaded`, got '{other}'"),
-                }
-            }
             "--metrics-addr" => opts.metrics_addr = Some(value(i)),
             other => panic!(
                 "unknown argument '{other}'; supported: --addr --dim --features --levels \
                  --classes --batch --wait-us --workers --pipeline --duration --locked \
-                 --hardened --budget --rate --burst --sweep --max-connections --core \
+                 --hardened --budget --rate --burst --sweep --max-connections \
                  --metrics-addr"
             ),
         }
@@ -196,7 +185,7 @@ fn main() -> std::io::Result<()> {
         None => println!("file descriptor limit: left unchanged (raise unsupported or denied)"),
     }
     println!(
-        "serving on {} ({:?} core, batch ≤ {}, wait ≤ {:?}, {} workers, pipeline window {}, \
+        "serving on {} (epoll event loop, batch ≤ {}, wait ≤ {:?}, {} workers, pipeline window {}, \
          ≤ {} connections, kernel backend: {}, generation {}, checksum {:016x}); \
          protocols: line-JSON \
          (one {{\"id\":…,\"levels\":[…]}} per line; {{\"id\":…,\"info\":true}}, \
@@ -204,7 +193,6 @@ fn main() -> std::io::Result<()> {
          {{\"id\":…,\"rekey\":SEED}}) and binary frames (first byte 0xB1; see \
          hdc_serve::wire), sniffed per connection",
         listener.local_addr()?,
-        opts.core,
         opts.batch.max_batch,
         opts.batch.max_wait,
         opts.batch.workers,
@@ -237,7 +225,7 @@ fn main() -> std::io::Result<()> {
     let stats = std::thread::scope(|s| {
         let server = s.spawn(|| {
             server::serve_registry_with_core_metrics(
-                opts.core,
+                CoreKind::Event,
                 listener,
                 &registry,
                 &config,

@@ -1,6 +1,6 @@
-//! The epoll event-loop core: one nonblocking thread multiplexes every
-//! connection ([`CoreKind::Event`](crate::server::CoreKind), Linux
-//! only, the platform default).
+//! The epoll event loop: one nonblocking thread multiplexes every
+//! connection. It is the server's only connection core, so serving is
+//! Linux only.
 //!
 //! ## Shape
 //!
@@ -18,8 +18,9 @@
 //!                  └────────────────────┘   └────────────────────────┘
 //! ```
 //!
-//! Per connection the loop keeps a read accumulator (frames may split
-//! at any byte boundary across wakeups), the negotiated wire mode, the
+//! Per connection the loop keeps a read accumulator (frames and lines
+//! may split at any byte boundary across wakeups, and each byte is
+//! searched for a line end once), the negotiated wire mode, the
 //! in-flight id set and a bounded write backlog. Interest is re-armed
 //! per tick: reads pause at a backlog high watermark (a slow-reading
 //! client stalls only itself — TCP back-pressure reaches it, siblings
@@ -33,15 +34,13 @@
 //! hand results back through one shared channel, tagged with the
 //! connection token, then nudge the loop through the self-pipe
 //! [`Waker`]. Request policy — validation, admission, pipeline window,
-//! bulk preparation, admin routing — is the same
-//! `dispatch_incoming` the threaded core uses, so both cores answer
-//! byte-for-byte identically.
+//! bulk preparation, admin routing — is `dispatch_incoming` in
+//! [`crate::server`].
 //!
-//! ## Divergences from the threaded core (hardening, not semantics)
+//! ## Hardening
 //!
 //! * A JSON line longer than `MAX_JSON_LINE` is answered with an
-//!   error and the connection closed (the threaded core would buffer it
-//!   without bound).
+//!   error and the connection closed.
 //! * Accepts past `max_connections`, and accepts during drain, are
 //!   answered with a structured JSON `"overloaded"` error before the
 //!   socket closes, instead of languishing in the accept queue.
@@ -49,7 +48,7 @@
 //!   the connection's read side; its response is matched by id like any
 //!   pipelined response.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -59,19 +58,18 @@ use std::time::{Duration, Instant};
 
 use hdc_store::ModelRegistry;
 
-use crate::batcher::{BatchQueue, CompletionSink, Delivery, Job, JobKind};
+use crate::batcher::{BatchQueue, Delivery};
 use crate::epoll::{raise_nofile_limit, PollEvent, Poller, Waker, EV_READ, EV_WRITE};
 use crate::metrics::{elapsed_us, ServeMetrics};
 use crate::protocol;
 use crate::server::{
-    dispatch_incoming, incoming_from_json, next_frame_step, render_completion, render_error,
-    worker_loop, ConnOutbox, CoreStats, FrameStep, Incoming, InflightSet, RegistryBrain,
-    RegistryCtx, RegistryServeConfig, ServeStats,
+    dispatch_incoming, incoming_from_frame, incoming_from_json, render_completion, render_error,
+    worker_loop, AdminTask, CoreStats, Incoming, Outbox, RegistryBrain, RegistryCtx,
+    RegistryServeConfig, ServeStats,
 };
 use crate::wire::{self, WireMode};
 
-/// epoll_wait timeout — the shutdown-flag poll cadence, mirroring the
-/// threaded core's read-timeout tick.
+/// epoll_wait timeout — the shutdown-flag poll cadence.
 const POLL_TICK_MS: i32 = 20;
 /// Reads pause once a connection's unflushed output reaches this.
 const HIGH_WATERMARK: usize = 256 * 1024;
@@ -95,13 +93,6 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// One offloaded admin operation; its rendered response line comes back
-/// through the completion channel as a `Delivery::Raw` for `token`.
-struct AdminTask<'env> {
-    token: u64,
-    run: Box<dyn FnOnce() -> String + Send + 'env>,
-}
-
 /// Everything the loop hands to per-connection dispatch.
 struct LoopEnv<'l, 'env> {
     queue: &'env BatchQueue,
@@ -123,12 +114,12 @@ struct Conn<'env> {
     /// Binary-mode read accumulator (frames split anywhere).
     frames: wire::FrameBuffer,
     /// JSON-mode read accumulator (lines split anywhere).
-    line: Vec<u8>,
+    lines: wire::LineBuffer,
     /// Unflushed response bytes; `out[out_pos..]` awaits the socket.
     out: Vec<u8>,
     out_pos: usize,
     /// Ids of classify/bulk requests queued or running.
-    inflight: InflightSet,
+    inflight: HashSet<u64>,
     /// Offloaded admin operations awaiting their response line.
     inflight_admin: usize,
     /// Interest bits currently registered with the poller.
@@ -157,10 +148,10 @@ impl<'env> Conn<'env> {
             brain,
             mode: None,
             frames: wire::FrameBuffer::new(),
-            line: Vec::new(),
+            lines: wire::LineBuffer::new(),
             out: Vec::new(),
             out_pos: 0,
-            inflight: InflightSet::new(),
+            inflight: HashSet::new(),
             inflight_admin: 0,
             interest: EV_READ,
             read_closed: false,
@@ -174,88 +165,15 @@ impl<'env> Conn<'env> {
     }
 }
 
-/// The event loop's view of one connection during dispatch; implements
-/// the shared [`ConnOutbox`] seam over split borrows of [`Conn`].
-struct EventOutbox<'c, 'env> {
-    mode: WireMode,
-    out: &'c mut Vec<u8>,
-    inflight: &'c mut InflightSet,
-    inflight_admin: &'c mut usize,
-    queue: &'env BatchQueue,
-    done_tx: &'c mpsc::Sender<(u64, Delivery)>,
-    waker: &'c Arc<Waker>,
-    token: u64,
-    admin_tx: &'c mpsc::Sender<AdminTask<'env>>,
-    window: usize,
-    stats: &'c CoreStats<'env>,
-}
-
-impl<'env> ConnOutbox<'env> for EventOutbox<'_, 'env> {
-    fn mode(&self) -> WireMode {
-        self.mode
-    }
-
-    fn window(&self) -> usize {
-        self.window
-    }
-
-    fn stats(&self) -> &CoreStats<'env> {
-        self.stats
-    }
-
-    fn send_inline(&mut self, bytes: Vec<u8>) {
-        self.out.extend_from_slice(&bytes);
-    }
-
-    fn inflight_contains(&self, id: u64) -> bool {
-        self.inflight.contains(&id)
-    }
-
-    fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
-    fn inflight_insert(&mut self, id: u64) {
-        self.inflight.insert(id);
-    }
-
-    fn inflight_remove(&mut self, id: u64) {
-        self.inflight.remove(&id);
-    }
-
-    fn enqueue(&mut self, id: u64, kind: JobKind) {
-        self.queue.push(Job {
-            id,
-            kind,
-            tx: CompletionSink::EventLoop {
-                tx: self.done_tx.clone(),
-                token: self.token,
-                waker: Arc::clone(self.waker),
-            },
-            enqueued_at: self.stats.metrics.is_some().then(Instant::now),
-        });
-    }
-
-    fn offload_admin(&mut self, run: Box<dyn FnOnce() -> String + Send + 'env>) {
-        *self.inflight_admin += 1;
-        // The executor only exits once every sender is gone; a failed
-        // send means the server is already tearing down.
-        let _ = self.admin_tx.send(AdminTask {
-            token: self.token,
-            run,
-        });
-    }
-}
-
-/// Runs the shared dispatcher for one parsed request against this
-/// connection. Returns `false` on a fatal fault (stop reading).
+/// Runs the dispatcher for one parsed request against this connection.
+/// Returns `false` on a fatal fault (stop reading).
 fn dispatch_on<'env>(
     conn: &mut Conn<'env>,
     token: u64,
     env: &LoopEnv<'_, 'env>,
     incoming: Incoming,
 ) -> bool {
-    let mut outbox = EventOutbox {
+    let mut outbox = Outbox {
         mode: conn.mode.expect("dispatch only after wire negotiation"),
         out: &mut conn.out,
         inflight: &mut conn.inflight,
@@ -275,57 +193,62 @@ fn dispatch_on<'env>(
 fn feed_binary<'env>(conn: &mut Conn<'env>, token: u64, env: &LoopEnv<'_, 'env>, bytes: &[u8]) {
     conn.frames.extend(bytes);
     loop {
-        match next_frame_step(&mut conn.frames) {
-            FrameStep::Dispatch(incoming) => {
-                if !dispatch_on(conn, token, env, incoming) {
-                    conn.read_closed = true;
-                    return;
-                }
-            }
-            FrameStep::NeedMore => return,
-            FrameStep::CloseSilent => {
+        let incoming = match conn.frames.next_frame() {
+            Ok(Some((header, payload))) => incoming_from_frame(&header, &payload),
+            Ok(None) => return,
+            // Desynchronized or not our protocol: no trustworthy id to
+            // answer — close cleanly.
+            Err(wire::FatalFrameError::BadMagic(_)) => {
                 conn.read_closed = true;
                 return;
             }
-            FrameStep::CloseAfter(fatal) => {
-                let _ = dispatch_on(conn, token, env, fatal);
-                conn.read_closed = true;
-                return;
-            }
+            // The id sits before the length prefix, so it is still
+            // trustworthy: answer, then close (the payload cannot be
+            // skipped).
+            Err(wire::FatalFrameError::Oversized { id, len }) => Incoming::Bad {
+                id,
+                message: format!(
+                    "frame payload of {len} bytes exceeds the {} byte cap",
+                    wire::MAX_PAYLOAD
+                ),
+                fatal: true,
+            },
+        };
+        if !dispatch_on(conn, token, env, incoming) {
+            conn.read_closed = true;
+            return;
         }
     }
 }
 
 /// Feeds freshly read bytes through the JSON line accumulator.
 fn feed_json<'env>(conn: &mut Conn<'env>, token: u64, env: &LoopEnv<'_, 'env>, bytes: &[u8]) {
-    conn.line.extend_from_slice(bytes);
+    conn.lines.extend(bytes);
     loop {
-        let Some(pos) = conn.line.iter().position(|&b| b == b'\n') else {
-            if conn.line.len() > MAX_JSON_LINE {
-                let bytes = render_error(
-                    WireMode::Json,
-                    0,
-                    &format!("request line exceeds the {MAX_JSON_LINE} byte cap"),
-                    false,
-                    false,
-                );
-                conn.out.extend_from_slice(&bytes);
-                conn.read_closed = true;
+        let incoming = match conn.lines.next_line().map(std::str::from_utf8) {
+            None => {
+                if conn.lines.pending() > MAX_JSON_LINE {
+                    let bytes = render_error(
+                        WireMode::Json,
+                        0,
+                        &format!("request line exceeds the {MAX_JSON_LINE} byte cap"),
+                        false,
+                        false,
+                    );
+                    conn.out.extend_from_slice(&bytes);
+                    conn.read_closed = true;
+                }
+                return;
             }
-            return;
+            // Invalid UTF-8 ends the read side without a response
+            // (there is no trustworthy line to answer).
+            Some(Err(_)) => {
+                conn.read_closed = true;
+                return;
+            }
+            Some(Ok(text)) if text.trim().is_empty() => continue,
+            Some(Ok(text)) => incoming_from_json(text),
         };
-        let line_bytes: Vec<u8> = conn.line.drain(..=pos).collect();
-        let Ok(text) = std::str::from_utf8(&line_bytes) else {
-            // Matches the threaded core: invalid UTF-8 ends the read
-            // side without a response (there is no trustworthy line to
-            // answer).
-            conn.read_closed = true;
-            return;
-        };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let incoming = incoming_from_json(text);
         if !dispatch_on(conn, token, env, incoming) {
             conn.read_closed = true;
             return;

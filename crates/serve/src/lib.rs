@@ -22,14 +22,15 @@
 //!   arrived within `max_wait`) and answer them with a *single* fused
 //!   `encode_batch → search_batch` call, so heavy concurrent traffic
 //!   runs at batch-kernel throughput.
-//! * **Server** ([`server`]) — two interchangeable connection cores
-//!   behind one request-policy layer (see *Serving architecture*
-//!   below). No async runtime, no external crates. Every connection is
-//!   a pipeline: up to `pipeline_window` in-flight requests, answered
-//!   out of order as batch workers finish (clients match responses by
-//!   id); a full window is answered with a structured *overload*
-//!   error. [`serve_registry_with_core_metrics`] is the one entry
-//!   point: it serves a [`ModelRegistry`](hdc_store::ModelRegistry)
+//! * **Server** ([`server`]) — one epoll event loop behind one
+//!   request-policy layer (see *Serving architecture* below); serving
+//!   is Linux only. No async runtime, no external crates. Every
+//!   connection is a pipeline: up to `pipeline_window` in-flight
+//!   requests, answered out of order as batch workers finish (clients
+//!   match responses by id); a full window is answered with a
+//!   structured *overload* error. [`serve_registry_with_core_metrics`]
+//!   is the one entry point: it serves a
+//!   [`ModelRegistry`](hdc_store::ModelRegistry)
 //!   (a fixed model is a one-generation registry), so snapshots can be
 //!   hot-reloaded (including streamed over the wire in chunks),
 //!   locked models re-keyed *behind* the running server — in-flight
@@ -55,38 +56,32 @@
 //!
 //! Request *policy* — wire negotiation, frame/line parsing decisions,
 //! validation, admission metering, the pipeline window, bulk
-//! preparation, admin routing — lives once, in [`server`], behind one
-//! small trait (`server::ConnOutbox`, for where a request's effects
-//! *land*). Two connection cores plug into that seam and are
-//! byte-for-byte identical on the wire:
+//! preparation, admin routing — lives in [`server`], behind one
+//! concrete seam (`server::Outbox`, where a request's effects *land*).
+//! The epoll event loop drives the sockets and plugs into that seam:
 //!
 //! ```text
-//!              ┌──────────────────── policy (server.rs) ───────────────────┐
-//!              │ sniff · parse · validate · admit · window · admin routing │
-//!              └──────┬──────────────────────────────────────┬─────────────┘
-//!   CoreKind::Event   │                  CoreKind::Threaded  │
-//!   (Linux default)   ▼                  (portable fallback) ▼
-//!   ┌─────────────────────────────┐   ┌──────────────────────────────────┐
-//!   │ one epoll loop thread       │   │ accept loop                      │
-//!   │  · nonblocking sockets      │   │  └ per connection:               │
-//!   │  · per-conn state machines  │   │     reader thread + writer thread│
-//!   │  · bounded write backlogs   │   │     (blocking I/O, mpsc channel) │
-//!   │  · waker pipe for results   │   │                                  │
-//!   └───────┬─────────────────────┘   └───────┬──────────────────────────┘
-//!           │ jobs                            │ jobs
-//!           ▼                                 ▼
-//!   ┌────────────────────────────────────────────────────────────┐
-//!   │ shared batch queue → worker pool (fused classify/search)   │
-//!   │ + admin executor (reload / rekey / snapshot-xfer commit)   │
-//!   └────────────────────────────────────────────────────────────┘
+//!   ┌──────────────────── policy (server.rs) ───────────────────┐
+//!   │ sniff · parse · validate · admit · window · admin routing │
+//!   └─────────────────────────────┬─────────────────────────────┘
+//!                                 ▼
+//!   ┌───────────────── event loop (event_loop.rs) ──────────────┐
+//!   │ one epoll thread · nonblocking sockets · per-connection   │
+//!   │ state machines · bounded write backlogs · waker pipe      │
+//!   └──────────┬────────────────────────────────────▲───────────┘
+//!              │ jobs                               │ completions
+//!              ▼                                    │
+//!   ┌───────────────────────────────────────────────┴───────────┐
+//!   │ shared batch queue → worker pool (fused classify/search)  │
+//!   │ + admin executor (reload / rekey / snapshot-xfer commit)  │
+//!   └───────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The event core ([`event_loop`], Linux only) multiplexes 10k+
-//! concurrent connections on one thread and is the default there; the
-//! threaded core ([`threaded`]) spends two threads per connection,
-//! works everywhere `std::net` does, and doubles as the differential
-//! baseline the event core is pinned against in tests. The [`CoreKind`]
-//! argument of [`serve_registry_with_core_metrics`] picks one.
+//! The event loop ([`event_loop`]) multiplexes 10k+ concurrent
+//! connections on one thread. It runs on epoll, so serving is Linux
+//! only: elsewhere [`serve_registry_with_core_metrics`] returns
+//! [`std::io::ErrorKind::Unsupported`]. Golden transcripts pin every
+//! response byte of both wires (`tests/event_core.rs`).
 //!
 //! ## Observability
 //!
@@ -95,10 +90,17 @@
 //! every stage of every request records into lock-free counters,
 //! gauges and log-scaled histograms (the zero-dependency `hdc_obs`
 //! crate); pass `None` and no clock is read anywhere — responses are
-//! byte-identical either way (pinned by a differential test) and the
-//! measured cost of turning telemetry on is within the 3%
-//! `ci/bench_gates.json` gate (`serving.telemetry.on_vs_off ≥ 0.97` on
-//! binary pipelined classify).
+//! byte-identical either way (pinned by a differential test).
+//!
+//! What turning telemetry on costs is measured, not bounded. The
+//! served benchmark's interleaved `obs.overhead_frac` (server CPU per
+//! request with telemetry on over off, minus 1, on its json-small
+//! workload) read −0.076, −0.004, +0.013, +0.181 and +0.255 in five
+//! traced runs on a 2-vCPU AVX2 Xeon VM: a cost of a few percent
+//! cannot be told from that spread. The `serving.telemetry.on_vs_off ≥
+//! 0.97` gate in `ci/bench_gates.json` is one best-of-3 throughput
+//! reading on binary pipelined classify; the committed
+//! `BENCH_search.json` reads 0.878.
 //!
 //! The series catalog, by plane:
 //!
@@ -210,7 +212,6 @@ pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
-pub mod threaded;
 pub mod wire;
 
 pub use admission::{AdmissionConfig, ConnectionAdmission, ThrottleReason};
@@ -1332,7 +1333,7 @@ mod tests {
     /// shape error, a malformed line, info — strictly serial so the
     /// response byte order is deterministic) against one server and
     /// returns the raw response bytes per wire.
-    fn telemetry_traffic(core: CoreKind, metrics: Option<&ServeMetrics>) -> (Vec<u8>, Vec<u8>) {
+    fn telemetry_traffic(metrics: Option<&ServeMetrics>) -> (Vec<u8>, Vec<u8>) {
         let model = demo::demo_model(&demo::DemoSpec {
             dim: 512,
             train_size: 128,
@@ -1348,7 +1349,7 @@ mod tests {
         std::thread::scope(|s| {
             let server = s.spawn(|| {
                 serve_registry_with_core_metrics(
-                    core,
+                    CoreKind::default(),
                     listener,
                     &registry,
                     &RegistryServeConfig::default(),
@@ -1417,28 +1418,26 @@ mod tests {
     }
 
     /// Telemetry is observational only: with metrics on, every response
-    /// byte on both wires is identical to a metrics-off server, on both
-    /// cores — and the plane actually observed the run.
+    /// byte on both wires is identical to a metrics-off server — and the
+    /// plane actually observed the run.
     #[test]
     fn telemetry_on_responses_are_byte_identical_to_off() {
-        for core in [CoreKind::Threaded, CoreKind::Event] {
-            let off = telemetry_traffic(core, None);
-            let metrics = ServeMetrics::new();
-            let on = telemetry_traffic(core, Some(&metrics));
-            assert_eq!(off.0, on.0, "JSON wire bytes differ on {core:?}");
-            assert_eq!(off.1, on.1, "binary wire bytes differ on {core:?}");
-            // 4 classify + 2 search + shape error + malformed + info
-            // per wire; every dispatch and kernel call timed.
-            assert_eq!(metrics.requests_json.get(), 9);
-            assert_eq!(metrics.requests_binary.get(), 7);
-            assert!(metrics.dispatch_us.snapshot().count() >= 16);
-            assert!(metrics.execute_classify_us.snapshot().count() >= 1);
-            assert!(metrics.execute_search_us.snapshot().count() >= 1);
-            assert!(metrics.queue_wait_us.snapshot().count() >= 12);
-            assert_eq!(metrics.conns_opened.get(), 2);
-            assert_eq!(metrics.conns_closed.get(), 2);
-            assert_eq!(metrics.active_connections.get(), 0);
-        }
+        let off = telemetry_traffic(None);
+        let metrics = ServeMetrics::new();
+        let on = telemetry_traffic(Some(&metrics));
+        assert_eq!(off.0, on.0, "JSON wire bytes differ");
+        assert_eq!(off.1, on.1, "binary wire bytes differ");
+        // 4 classify + 2 search + shape error + malformed + info per
+        // wire; every dispatch and kernel call timed.
+        assert_eq!(metrics.requests_json.get(), 9);
+        assert_eq!(metrics.requests_binary.get(), 7);
+        assert!(metrics.dispatch_us.snapshot().count() >= 16);
+        assert!(metrics.execute_classify_us.snapshot().count() >= 1);
+        assert!(metrics.execute_search_us.snapshot().count() >= 1);
+        assert!(metrics.queue_wait_us.snapshot().count() >= 12);
+        assert_eq!(metrics.conns_opened.get(), 2);
+        assert_eq!(metrics.conns_closed.get(), 2);
+        assert_eq!(metrics.active_connections.get(), 0);
     }
 
     /// The server exposes the metrics plane three ways: the

@@ -8,9 +8,8 @@
 //! stack is guarded by an `Option<&ServeMetrics>`, and with `None` no
 //! clock is read and no atomic beyond the always-on request/connection
 //! counters is touched — so responses are byte-identical with
-//! telemetry on or off (pinned by a differential test) and the
-//! throughput cost stays within the `ci/bench_gates.json` overhead
-//! gate.
+//! telemetry on or off (pinned by a differential test). The measured
+//! cost of turning it on is in the crate docs (*Observability*).
 //!
 //! Stage histograms record **microseconds** and cover the whole
 //! request path: first-byte sniff → parse/validate/dispatch →
@@ -77,7 +76,7 @@ pub struct ServeMetrics {
     pub(crate) execute_classify_us: Arc<Histogram>,
     /// Fused top-k kernel time per search group.
     pub(crate) execute_search_us: Arc<Histogram>,
-    /// Write-backlog drain (nonblocking flush / writer-thread write).
+    /// Write-backlog drain (the event loop's nonblocking flush).
     pub(crate) drain_us: Arc<Histogram>,
     /// Jobs per popped batch.
     pub(crate) batch_size: Arc<Histogram>,

@@ -4,28 +4,24 @@
 //! *not* depend on how sockets are driven: validation, admission,
 //! pipeline windowing, admin handling, bulk-frame preparation and
 //! response rendering. Every server serves a [`ModelRegistry`]; a
-//! fixed model is served as a one-generation registry. Two
-//! interchangeable connection cores consume the policy:
+//! fixed model is served as a one-generation registry. The sockets are
+//! driven by the epoll event loop (`crate::event_loop`, Linux only):
+//! one nonblocking thread multiplexes every connection and scales to
+//! tens of thousands of concurrent sockets.
 //!
-//! * [`crate::event_loop`] (Linux, the default) — one nonblocking
-//!   epoll-driven thread multiplexes every connection; scales to tens
-//!   of thousands of concurrent sockets.
-//! * [`crate::threaded`] — one reader + one writer thread per
-//!   connection; portable, and the differential baseline the event
-//!   core is pinned against.
+//! The seam between policy and loop is `Outbox`: what the loop lends
+//! the policy per connection (its write buffer, its in-flight set, the
+//! job queue and the admin executor). `dispatch_incoming` runs one
+//! request's policy against it. Recorded golden transcripts pin every
+//! response byte (`tests/event_core.rs`).
 //!
-//! The seam between policy and core is the `ConnOutbox` trait (what the
-//! core provides per connection: a write path, the in-flight set, the
-//! job queue). `dispatch_incoming` runs one request's policy against
-//! it, so both cores answer every request byte-for-byte identically.
-//!
-//! [`serve_registry_with_core_metrics`] is the one entry point; it takes
-//! the core explicitly (tests pin both and diff the bytes).
+//! [`serve_registry_with_core_metrics`] is the one entry point.
 
 use std::collections::HashSet;
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use hdc_model::ClassifySession;
@@ -33,14 +29,13 @@ use hdc_store::{ModelRegistry, SnapshotStage};
 
 use crate::admission::{AdmissionConfig, ConnectionAdmission};
 use crate::batcher::{
-    run_batch, BatchConfig, BatchQueue, BulkSlot, Completion, JobKind, JobResult,
+    run_batch, BatchConfig, BatchQueue, BulkSlot, Completion, CompletionSink, Delivery, Job,
+    JobKind, JobResult,
 };
+use crate::epoll::Waker;
 use crate::metrics::{elapsed_us, ServeMetrics, SwapKind};
 use crate::protocol;
 use crate::wire::{self, WireMode};
-
-/// How often blocked I/O re-checks the shutdown flag.
-pub(crate) const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// Counters reported when the server exits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,8 +51,7 @@ pub struct ServeStats {
     pub throttled: u64,
 }
 
-/// Always-on per-server counters shared by both connection cores, plus
-/// the optional telemetry plane. The atomics cost one relaxed add per
+/// Always-on per-server counters, plus the optional telemetry plane. The atomics cost one relaxed add per
 /// event whether telemetry is on or off — so the two configurations pay
 /// the same base price and stay byte-identical on the wire; everything
 /// richer (clocks, histograms, labeled series) hides behind `metrics`.
@@ -120,40 +114,26 @@ pub struct RegistryServeConfig {
     pub admission: AdmissionConfig,
 }
 
-/// Which connection core drives the sockets. Both cores answer every
-/// request with identical bytes; they differ in how far they scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The connection core that drives the sockets. The epoll event loop
+/// is the only one; the argument remains for callers that name it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CoreKind {
     /// Nonblocking epoll event loop: one thread multiplexes all
-    /// connections (Linux; falls back to [`CoreKind::Threaded`]
-    /// elsewhere).
+    /// connections (Linux only).
+    #[default]
     Event,
-    /// Two threads (reader + writer) per connection.
-    Threaded,
-}
-
-impl Default for CoreKind {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            CoreKind::Event
-        } else {
-            CoreKind::Threaded
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
-// Per-request policy (shared by both cores)
+// Per-request policy
 // ---------------------------------------------------------------------
 
 /// How an admin request is executed.
 ///
 /// Cheap admin operations (stats, transfer chunks) answer inline on the
-/// dispatching thread. Slow ones (reload, rekey, transfer commit —
-/// anything that builds a model generation) are handed back as a
-/// closure so the event-loop core can run them off-loop; the threaded
-/// core just runs the closure on the connection's reader thread, which
-/// is the pre-event-loop behavior.
+/// event loop. Slow ones (reload, rekey, transfer commit — anything
+/// that builds a model generation) are handed back as a closure, which
+/// the admin executor thread runs off-loop.
 pub(crate) enum AdminOutcome<'env> {
     /// The rendered JSON response line, produced inline.
     Done(String),
@@ -457,7 +437,7 @@ pub(crate) fn render_completion(mode: WireMode, done: &Completion) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Request dispatch (the policy seam both cores share)
+// Request dispatch
 // ---------------------------------------------------------------------
 
 /// One parsed request, wire-format agnostic.
@@ -558,35 +538,71 @@ pub(crate) fn incoming_from_frame(header: &wire::FrameHeader, payload: &[u8]) ->
     }
 }
 
-/// What a connection core provides per connection so the shared
-/// dispatcher can answer requests: the negotiated wire mode, a write
-/// path, the in-flight id set, and routes into the batch queue and the
-/// admin executor.
-pub(crate) trait ConnOutbox<'env> {
+/// One offloaded admin operation; its rendered response line comes back
+/// through the completion channel as a `Delivery::Raw` for `token`.
+pub(crate) struct AdminTask<'env> {
+    pub(crate) token: u64,
+    pub(crate) run: Box<dyn FnOnce() -> String + Send + 'env>,
+}
+
+/// What the event loop lends the dispatcher for one connection, as
+/// split borrows of its per-connection state: the negotiated wire
+/// mode, the write buffer, the in-flight id set, and routes into the
+/// batch queue and the admin executor.
+pub(crate) struct Outbox<'c, 'env> {
     /// Negotiated wire format.
-    fn mode(&self) -> WireMode;
+    pub(crate) mode: WireMode,
+    /// Unflushed response bytes; inline responses (errors, info,
+    /// admin) append here, ordered after earlier sends.
+    pub(crate) out: &'c mut Vec<u8>,
+    /// Ids of classify/bulk requests queued or running; its size is
+    /// the pipeline depth.
+    pub(crate) inflight: &'c mut HashSet<u64>,
+    /// Offloaded admin operations awaiting their response line.
+    pub(crate) inflight_admin: &'c mut usize,
+    pub(crate) queue: &'env BatchQueue,
+    /// The loop's completion channel, its wakeup pipe, and this
+    /// connection's token there.
+    pub(crate) done_tx: &'c mpsc::Sender<(u64, Delivery)>,
+    pub(crate) waker: &'c Arc<Waker>,
+    pub(crate) token: u64,
+    pub(crate) admin_tx: &'c mpsc::Sender<AdminTask<'env>>,
     /// Pipeline-window depth (≥ 1).
-    fn window(&self) -> usize;
+    pub(crate) window: usize,
     /// Always-on server counters plus the optional telemetry plane.
-    /// The `'env` inner lifetime lets dispatch copy the metrics
-    /// reference out and keep it across `&mut self` calls.
-    fn stats(&self) -> &CoreStats<'env>;
-    /// Sends pre-rendered bytes (inline responses: errors, info,
-    /// admin), ordered with respect to earlier sends.
-    fn send_inline(&mut self, bytes: Vec<u8>);
-    /// Whether `id` is currently in flight on this connection.
-    fn inflight_contains(&self, id: u64) -> bool;
-    /// Current pipeline depth.
-    fn inflight_len(&self) -> usize;
-    /// Marks `id` in flight.
-    fn inflight_insert(&mut self, id: u64);
-    /// Unmarks `id` (admission rejected it after the window check).
-    fn inflight_remove(&mut self, id: u64);
+    pub(crate) stats: &'c CoreStats<'env>,
+}
+
+impl<'env> Outbox<'_, 'env> {
+    fn send_inline(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
     /// Hands one job (already validated/admitted) to the batch queue.
-    fn enqueue(&mut self, id: u64, kind: JobKind);
-    /// Runs a slow admin operation; its rendered response line must be
-    /// delivered to this connection when it completes.
-    fn offload_admin(&mut self, run: Box<dyn FnOnce() -> String + Send + 'env>);
+    fn enqueue(&mut self, id: u64, kind: JobKind) {
+        self.queue.push(Job {
+            id,
+            kind,
+            tx: CompletionSink {
+                tx: self.done_tx.clone(),
+                token: self.token,
+                waker: Arc::clone(self.waker),
+            },
+            enqueued_at: self.stats.metrics.is_some().then(Instant::now),
+        });
+    }
+
+    /// Hands a slow admin operation to the admin executor; its response
+    /// line comes back through the completion channel.
+    fn offload_admin(&mut self, run: Box<dyn FnOnce() -> String + Send + 'env>) {
+        *self.inflight_admin += 1;
+        // The executor only exits once every sender is gone; a failed
+        // send means the server is already tearing down.
+        let _ = self.admin_tx.send(AdminTask {
+            token: self.token,
+            run,
+        });
+    }
 }
 
 /// Outcome of preparing a bulk frame for enqueue.
@@ -644,31 +660,31 @@ pub(crate) fn prepare_bulk(
     }
 }
 
-/// Handles one parsed request: the exact validation → duplicate-id →
-/// window → admission → enqueue ordering both cores share. Returns
-/// `false` when the connection must close (fatal framing fault).
+/// Handles one parsed request: validation → duplicate-id → window →
+/// admission → enqueue, in that order. Returns `false` when the
+/// connection must close (fatal framing fault).
 ///
 /// This wrapper owns the per-request accounting: the always-on request
 /// counters (total and per wire format) tick unconditionally, and with
 /// telemetry on the whole parse→validate→admit→enqueue turn lands in
 /// the dispatch-stage histogram. [`dispatch_inner`] does the actual
 /// policy work and is timing-free.
-pub(crate) fn dispatch_incoming<'env, O: ConnOutbox<'env>>(
-    out: &mut O,
+pub(crate) fn dispatch_incoming<'env>(
+    out: &mut Outbox<'_, 'env>,
     brain: &mut RegistryBrain<'env>,
     incoming: Incoming,
 ) -> bool {
-    let metrics = out.stats().metrics;
-    out.stats().requests.fetch_add(1, Ordering::Relaxed);
-    match out.mode() {
+    let metrics = out.stats.metrics;
+    out.stats.requests.fetch_add(1, Ordering::Relaxed);
+    match out.mode {
         WireMode::Json => {
-            out.stats().requests_json.fetch_add(1, Ordering::Relaxed);
+            out.stats.requests_json.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = metrics {
                 m.requests_json.inc();
             }
         }
         WireMode::Binary => {
-            out.stats().requests_binary.fetch_add(1, Ordering::Relaxed);
+            out.stats.requests_binary.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = metrics {
                 m.requests_binary.inc();
             }
@@ -683,24 +699,22 @@ pub(crate) fn dispatch_incoming<'env, O: ConnOutbox<'env>>(
 }
 
 /// The policy body of [`dispatch_incoming`].
-fn dispatch_inner<'env, O: ConnOutbox<'env>>(
-    out: &mut O,
+fn dispatch_inner<'env>(
+    out: &mut Outbox<'_, 'env>,
     brain: &mut RegistryBrain<'env>,
     incoming: Incoming,
 ) -> bool {
     match incoming {
         Incoming::Info { id } => {
             let info = brain.server_info();
-            let bytes = render_info(out.mode(), id, &info);
-            out.send_inline(bytes);
+            out.send_inline(&render_info(out.mode, id, &info));
         }
         Incoming::Admin { id, admin } => match brain.admin(id, admin) {
-            AdminOutcome::Done(line) => out.send_inline(line.into_bytes()),
+            AdminOutcome::Done(line) => out.send_inline(line.as_bytes()),
             AdminOutcome::Offload(run) => out.offload_admin(run),
         },
         Incoming::Bad { id, message, fatal } => {
-            let bytes = render_error(out.mode(), id, &message, false, false);
-            out.send_inline(bytes);
+            out.send_inline(&render_error(out.mode, id, &message, false, false));
             return !fatal;
         }
         Incoming::Classify {
@@ -710,22 +724,20 @@ fn dispatch_inner<'env, O: ConnOutbox<'env>>(
             search_k,
         } => {
             if let Some(msg) = brain.validate_levels(&levels) {
-                let bytes = render_error(out.mode(), id, &msg, false, false);
-                out.send_inline(bytes);
+                out.send_inline(&render_error(out.mode, id, &msg, false, false));
                 return true;
             }
             if !check_window(out, id) {
                 return true;
             }
-            out.inflight_insert(id);
+            out.inflight.insert(id);
             // Admission runs last, after validation and windowing, so
             // malformed or back-pressured requests never consume the
             // connection's query budget.
             if let Err(msg) = brain.admit(&levels) {
-                out.inflight_remove(id);
-                out.stats().throttled.fetch_add(1, Ordering::Relaxed);
-                let bytes = render_error(out.mode(), id, &msg, true, false);
-                out.send_inline(bytes);
+                out.inflight.remove(&id);
+                out.stats.throttled.fetch_add(1, Ordering::Relaxed);
+                out.send_inline(&render_error(out.mode, id, &msg, true, false));
                 return true;
             }
             out.enqueue(
@@ -749,19 +761,18 @@ fn dispatch_inner<'env, O: ConnOutbox<'env>>(
             }
             match prepare_bulk(brain, rows, want_scores) {
                 BulkPrep::Reject(msg) => {
-                    let bytes = render_error(out.mode(), id, &msg, false, false);
-                    out.send_inline(bytes);
+                    out.send_inline(&render_error(out.mode, id, &msg, false, false));
                 }
                 BulkPrep::Slots {
                     slots,
                     throttled_rows,
                 } => {
                     if throttled_rows > 0 {
-                        out.stats()
+                        out.stats
                             .throttled
                             .fetch_add(throttled_rows, Ordering::Relaxed);
                     }
-                    out.inflight_insert(id);
+                    out.inflight.insert(id);
                     out.enqueue(id, JobKind::Bulk { slots, want_scores });
                 }
             }
@@ -772,74 +783,26 @@ fn dispatch_inner<'env, O: ConnOutbox<'env>>(
 
 /// Duplicate-id and pipeline-window checks shared by classify and bulk;
 /// `false` means the request was answered inline and must not enqueue.
-fn check_window<'env, O: ConnOutbox<'env>>(out: &mut O, id: u64) -> bool {
-    if out.inflight_contains(id) {
-        let bytes = render_error(
-            out.mode(),
-            id,
-            &format!("request id {id} already in flight on this connection"),
+fn check_window(out: &mut Outbox<'_, '_>, id: u64) -> bool {
+    let (message, overloaded) = if out.inflight.contains(&id) {
+        (
+            format!("request id {id} already in flight on this connection"),
             false,
-            false,
-        );
-        out.send_inline(bytes);
-        return false;
-    }
-    if out.inflight_len() >= out.window() {
-        let bytes = render_error(
-            out.mode(),
-            id,
-            &format!(
+        )
+    } else if out.inflight.len() >= out.window {
+        (
+            format!(
                 "pipeline window full ({} requests in flight); \
                  drain responses before sending more",
-                out.window()
+                out.window
             ),
-            false,
             true,
-        );
-        out.send_inline(bytes);
-        return false;
-    }
-    true
-}
-
-/// Tracks whether a binary read stream is still trustworthy after a
-/// framing decision; shared by both cores' binary read paths.
-pub(crate) enum FrameStep {
-    /// One frame decoded (or answerable error) — keep going.
-    Dispatch(Incoming),
-    /// Buffer holds no complete frame yet.
-    NeedMore,
-    /// Stream desynchronized (bad magic): close silently.
-    CloseSilent,
-    /// Oversized length prefix: answer `Incoming::Bad { fatal }`, then
-    /// close.
-    CloseAfter(Incoming),
-}
-
-/// Pulls the next framing decision out of a frame buffer.
-pub(crate) fn next_frame_step(frames: &mut wire::FrameBuffer) -> FrameStep {
-    match frames.next_frame() {
-        Ok(Some((header, payload))) => FrameStep::Dispatch(incoming_from_frame(&header, &payload)),
-        Ok(None) => FrameStep::NeedMore,
-        Err(wire::FatalFrameError::BadMagic(_)) => {
-            // Desynchronized or not our protocol: no trustworthy id to
-            // answer — close cleanly.
-            FrameStep::CloseSilent
-        }
-        Err(wire::FatalFrameError::Oversized { id, len }) => {
-            // The id sits before the length prefix, so it is still
-            // trustworthy: answer, then close (the payload cannot be
-            // skipped).
-            FrameStep::CloseAfter(Incoming::Bad {
-                id,
-                message: format!(
-                    "frame payload of {len} bytes exceeds the {} byte cap",
-                    wire::MAX_PAYLOAD
-                ),
-                fatal: true,
-            })
-        }
-    }
+        )
+    } else {
+        return true;
+    };
+    out.send_inline(&render_error(out.mode, id, &message, false, overloaded));
+    false
 }
 
 // ---------------------------------------------------------------------
@@ -867,9 +830,9 @@ pub(crate) fn worker_loop(
 // ---------------------------------------------------------------------
 
 /// Serves classify traffic from a [`ModelRegistry`] on `listener` until
-/// `shutdown` is raised, on the connection core `core`
-/// (`CoreKind::default()` picks the platform's), honoring admin
-/// requests and enforcing per-connection admission control.
+/// `shutdown` is raised, on the epoll event loop (`core` names it; it
+/// is the only core), honoring admin requests and enforcing
+/// per-connection admission control.
 ///
 /// A fixed model is served as a one-generation registry:
 /// `ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(&model), None)`
@@ -913,8 +876,9 @@ pub(crate) fn worker_loop(
 ///
 /// # Errors
 ///
-/// Propagates listener configuration errors; per-connection I/O errors
-/// only terminate that connection.
+/// Propagates listener/poller configuration errors; per-connection I/O
+/// errors only terminate that connection. Off Linux, serving is
+/// [`std::io::ErrorKind::Unsupported`]: the event loop runs on epoll.
 pub fn serve_registry_with_core_metrics(
     core: CoreKind,
     listener: TcpListener,
@@ -923,24 +887,17 @@ pub fn serve_registry_with_core_metrics(
     shutdown: &AtomicBool,
     metrics: Option<&ServeMetrics>,
 ) -> std::io::Result<ServeStats> {
-    match core {
-        CoreKind::Threaded => {
-            crate::threaded::serve_registry(listener, registry, config, shutdown, metrics)
-        }
-        CoreKind::Event => {
-            #[cfg(target_os = "linux")]
-            {
-                crate::event_loop::serve_registry(listener, registry, config, shutdown, metrics)
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                crate::threaded::serve_registry(listener, registry, config, shutdown, metrics)
-            }
-        }
+    let CoreKind::Event = core;
+    #[cfg(target_os = "linux")]
+    {
+        crate::event_loop::serve_registry(listener, registry, config, shutdown, metrics)
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (listener, registry, config, shutdown, metrics);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "serving needs the Linux epoll event loop",
+        ))
     }
 }
-
-/// Ids of classify requests currently queued or running on one
-/// connection; its size is the pipeline depth. (A shared alias so both
-/// cores use the same structure.)
-pub(crate) type InflightSet = HashSet<u64>;

@@ -455,15 +455,7 @@ impl FrameBuffer {
 
     /// Appends freshly read bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact lazily so the buffer does not grow without bound on a
-        // long-lived connection.
-        if self.start > 0 && self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start > 4096 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+        compact(&mut self.buf, &mut self.start);
         self.buf.extend_from_slice(bytes);
     }
 
@@ -500,6 +492,71 @@ impl FrameBuffer {
         self.start += HEADER_LEN + len;
         Ok(Some((header, payload)))
     }
+}
+
+/// Incremental line accumulator for the server's line-JSON read loop,
+/// the twin of [`FrameBuffer`]: bytes stream in via
+/// [`LineBuffer::extend`], complete `\n`-terminated lines stream out via
+/// [`LineBuffer::next_line`]. Every byte is searched for the line end
+/// once, so a line trickled in one byte per read costs linear time,
+/// not quadratic.
+#[derive(Debug, Default)]
+pub(crate) struct LineBuffer {
+    buf: Vec<u8>,
+    start: usize,
+    /// `buf[start..scanned]` holds no line end.
+    scanned: usize,
+}
+
+impl LineBuffer {
+    /// An empty buffer.
+    #[must_use]
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends freshly read bytes.
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.scanned -= compact(&mut self.buf, &mut self.start);
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Yields the next complete line, `\n` included; `None` when more
+    /// bytes are needed.
+    pub(crate) fn next_line(&mut self) -> Option<&[u8]> {
+        let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buf.len();
+            return None;
+        };
+        let line = self.start..self.scanned + at + 1;
+        self.start = line.end;
+        self.scanned = line.end;
+        Some(&self.buf[line])
+    }
+
+    /// Bytes buffered toward the next, still incomplete line.
+    #[must_use]
+    pub(crate) fn pending(&self) -> usize {
+        self.buf.len() - self.start
+    }
+}
+
+/// Lazy compaction shared by [`FrameBuffer`] and [`LineBuffer`]: drops
+/// the consumed prefix `buf[..start]` once it is all of `buf` or past
+/// 4 KiB, so a long-lived connection's buffer does not grow without
+/// bound and consumed frames or lines are not shifted out one by one.
+/// Returns how far the unconsumed bytes moved toward the front.
+fn compact(buf: &mut Vec<u8>, start: &mut usize) -> usize {
+    let moved = *start;
+    if moved == buf.len() {
+        buf.clear();
+    } else if moved > 4096 {
+        buf.drain(..moved);
+    } else {
+        return 0;
+    }
+    *start = 0;
+    moved
 }
 
 /// Decodes a framed request (server side). The payload was already
@@ -760,11 +817,51 @@ pub fn read_frame(reader: &mut impl Read) -> std::io::Result<(FrameHeader, Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     fn feed(bytes: &[u8]) -> FrameBuffer {
         let mut fb = FrameBuffer::new();
         fb.extend(bytes);
         fb
+    }
+
+    #[test]
+    fn lines_split_anywhere_come_out_whole() {
+        let mut lines = LineBuffer::new();
+        lines.extend(b"{\"id\":1}\n{\"i");
+        assert_eq!(lines.next_line(), Some(&b"{\"id\":1}\n"[..]));
+        assert_eq!(lines.next_line(), None);
+        assert_eq!(lines.pending(), 3);
+        lines.extend(b"d\":2}");
+        assert_eq!(lines.next_line(), None);
+        lines.extend(b"\n\n");
+        assert_eq!(lines.next_line(), Some(&b"{\"id\":2}\n"[..]));
+        assert_eq!(lines.next_line(), Some(&b"\n"[..]));
+        assert_eq!(lines.next_line(), None);
+        assert_eq!(lines.pending(), 0);
+    }
+
+    /// A line trickled in one byte per read, polled after every byte as
+    /// the event loop polls, is searched once per byte. A buffer that
+    /// rescans from its first byte on every poll needs minutes for this
+    /// (1 MiB − 1)-byte line and trips the deadline.
+    #[test]
+    fn trickled_line_is_scanned_in_linear_time() {
+        const DEADLINE: Duration = Duration::from_secs(10);
+        let len = (1 << 20) - 1;
+        let mut lines = LineBuffer::new();
+        let started = Instant::now();
+        for i in 0..len {
+            lines.extend(b"x");
+            assert_eq!(lines.next_line(), None);
+            if i % 4096 == 0 {
+                assert!(started.elapsed() < DEADLINE, "{i} bytes in {DEADLINE:?}");
+            }
+        }
+        lines.extend(b"\n");
+        assert_eq!(lines.next_line().map(<[u8]>::len), Some(len + 1));
+        assert_eq!(lines.next_line(), None);
+        assert!(started.elapsed() < DEADLINE, "took {:?}", started.elapsed());
     }
 
     #[test]

@@ -1,10 +1,18 @@
-//! Event-core acceptance tests: the epoll core pinned bit-identical to
-//! the threaded core, the bulk-classify opcode, streamed snapshot
-//! transfers, and the event loop's concurrency edge cases (split
-//! frames, slow-loris backlogs, drain/capacity rejections).
+//! Event-loop acceptance tests: every response byte pinned to golden
+//! transcripts, the bulk-classify opcode, streamed snapshot transfers,
+//! and the event loop's concurrency edge cases (split frames,
+//! slow-loris backlogs, drain/capacity rejections).
+//!
+//! The golden transcripts (`tests/golden/*.txt`) hold one line per
+//! response, in script order: `J <json line>` or `B <hex frame>`. They
+//! were recorded from the thread-per-connection core this crate used to
+//! ship, which the epoll core matched byte for byte; that differential
+//! oracle survives as these recorded bytes. Serving is Linux only.
+#![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -22,15 +30,14 @@ fn fixed_registry(model: &HdcModel<RecordEncoder>) -> ModelRegistry {
     ModelRegistry::from_snapshot(ModelSnapshot::from_standard_model(model), None).unwrap()
 }
 
-/// Serves `registry` on `core`, telemetry off.
+/// Serves `registry`, telemetry off.
 fn serve_on(
-    core: CoreKind,
     listener: TcpListener,
     registry: &ModelRegistry,
     config: &RegistryServeConfig,
     shutdown: &AtomicBool,
 ) -> std::io::Result<ServeStats> {
-    serve_registry_with_core_metrics(core, listener, registry, config, shutdown, None)
+    serve_registry_with_core_metrics(CoreKind::Event, listener, registry, config, shutdown, None)
 }
 
 /// Arms the server's shutdown flag on drop, so a client-side panic
@@ -84,11 +91,7 @@ fn demo_row(spec: &DemoSpec, i: usize) -> Vec<u16> {
 /// frames, unknown opcodes, version mismatches, an oversized frame
 /// (connection-fatal), and a registry reload landing mid-script from a
 /// dedicated admin connection.
-fn drive_differential_script(
-    addr: SocketAddr,
-    spec: &DemoSpec,
-    snap_path: &std::path::Path,
-) -> Vec<Vec<u8>> {
+fn drive_differential_script(addr: SocketAddr, spec: &DemoSpec, snap_path: &Path) -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = Vec::new();
 
     // --- JSON connection, pre-swap -----------------------------------
@@ -196,19 +199,105 @@ fn drive_differential_script(
     out
 }
 
-/// The tentpole pin: both cores serve the same request script with
-/// byte-identical responses — scores, match lists, error shapes,
+/// One response in the golden transcripts' format.
+fn golden_line(response: &[u8]) -> String {
+    if response.first() == Some(&wire::MAGIC0) {
+        let hex: String = response.iter().map(|b| format!("{b:02x}")).collect();
+        return format!("B {hex}");
+    }
+    let text = std::str::from_utf8(response).expect("JSON responses are UTF-8");
+    let line = text
+        .strip_suffix('\n')
+        .expect("one newline-terminated line");
+    assert!(!line.contains('\n'), "one response per line: {text:?}");
+    format!("J {line}")
+}
+
+/// Maps a transcript line to its comparable form. Two fields vary
+/// from run to run by design: the kernel backend named by `info`
+/// responses and the `stats` uptime clock. `live` lines (this run's
+/// responses) have both checked, against the active backend and a
+/// one-minute bound; then both sides get fixed placeholders. A binary
+/// `info` frame is re-rendered, because its backend name is
+/// length-prefixed.
+fn comparable(line: &str, live: bool) -> String {
+    if let Some(hex) = line.strip_prefix("B ") {
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex frame"))
+            .collect();
+        let mut frames = wire::FrameBuffer::new();
+        frames.extend(&bytes);
+        let (header, payload) = frames.next_frame().unwrap().expect("one whole frame");
+        if header.opcode != wire::OP_INFO_RESP {
+            return line.to_owned();
+        }
+        let mut info = wire::decode_response(&header, &payload)
+            .unwrap()
+            .info
+            .unwrap();
+        if live {
+            assert_eq!(info.backend, hypervec::kernel::name(), "{line}");
+        }
+        info.backend = "*".to_owned();
+        return golden_line(&wire::info_response_frame(header.id, &info));
+    }
+    let json = line.strip_prefix("J ").expect("a `J` or `B` line");
+    let resp = protocol::parse_response(json).expect("a JSON response");
+    let (field, value) = if let Some(info) = &resp.info {
+        if live {
+            assert_eq!(info.backend, hypervec::kernel::name(), "{line}");
+        }
+        ("\"backend\":", format!("\"{}\"", info.backend))
+    } else if let Some(stats) = &resp.stats {
+        if live {
+            assert!(stats.uptime_secs < 60, "{line}");
+        }
+        ("\"uptime_secs\":", stats.uptime_secs.to_string())
+    } else {
+        return line.to_owned();
+    };
+    let from = format!("{field}{value}");
+    assert_eq!(line.matches(&from).count(), 1, "{line}");
+    line.replace(&from, &format!("{field}\"*\""))
+}
+
+/// Compares this run's responses with `tests/golden/<name>`; on a
+/// mismatch, prints the observed transcript in the file's format.
+fn assert_matches_golden(name: &str, responses: &[Vec<u8>]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let golden = std::fs::read_to_string(&path).expect("golden transcript");
+    let observed: Vec<String> = responses.iter().map(|r| golden_line(r)).collect();
+    let want: Vec<String> = golden.lines().map(|l| comparable(l, false)).collect();
+    let got: Vec<String> = observed.iter().map(|l| comparable(l, true)).collect();
+    if got != want {
+        let first = got.iter().zip(&want).position(|(g, w)| g != w);
+        panic!(
+            "responses diverge from {} ({} observed, {} golden; first difference at \
+             response {first:?}); observed transcript:\n{}",
+            path.display(),
+            got.len(),
+            want.len(),
+            observed.join("\n")
+        );
+    }
+}
+
+/// The serving pin: the differential script's 35 responses match the
+/// golden transcript byte for byte — scores, match lists, error shapes,
 /// request-id echoes, bulk outcomes, admission throttling and a
 /// mid-script registry swap included, on both wire formats.
 #[test]
-fn event_core_responses_are_bit_identical_to_threaded_core() {
+fn responses_match_the_golden_transcript() {
     let spec = DemoSpec {
         dim: 256,
         train_size: 64,
         ..Default::default()
     };
-    // A replacement snapshot both servers reload mid-script.
-    let dir = std::env::temp_dir().join("hdc_serve_differential_test");
+    // A replacement snapshot the server reloads mid-script.
+    let dir = std::env::temp_dir().join("hdc_serve_golden_test");
     std::fs::create_dir_all(&dir).unwrap();
     let snap_path = dir.join("replacement.hdsn");
     let replacement = demo::demo_model(&DemoSpec { seed: 4242, ..spec });
@@ -224,45 +313,30 @@ fn event_core_responses_are_bit_identical_to_threaded_core() {
         },
     };
 
-    let mut transcripts = Vec::new();
-    for core in [CoreKind::Threaded, CoreKind::Event] {
-        // Identical seeds build identical registries, so the only
-        // variable between the two transcripts is the connection core.
-        let registry = demo::demo_locked_registry(&spec, 2);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = AtomicBool::new(false);
-        let transcript = std::thread::scope(|s| {
-            let server = s.spawn(|| serve_on(core, listener, &registry, &config, &shutdown));
-            let _guard = ShutdownGuard(&shutdown);
-            let transcript = drive_differential_script(addr, &spec, &snap_path);
-            shutdown.store(true, Ordering::SeqCst);
-            server.join().unwrap().unwrap();
-            transcript
-        });
-        transcripts.push(transcript);
-    }
-    let (threaded, event) = (&transcripts[0], &transcripts[1]);
-    assert_eq!(threaded.len(), event.len());
-    for (i, (t, e)) in threaded.iter().zip(event).enumerate() {
-        assert_eq!(
-            t,
-            e,
-            "response {i} diverged between cores:\n  threaded: {:?}\n  event:    {:?}",
-            String::from_utf8_lossy(t),
-            String::from_utf8_lossy(e)
-        );
-    }
+    // Fixed seeds build the registry the transcript was recorded from.
+    let registry = demo::demo_locked_registry(&spec, 2);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shutdown = AtomicBool::new(false);
+    let transcript = std::thread::scope(|s| {
+        let server = s.spawn(|| serve_on(listener, &registry, &config, &shutdown));
+        let _guard = ShutdownGuard(&shutdown);
+        let transcript = drive_differential_script(addr, &spec, &snap_path);
+        shutdown.store(true, Ordering::SeqCst);
+        server.join().unwrap().unwrap();
+        transcript
+    });
     let _ = std::fs::remove_file(&snap_path);
+    assert_eq!(transcript.len(), 35);
+    assert_matches_golden("differential.txt", &transcript);
 }
 
-/// The int-metric twin of the differential pin: SEARCH against a
-/// non-binary (integer class memory, cosine) model answers
-/// byte-identical MATCHES frames on both cores, on both wires — the
-/// blocked int planes and strided dot kernels behind the int search
-/// path must not perturb a single serialized bit.
+/// The int-metric twin of the golden pin: SEARCH against a non-binary
+/// (integer class memory, cosine) model answers the recorded MATCHES
+/// bytes on both wires — the blocked int planes and strided dot kernels
+/// behind the int search path must not perturb a single serialized bit.
 #[test]
-fn int_search_responses_are_bit_identical_across_cores() {
+fn int_search_responses_match_the_golden_transcript() {
     let spec = DemoSpec {
         dim: 2048,
         train_size: 64,
@@ -272,89 +346,70 @@ fn int_search_responses_are_bit_identical_across_cores() {
     let session = model.session();
     let registry = fixed_registry(&model);
 
-    let mut transcripts = Vec::new();
-    for core in [CoreKind::Threaded, CoreKind::Event] {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = AtomicBool::new(false);
-        let transcript = std::thread::scope(|s| {
-            let server = s.spawn(|| {
-                serve_on(
-                    core,
-                    listener,
-                    &registry,
-                    &RegistryServeConfig::default(),
-                    &shutdown,
-                )
-            });
-            let _guard = ShutdownGuard(&shutdown);
-
-            let mut out: Vec<Vec<u8>> = Vec::new();
-            // JSON wire: SEARCH lines with varying k.
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            for i in 0..6usize {
-                out.push(
-                    json_roundtrip(
-                        &mut reader,
-                        &mut writer,
-                        &protocol::search_request_line(
-                            i as u64 + 1,
-                            &demo_row(&spec, i),
-                            1 + i % 4,
-                        ),
-                    )
-                    .into_bytes(),
-                );
-            }
-            drop(reader);
-            drop(writer);
-
-            // Binary wire: SEARCH frames over the same rows.
-            let bstream = TcpStream::connect(addr).unwrap();
-            bstream.set_nodelay(true).unwrap();
-            let mut breader = BufReader::new(bstream.try_clone().unwrap());
-            let mut bwriter = bstream;
-            for i in 0..6usize {
-                bwriter
-                    .write_all(&wire::search_frame(
-                        100 + i as u64,
-                        &demo_row(&spec, i),
-                        1 + i % 4,
-                    ))
-                    .unwrap();
-                out.push(read_raw_frame(&mut breader));
-            }
-            drop(breader);
-            drop(bwriter);
-
-            shutdown.store(true, Ordering::SeqCst);
-            server.join().unwrap().unwrap();
-            out
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let shutdown = AtomicBool::new(false);
+    let transcript = std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            serve_on(
+                listener,
+                &registry,
+                &RegistryServeConfig::default(),
+                &shutdown,
+            )
         });
-        transcripts.push(transcript);
-    }
+        let _guard = ShutdownGuard(&shutdown);
 
-    let (threaded, event) = (&transcripts[0], &transcripts[1]);
-    assert_eq!(threaded.len(), event.len());
-    for (i, (t, e)) in threaded.iter().zip(event).enumerate() {
-        assert_eq!(
-            t,
-            e,
-            "int SEARCH response {i} diverged between cores:\n  threaded: {:?}\n  event:    {:?}",
-            String::from_utf8_lossy(t),
-            String::from_utf8_lossy(e)
-        );
-    }
+        let mut out: Vec<Vec<u8>> = Vec::new();
+        // JSON wire: SEARCH lines with varying k.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        for i in 0..6usize {
+            out.push(
+                json_roundtrip(
+                    &mut reader,
+                    &mut writer,
+                    &protocol::search_request_line(i as u64 + 1, &demo_row(&spec, i), 1 + i % 4),
+                )
+                .into_bytes(),
+            );
+        }
+        drop(reader);
+        drop(writer);
+
+        // Binary wire: SEARCH frames over the same rows.
+        let bstream = TcpStream::connect(addr).unwrap();
+        bstream.set_nodelay(true).unwrap();
+        let mut breader = BufReader::new(bstream.try_clone().unwrap());
+        let mut bwriter = bstream;
+        for i in 0..6usize {
+            bwriter
+                .write_all(&wire::search_frame(
+                    100 + i as u64,
+                    &demo_row(&spec, i),
+                    1 + i % 4,
+                ))
+                .unwrap();
+            out.push(read_raw_frame(&mut breader));
+        }
+        drop(breader);
+        drop(bwriter);
+
+        shutdown.store(true, Ordering::SeqCst);
+        server.join().unwrap().unwrap();
+        out
+    });
+    assert_matches_golden("int_search.txt", &transcript);
 
     // Sanity: the transcript really carries MATCHES payloads with the
     // session's own exact scores, on both wires.
-    let resp = protocol::parse_response(&String::from_utf8(threaded[2].clone()).unwrap()).unwrap();
+    let resp =
+        protocol::parse_response(&String::from_utf8(transcript[2].clone()).unwrap()).unwrap();
     let hits = resp.matches.expect("JSON search answered with matches");
     assert_eq!(hits.len(), 3);
     let buf = &mut wire::FrameBuffer::new();
-    buf.extend(&threaded[8]);
+    buf.extend(&transcript[8]);
     let (header, payload) = buf.next_frame().unwrap().unwrap();
     let decoded = wire::decode_response(&header, &payload).unwrap();
     let bhits = decoded
@@ -390,7 +445,6 @@ fn bulk_classify_matches_single_frames_bit_identically() {
     std::thread::scope(|s| {
         let server = s.spawn(|| {
             serve_on(
-                CoreKind::default(),
                 listener,
                 &registry,
                 &RegistryServeConfig::default(),
@@ -496,8 +550,7 @@ fn bulk_rows_are_admission_metered() {
     };
 
     std::thread::scope(|s| {
-        let server =
-            s.spawn(|| serve_on(CoreKind::default(), listener, &registry, &config, &shutdown));
+        let server = s.spawn(|| serve_on(listener, &registry, &config, &shutdown));
         let _guard = ShutdownGuard(&shutdown);
 
         let stream = TcpStream::connect(addr).unwrap();
@@ -561,8 +614,7 @@ fn streamed_snapshot_transfer_reloads_the_registry() {
     let snapshot_bytes = ModelSnapshot::from_standard_model(&replacement).to_bytes();
 
     std::thread::scope(|s| {
-        let server =
-            s.spawn(|| serve_on(CoreKind::default(), listener, &registry, &config, &shutdown));
+        let server = s.spawn(|| serve_on(listener, &registry, &config, &shutdown));
         let _guard = ShutdownGuard(&shutdown);
 
         let stream = TcpStream::connect(addr).unwrap();
@@ -645,7 +697,8 @@ fn streamed_snapshot_transfer_reloads_the_registry() {
 }
 
 /// Frames (and JSON lines) split at every byte boundary across separate
-/// socket writes still parse and answer correctly.
+/// socket writes, or written one byte per write, still parse and answer
+/// correctly.
 #[test]
 fn frames_split_at_every_byte_boundary_still_parse() {
     let spec = DemoSpec {
@@ -663,7 +716,6 @@ fn frames_split_at_every_byte_boundary_still_parse() {
     std::thread::scope(|s| {
         let server = s.spawn(|| {
             serve_on(
-                CoreKind::default(),
                 listener,
                 &registry,
                 &RegistryServeConfig::default(),
@@ -721,6 +773,18 @@ fn frames_split_at_every_byte_boundary_still_parse() {
             assert_eq!(resp.class, Some(want_class), "split at byte {split}");
         }
 
+        // JSON: one request written one byte per write.
+        let line = protocol::request_line(9_999, &row, false);
+        for byte in line.as_bytes() {
+            writer.write_all(std::slice::from_ref(byte)).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut resp_line = String::new();
+        reader.read_line(&mut resp_line).unwrap();
+        let resp = protocol::parse_response(&resp_line).unwrap();
+        assert_eq!(resp.id, 9_999, "byte-per-write request");
+        assert_eq!(resp.class, Some(want_class), "byte-per-write request");
+
         drop(reader);
         drop(writer);
         shutdown.store(true, Ordering::SeqCst);
@@ -748,7 +812,6 @@ fn slow_loris_backlog_does_not_stall_siblings() {
     std::thread::scope(|s| {
         let server = s.spawn(|| {
             serve_on(
-                CoreKind::default(),
                 listener,
                 &registry,
                 &RegistryServeConfig::default(),
@@ -814,11 +877,10 @@ fn slow_loris_backlog_does_not_stall_siblings() {
     });
 }
 
-/// Event-core structured rejections (Linux-only semantics): a connect
-/// past `max_connections` and a connect during drain are both answered
-/// with an `"overloaded"` error line instead of a silent close, and a
-/// JSON line over the cap closes with an error.
-#[cfg(target_os = "linux")]
+/// Structured rejections: a connect past `max_connections` and a
+/// connect during drain are both answered with an `"overloaded"` error
+/// line instead of a silent close, and a JSON line over the cap closes
+/// with an error.
 #[test]
 fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
     let spec = DemoSpec {
@@ -843,8 +905,7 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
             ..RegistryServeConfig::default()
         };
         std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_on(CoreKind::Event, listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_on(listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
             let row = demo_row(&spec, 0);
 
@@ -897,8 +958,7 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
             ..RegistryServeConfig::default()
         };
         std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_on(CoreKind::Event, listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_on(listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
             let row = demo_row(&spec, 0);
 
@@ -942,8 +1002,7 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
         let shutdown = AtomicBool::new(false);
         let config = RegistryServeConfig::default();
         std::thread::scope(|s| {
-            let server =
-                s.spawn(|| serve_on(CoreKind::Event, listener, &registry, &config, &shutdown));
+            let server = s.spawn(|| serve_on(listener, &registry, &config, &shutdown));
             let _guard = ShutdownGuard(&shutdown);
 
             let stream = TcpStream::connect(addr).unwrap();
@@ -967,9 +1026,8 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
 }
 
 /// The open-loop fan-in loadgen drives hundreds of concurrent
-/// pipelined connections — with churn — against the event core with
+/// pipelined connections — with churn — against the event loop with
 /// zero errors, on both wires.
-#[cfg(target_os = "linux")]
 #[test]
 fn fan_in_loadgen_sustains_concurrent_churning_connections() {
     use hdc_serve::{loadgen, FanInConfig, WireMode};
@@ -988,7 +1046,6 @@ fn fan_in_loadgen_sustains_concurrent_churning_connections() {
     std::thread::scope(|s| {
         let server = s.spawn(|| {
             serve_on(
-                CoreKind::Event,
                 listener,
                 &registry,
                 &RegistryServeConfig::default(),
