@@ -8,7 +8,7 @@
 //! that every batch search and top-k pass runs over the block-major
 //! planes, and the integer dot product behind cosine search — funnels
 //! through one [`Kernel`] dispatch table instead of hand-written `u64`
-//! loops duplicated per call site. Two interchangeable backends
+//! loops duplicated per call site. Three interchangeable backends
 //! implement the table:
 //!
 //! * **`scalar`** — the original word-parallel `u64` code, extracted
@@ -19,16 +19,23 @@
 //!   vpshufb nibble-LUT popcount, widening 32→64-bit multiplies),
 //!   compiled on every x86_64 build and installed only when
 //!   `is_x86_feature_detected!("avx2")` says the CPU has it.
+//! * **`avx512`** — the `avx2` table with its three popcount-bound
+//!   entries (`popcount`, `hamming`, `hamming_rows_stride`) replaced by
+//!   512-bit `vpopcntq` versions with masked tail loads; the other
+//!   entries are the AVX2 functions. Installed only when the CPU has
+//!   both `avx512f` and `avx512vpopcntdq`.
 //!
 //! ## Dispatch rules
 //!
 //! The backend is selected **once**, at first use, into a process-wide
-//! table ([`active`]): `avx2` when the CPU supports it, otherwise
-//! `scalar`. The `HYPERVEC_KERNEL` environment variable overrides the
-//! choice (`scalar` or `avx2`); naming a backend that is unknown or not
-//! available on this machine **fails fast** with the list of available
-//! backends rather than silently falling back, so a CI matrix or an
-//! operator pinning a backend can trust what ran.
+//! table ([`active`]): the first entry of [`available`] — `avx512`
+//! when the CPU supports it, else `avx2`, else `scalar`. The
+//! `HYPERVEC_KERNEL` environment variable overrides the choice
+//! (`scalar`, `avx2` or `avx512`; `avx2` pins the AVX2 table on an
+//! AVX-512 host); naming a backend that is unknown or not available on
+//! this machine **fails fast** with the list of available backends
+//! rather than silently falling back, so a CI matrix or an operator
+//! pinning a backend can trust what ran.
 //!
 //! ## Exactness contract
 //!
@@ -42,17 +49,18 @@
 //!
 //! ## Adding a backend
 //!
-//! 1. Implement the function set as a new submodule and expose a
-//!    `static KERNEL: Kernel`.
-//! 2. Register it in [`available`] (with its detection guard) and in
-//!    `by_name`.
+//! 1. Implement the function set and expose it as a `static` [`Kernel`]
+//!    (a table that changes a few entries of another can share the rest
+//!    through struct update, as `avx512` does with `avx2`).
+//! 2. Register it in [`available`] with its detection guard, in
+//!    dispatch preference order; `by_name` and the default follow.
 //! 3. `tests/kernel_equivalence.rs` picks it up automatically via
 //!    [`available`] — no new test code needed for bit-exactness.
 
 /// The Harley–Seal carry-save network of [`Kernel::carry_save_16`] and
 /// [`Kernel::bind_carry_save_16`] (Muła/Kurz/Lemire, arXiv:1611.07612),
 /// written once and expanded by the scalar and AVX2 backends over their
-/// own word types.
+/// own word types (the `avx512` table shares the AVX2 expansion).
 /// `$csa(a, b, c)` is the backend's full adder returning `(carry, sum)`
 /// of `a + b + c` per bit; `$x(j)` yields input `j` (a load, or the XOR
 /// of two loads for the fused bind), called where the network consumes
@@ -199,23 +207,37 @@ pub fn active() -> &'static Kernel {
     )
 }
 
-/// Name of the active backend (`"scalar"` or `"avx2"`).
+/// Name of the active backend (`"scalar"`, `"avx2"` or `"avx512"`).
 #[must_use]
 pub fn name() -> &'static str {
     active().name
 }
 
-/// Every backend available on this machine: `avx2` when the CPU has
-/// it, then `scalar`, which is always present.
+/// Every backend available on this machine, in dispatch preference
+/// order: `avx512` when the CPU has both `avx512f` and
+/// `avx512vpopcntdq`, `avx2` when it has AVX2, then `scalar`, which is
+/// always present.
 #[must_use]
 pub fn available() -> Vec<&'static Kernel> {
     let mut out: Vec<&'static Kernel> = Vec::new();
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        out.push(&x86::KERNEL);
+    {
+        if has_avx512_vpopcntdq() {
+            out.push(&x86::AVX512);
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            out.push(&x86::AVX2);
+        }
     }
     out.push(&scalar::KERNEL);
     out
+}
+
+/// Whether the CPU has the two features the `avx512` table requires.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512_vpopcntdq() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
 }
 
 /// Looks up an available backend by name (`None` when the name is
@@ -256,11 +278,10 @@ fn carry_save_len(
 /// Returns the fail-fast message (naming the available backends) when
 /// the override is unknown or unavailable on this machine.
 fn select(env_override: Option<&str>) -> Result<&'static Kernel, String> {
-    // Documented default: avx2 when the CPU has it, otherwise the
-    // scalar reference.
-    let fallback = || by_name("avx2").unwrap_or_else(scalar);
+    // Documented default: the first available backend (avx512, then
+    // avx2, then the scalar reference, which is always present).
     match env_override.map(str::trim) {
-        None | Some("") => Ok(fallback()),
+        None | Some("") => Ok(available()[0]),
         Some(requested) => {
             let requested = requested.to_ascii_lowercase();
             by_name(&requested).ok_or_else(|| {
@@ -286,14 +307,22 @@ mod tests {
     }
 
     #[test]
-    fn select_default_is_avx2_or_scalar() {
-        let want = if by_name("avx2").is_some() {
-            "avx2"
-        } else {
-            "scalar"
-        };
+    fn select_default_is_the_first_available_backend() {
+        let want = available()[0].name;
         assert_eq!(select(None).unwrap().name, want);
         assert_eq!(select(Some("  ")).unwrap().name, want);
+    }
+
+    #[test]
+    fn avx512_is_listed_first_exactly_when_detected() {
+        #[cfg(target_arch = "x86_64")]
+        let detected = has_avx512_vpopcntdq();
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        let names: Vec<&str> = available().iter().map(|k| k.name).collect();
+        assert_eq!(names.contains(&"avx512"), detected, "{names:?}");
+        assert_eq!(names[0] == "avx512", detected, "{names:?}");
+        assert_eq!(by_name("avx512").is_some(), detected);
     }
 
     #[test]
@@ -305,7 +334,7 @@ mod tests {
 
     #[test]
     fn select_fails_fast_on_unknown_backend() {
-        for unknown in ["avx512", "portable"] {
+        for unknown in ["avx1024", "portable"] {
             let err = select(Some(unknown)).unwrap_err();
             assert!(err.contains(unknown), "{err}");
             assert!(err.contains("scalar"), "names available backends: {err}");

@@ -1,45 +1,58 @@
-//! AVX2 backend (`std::arch` x86_64 intrinsics).
+//! x86_64 backends (`std::arch` intrinsics): `avx2` and `avx512`.
 //!
-//! 256-bit lanes carry four `u64` words (or eight `i32` values) per
-//! operation: XOR/AND/OR on `__m256i`, popcount via the vpshufb
-//! nibble-LUT + `vpsadbw` reduction, and the widening
+//! In the `avx2` table, 256-bit lanes carry four `u64` words (or eight
+//! `i32` values) per operation: XOR/AND/OR on `__m256i`, popcount via
+//! the vpshufb nibble-LUT + `vpsadbw` reduction, and the widening
 //! `vpmuldq` 32→64-bit multiply for integer dot products. Tails
 //! shorter than a full vector run the scalar code, so results are
 //! defined for every slice length.
 //!
+//! The `avx512` table is the `avx2` table with its three
+//! popcount-bound entries — `popcount`, `hamming` and
+//! `hamming_rows_stride` — replaced by 512-bit `vpopcntq`
+//! (AVX-512 VPOPCNTDQ) versions: eight words per vector, and masked
+//! loads for the tail, so there is no scalar tail. Its other entries
+//! are the AVX2 functions themselves.
+//!
 //! # Safety
 //!
-//! This module's `KERNEL` table is handed out by [`super::available`]
-//! **only after** `is_x86_feature_detected!("avx2")` has confirmed the
-//! CPU supports AVX2, which is the sole precondition of the
-//! `#[target_feature(enable = "avx2")]` functions below. All pointer
-//! accesses are unaligned loads/stores within slice bounds; the strided
-//! row scans assert their row bounds before entering the unsafe body.
+//! [`super::available`] hands out the `avx2` table **only after**
+//! `is_x86_feature_detected!("avx2")` has confirmed the CPU supports
+//! AVX2, and the `avx512` table only after both `avx512f` and
+//! `avx512vpopcntdq` are detected (a CPU with AVX-512F has AVX2).
+//! Those features are the sole precondition of the
+//! `#[target_feature]` functions below. All pointer accesses are
+//! unaligned loads/stores within slice bounds (a masked load touches
+//! only its enabled lanes); the strided row scans assert their row
+//! bounds before entering the unsafe body.
 
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m256i, _mm256_abs_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8,
+    __m256i, __m512i, _mm256_abs_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8,
     _mm256_and_si256, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_madd_epi16,
     _mm256_max_epu16, _mm256_mul_epi32, _mm256_or_si256, _mm256_permute2x128_si256,
     _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
     _mm256_srai_epi32, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
     _mm256_testz_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi32,
-    _mm256_unpacklo_epi64, _mm256_xor_si256,
+    _mm256_unpacklo_epi64, _mm256_xor_si256, _mm512_add_epi64, _mm512_castsi512_si256,
+    _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
+    _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_xor_si512,
 };
 
 use super::{carry_save_len, scalar, CarrySaveGroup, CarrySavePlanes, Kernel};
 
 /// `u64` words per 256-bit vector.
 const WORDS: usize = 4;
+/// `u64` words per 512-bit vector.
+const ZMM_WORDS: usize = 8;
 /// `i32` values per 256-bit vector.
 const INTS: usize = 8;
 /// `i16` values per 256-bit vector.
 const SHORTS: usize = 16;
 
-/// The AVX2 backend. Only reachable through [`super::available`], which
-/// performs the CPU-feature check this table's functions require.
-pub(super) static KERNEL: Kernel = Kernel {
+/// The AVX2 function set, shared by both tables below.
+const AVX2_TABLE: Kernel = Kernel {
     name: "avx2",
     xor_into,
     xor_assign,
@@ -53,6 +66,21 @@ pub(super) static KERNEL: Kernel = Kernel {
     dot_i32,
     dot_rows_stride,
     dot_i16_rows_stride,
+};
+
+/// The AVX2 backend. Only reachable through [`super::available`], which
+/// performs the CPU-feature check this table's functions require.
+pub(super) static AVX2: Kernel = AVX2_TABLE;
+
+/// The AVX-512 VPOPCNTDQ backend: the AVX2 table with its three
+/// popcount-bound entries replaced. Only reachable through
+/// [`super::available`], which checks `avx512f` and `avx512vpopcntdq`.
+pub(super) static AVX512: Kernel = Kernel {
+    name: "avx512",
+    popcount: popcount_vpopcnt,
+    hamming: hamming_vpopcnt,
+    hamming_rows_stride: hamming_rows_stride_vpopcnt,
+    ..AVX2_TABLE
 };
 
 fn xor_into(a: &[u64], b: &[u64], out: &mut [u64]) {
@@ -105,6 +133,25 @@ fn hamming_rows_stride(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut 
     // SAFETY: AVX2 availability is guaranteed by the dispatch layer, and
     // the assert keeps every row read inside `rows`.
     unsafe { hamming_rows_stride_avx2(q_block, rows, stride, dist) }
+}
+
+fn popcount_vpopcnt(words: &[u64]) -> u64 {
+    // SAFETY: AVX-512F and VPOPCNTDQ availability is guaranteed by the
+    // dispatch layer.
+    unsafe { popcount_avx512(words) }
+}
+
+fn hamming_vpopcnt(a: &[u64], b: &[u64]) -> u64 {
+    // SAFETY: AVX-512F and VPOPCNTDQ availability is guaranteed by the
+    // dispatch layer.
+    unsafe { hamming_avx512(a, b) }
+}
+
+fn hamming_rows_stride_vpopcnt(q_block: &[u64], rows: &[u64], stride: usize, dist: &mut [u32]) {
+    assert_rows_fit(rows.len(), dist.len(), stride, q_block.len());
+    // SAFETY: AVX-512F and VPOPCNTDQ availability is guaranteed by the
+    // dispatch layer, and the assert keeps every row read inside `rows`.
+    unsafe { hamming_rows_stride_avx512(q_block, rows, stride, dist) }
 }
 
 fn dot_i32(a: &[i32], b: &[i32]) -> i64 {
@@ -356,6 +403,132 @@ unsafe fn hsum4_u64(a: __m256i, b: __m256i, c: __m256i, d: __m256i) -> __m256i {
     let lo = _mm256_permute2x128_si256(t0, t1, 0x20);
     let hi = _mm256_permute2x128_si256(t0, t1, 0x31);
     _mm256_add_epi64(lo, hi)
+}
+
+/// Lane mask of the `rem < ZMM_WORDS` words a masked tail load reads.
+fn tail_mask(rem: usize) -> u8 {
+    debug_assert!(rem < ZMM_WORDS);
+    ((1u16 << rem) - 1) as u8
+}
+
+/// Adds the upper 256-bit half of `v` onto its lower half: four `u64`
+/// lanes with the same total.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[target_feature(enable = "avx512f")]
+unsafe fn fold_256(v: __m512i) -> __m256i {
+    _mm256_add_epi64(_mm512_castsi512_si256(v), _mm512_extracti64x4_epi64::<1>(v))
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VPOPCNTDQ.
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn popcount_avx512(words: &[u64]) -> u64 {
+    let n = words.len();
+    let blocks = n / ZMM_WORDS;
+    let mut acc = _mm512_setzero_si512();
+    for i in 0..blocks {
+        let v = _mm512_loadu_si512(words.as_ptr().add(i * ZMM_WORDS).cast());
+        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+    }
+    let tail = tail_mask(n % ZMM_WORDS);
+    if tail != 0 {
+        let v = _mm512_maskz_loadu_epi64(tail, words.as_ptr().add(blocks * ZMM_WORDS).cast());
+        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+    }
+    _mm512_reduce_add_epi64(acc) as u64
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VPOPCNTDQ.
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn hamming_avx512(a: &[u64], b: &[u64]) -> u64 {
+    let n = a.len().min(b.len());
+    let blocks = n / ZMM_WORDS;
+    let mut acc = _mm512_setzero_si512();
+    for i in 0..blocks {
+        let x = _mm512_loadu_si512(a.as_ptr().add(i * ZMM_WORDS).cast());
+        let y = _mm512_loadu_si512(b.as_ptr().add(i * ZMM_WORDS).cast());
+        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(x, y)));
+    }
+    let tail = tail_mask(n % ZMM_WORDS);
+    if tail != 0 {
+        let at = blocks * ZMM_WORDS;
+        let x = _mm512_maskz_loadu_epi64(tail, a.as_ptr().add(at).cast());
+        let y = _mm512_maskz_loadu_epi64(tail, b.as_ptr().add(at).cast());
+        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(x, y)));
+    }
+    _mm512_reduce_add_epi64(acc) as u64
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F and AVX-512 VPOPCNTDQ, and `rows` must
+/// hold all `dist.len()` rows read at `stride` (what
+/// [`assert_rows_fit`] checks).
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+unsafe fn hamming_rows_stride_avx512(
+    q_block: &[u64],
+    rows: &[u64],
+    stride: usize,
+    dist: &mut [u32],
+) {
+    // The shape of `hamming_rows_stride_avx2` at twice the width: four
+    // rows share each query load, and the last `len % 8` words of each
+    // row come in through one masked load instead of a scalar loop.
+    // Each 512-bit accumulator folds to 256 bits for the shared
+    // four-row reduction; the sums stay wrapping adds of the same
+    // per-word popcounts, so the result is bit-identical to the scalar
+    // reference.
+    let len = q_block.len();
+    let blocks = len / ZMM_WORDS;
+    let tail = tail_mask(len % ZMM_WORDS);
+    let n = dist.len();
+    let mut r = 0usize;
+    while r + 4 <= n {
+        let bases = [
+            r * stride,
+            (r + 1) * stride,
+            (r + 2) * stride,
+            (r + 3) * stride,
+        ];
+        let mut acc = [_mm512_setzero_si512(); 4];
+        for i in 0..blocks {
+            let q = _mm512_loadu_si512(q_block.as_ptr().add(i * ZMM_WORDS).cast());
+            for (lane, &base) in acc.iter_mut().zip(&bases) {
+                let x = _mm512_loadu_si512(rows.as_ptr().add(base + i * ZMM_WORDS).cast());
+                *lane = _mm512_add_epi64(*lane, _mm512_popcnt_epi64(_mm512_xor_si512(q, x)));
+            }
+        }
+        if tail != 0 {
+            let at = blocks * ZMM_WORDS;
+            let q = _mm512_maskz_loadu_epi64(tail, q_block.as_ptr().add(at).cast());
+            for (lane, &base) in acc.iter_mut().zip(&bases) {
+                let x = _mm512_maskz_loadu_epi64(tail, rows.as_ptr().add(base + at).cast());
+                *lane = _mm512_add_epi64(*lane, _mm512_popcnt_epi64(_mm512_xor_si512(q, x)));
+            }
+        }
+        let sums = hsum4_u64(
+            fold_256(acc[0]),
+            fold_256(acc[1]),
+            fold_256(acc[2]),
+            fold_256(acc[3]),
+        );
+        let mut s = [0u64; 4];
+        _mm256_storeu_si256(s.as_mut_ptr().cast(), sums);
+        for (d, &sum) in dist[r..r + 4].iter_mut().zip(&s) {
+            *d += sum as u32;
+        }
+        r += 4;
+    }
+    while r < n {
+        dist[r] += hamming_avx512(q_block, &rows[r * stride..r * stride + len]) as u32;
+        r += 1;
+    }
 }
 
 /// Unroll factor of the widened dot accumulation: 4 vectors (32 `i32`

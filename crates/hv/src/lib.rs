@@ -99,9 +99,11 @@
 //! where materializing full `queries × rows` score vectors is the
 //! bottleneck. `search_topk_binary` / `search_topk_int` shard the rows
 //! across workers, stream each shard tile by tile through the
-//! block-major planes, and keep *bounded heaps* of the k best
-//! candidates (a row that does not beat a full heap's worst key never
-//! reaches it) — `O(tile + k)` memory per worker, merged
+//! block-major planes, and keep a *candidate buffer* of the k best per
+//! query (compacted back to k by `select_nth_unstable` whenever it
+//! reaches 2k; once k are in, a row that does not beat the k-th best
+//! at the last compaction never enters it) — `O(tile + k)` memory per
+//! worker, merged
 //! deterministically, and **bit-identical** (rows, tie order, score
 //! bits) to stably sorting the full score vector.
 //!
@@ -129,8 +131,8 @@
 //! data-dependent, the pruned scans are bypassed by the serving
 //! layer's constant-time hardened mode in favor of the exact scan,
 //! which reads the same rows for every query; which rows enter its
-//! candidate heaps still depends on the scores (threat model in the
-//! repository's `SECURITY.md`).
+//! candidate buffers, and when they compact, still depends on the
+//! scores (threat model in the repository's `SECURITY.md`).
 //!
 //! ## Kernel backends
 //!
@@ -140,22 +142,26 @@
 //! dot products (the one-pair `dot_i32` plus the strided multi-row
 //! `dot_rows_stride` / `dot_i16_rows_stride` primitives that sweep a
 //! query block over row-interleaved planes) — execute through the
-//! [`kernel`] dispatch table rather than per-file `u64` loops. Two
-//! backends implement it: `scalar` (the reference, always available)
-//! and `avx2` (`std::arch` x86_64 intrinsics, installed when
+//! [`kernel`] dispatch table rather than per-file `u64` loops. Three
+//! backends implement it: `scalar` (the reference, always available),
+//! `avx2` (`std::arch` x86_64 intrinsics, installed when
 //! `is_x86_feature_detected!("avx2")` confirms support — the strided
 //! row scans unroll four rows sharing each query load, with the
 //! vpshufb popcount for Hamming, `vpmuldq` for i32 and `vpmaddwd` with
-//! group-deferred i64 widening for i16).
+//! group-deferred i64 widening for i16), and `avx512` (the `avx2`
+//! table with 512-bit `vpopcntq` popcount, Hamming and Hamming row
+//! scan, installed when the CPU has `avx512f` and `avx512vpopcntdq`).
 //!
-//! * **Dispatch rules** — selected once at first use: `avx2` when the
-//!   CPU has it, else `scalar`. Every consumer ([`BitSliceAccumulator`],
+//! * **Dispatch rules** — selected once at first use: `avx512` when
+//!   the CPU has it, else `avx2`, else `scalar`. Every consumer
+//!   ([`BitSliceAccumulator`],
 //!   [`ShardedClassMemory`], [`BitVec bulk ops`](bitvec::BitWords),
 //!   [`Similarity`], [`ItemMemory`]) picks the fast path up
 //!   transparently.
-//! * **Env override** — `HYPERVEC_KERNEL=scalar|avx2` forces a
-//!   backend; an unknown or unavailable name fails fast with the list
-//!   of available backends (never a silent fallback).
+//! * **Env override** — `HYPERVEC_KERNEL=scalar|avx2|avx512` forces a
+//!   backend (`avx2` measures the AVX2 table on an AVX-512 host); an
+//!   unknown or unavailable name fails fast with the list of available
+//!   backends (never a silent fallback).
 //! * **Bit-exactness** — backends are interchangeable bit-for-bit
 //!   (integral arithmetic throughout; `tests/kernel_equivalence.rs`
 //!   pins scores, argmax and tie order per backend against `scalar`).

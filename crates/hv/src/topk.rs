@@ -1,5 +1,5 @@
-//! Heap-based top-k search and coarse-quantized multi-probe pruning
-//! over a [`ShardedClassMemory`].
+//! Bounded top-k search and coarse-quantized multi-probe pruning over
+//! a [`ShardedClassMemory`].
 //!
 //! The batch kernels in [`search`](crate::search) return the top-1 row
 //! plus a full score vector — the right shape for classification over
@@ -10,11 +10,13 @@
 //! * **Exact top-k** ([`ShardedClassMemory::search_topk_binary`] /
 //!   [`ShardedClassMemory::search_topk_int`]) — rows are sharded across
 //!   [`par`] workers; each worker streams its row range
-//!   tile by tile through the block-major planes and keeps a *bounded
-//!   heap* of the k best `(distance, row)` (binary) or `(score, row)`
-//!   (integer) candidates; the per-shard heaps merge deterministically
-//!   at the end. Once a heap is full its worst key bounds the scan, and
-//!   a row that does not beat it never reaches the heap. Memory per
+//!   tile by tile through the block-major planes and keeps a *candidate
+//!   buffer* of the k best `(distance, row)` (binary) or `(score, row)`
+//!   (integer) candidates, compacted back to k by
+//!   `select_nth_unstable` whenever it reaches 2k; the per-shard
+//!   buffers merge deterministically at the end. Once k candidates are
+//!   in, the k-th best at the last compaction bounds the scan, and a
+//!   row that does not beat it never enters the buffer. Memory per
 //!   worker is `O(tile + k)` regardless of the row count.
 //! * **Pruned top-k** ([`ShardedClassMemory::search_topk_binary_pruned`]
 //!   / [`ShardedClassMemory::search_topk_int_pruned`]) — a coarse pass
@@ -50,7 +52,6 @@
 //! recall knob.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::binary::BinaryHv;
 use crate::dense::IntHv;
@@ -59,9 +60,11 @@ use crate::kernel::{self, Kernel};
 use crate::par;
 use crate::search::{ShardedClassMemory, BLOCK_WORDS, I16_LIMIT};
 
-/// Rows per scan tile inside one worker: the per-tile distance strip
-/// (`queries × TILE` u32) stays L2-resident.
-const TOPK_ROW_TILE: usize = 1024;
+/// Rows per scan tile inside one worker. A tile of plane block 0 (the
+/// default probe) is 256 rows × 128 bytes = 32 KiB, so it stays in L1d
+/// while every query of a batch scans it; the per-tile distance strip
+/// (`queries × TILE` u32) is 16 KiB at 16 queries.
+const TOPK_ROW_TILE: usize = 256;
 
 /// Minimum rows per worker chunk when sharding a top-k scan.
 const TOPK_ROW_CHUNK: usize = 4096;
@@ -177,49 +180,72 @@ impl Ord for Desc {
     }
 }
 
-/// Bounded max-heap keeping the `k` smallest items seen (smaller is
+/// Candidate buffer keeping the `k` smallest items seen (smaller is
 /// better for both candidate keys: `(hamming, row)` ascending and
-/// `(Desc(score), row)` ascending). The retained set is the k smallest
-/// elements of a total order, so it is independent of push order.
-struct BoundedTopK<T: Ord> {
+/// `(Desc(score), row)` ascending).
+///
+/// Items that beat the bound are appended. The first bound is the
+/// largest of the first `k` items; after that, whenever the buffer
+/// holds `2k` items, `select_nth_unstable` moves the k smallest to the
+/// front, the rest is dropped, and the k-th smallest becomes the new
+/// bound. Every skipped or dropped item is no smaller than k items
+/// already kept, so the retained set is the k smallest elements of a
+/// total order, independent of push order. A push costs amortized O(1), where
+/// a binary heap pays O(log k) per replacement.
+struct BoundedTopK<T: Ord + Copy> {
     k: usize,
-    heap: BinaryHeap<T>,
+    items: Vec<T>,
+    bound: Option<T>,
 }
 
-impl<T: Ord> BoundedTopK<T> {
-    fn new(k: usize) -> Self {
+impl<T: Ord + Copy> BoundedTopK<T> {
+    /// A buffer for the `k` smallest of at most `n` items; `n` only
+    /// caps the allocation, which never exceeds `2k`.
+    fn new(k: usize, n: usize) -> Self {
         BoundedTopK {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            items: Vec::with_capacity(k.saturating_mul(2).min(n)),
+            bound: None,
         }
     }
 
     fn push(&mut self, item: T) {
-        if self.k == 0 {
+        if self.k == 0 || self.bound.is_some_and(|bound| item >= bound) {
             return;
         }
-        if self.heap.len() < self.k {
-            self.heap.push(item);
-        } else if let Some(mut worst) = self.heap.peek_mut() {
-            if item < *worst {
-                *worst = item;
-            }
-        }
-    }
-
-    /// The worst retained item once the heap is full — what a new item
-    /// must beat to enter — or `None` while it still has room.
-    fn bound(&self) -> Option<&T> {
-        if self.heap.len() == self.k {
-            self.heap.peek()
+        self.items.push(item);
+        let limit = if self.bound.is_some() {
+            2 * self.k
         } else {
-            None
+            self.k
+        };
+        if self.items.len() == limit {
+            self.compact();
         }
     }
 
-    /// Contents best (smallest) first.
-    fn into_sorted(self) -> Vec<T> {
-        self.heap.into_sorted_vec()
+    /// Keeps the k smallest items and makes the largest of them the
+    /// bound. Requires `items.len() >= k > 0`.
+    fn compact(&mut self) {
+        let (_, &mut kth, _) = self.items.select_nth_unstable(self.k - 1);
+        self.items.truncate(self.k);
+        self.bound = Some(kth);
+    }
+
+    /// What a new item must beat to enter — the k-th smallest item at
+    /// the last compaction, never below the k-th smallest seen — or
+    /// `None` while fewer than k items are in.
+    fn bound(&self) -> Option<&T> {
+        self.bound.as_ref()
+    }
+
+    /// The k smallest items, best (smallest) first.
+    fn into_sorted(mut self) -> Vec<T> {
+        if self.items.len() > self.k {
+            self.compact();
+        }
+        self.items.sort_unstable();
+        self.items
     }
 }
 
@@ -234,7 +260,7 @@ fn merge_shards<T: Ord + Copy>(shards: &[Vec<Vec<T>>], q: usize, k: usize) -> Ve
 
 impl ShardedClassMemory {
     /// Exact top-k Hamming search for a batch of binary queries,
-    /// sharded across rows with per-shard bounded heaps.
+    /// sharded across rows with per-shard candidate buffers.
     ///
     /// Matches are best-first with ties to the lowest row index —
     /// bit-identical (rows, score bits) to stably sorting the full
@@ -336,7 +362,7 @@ impl ShardedClassMemory {
         let n_candidates = probe.probe_factor.max(1).saturating_mul(kept);
         let n_candidates = n_candidates.clamp(kept, self.n_rows());
         // Coarse pass: partial distances over the sampled word prefixes,
-        // bounded heaps of size `n_candidates`.
+        // candidate buffers of `n_candidates` each.
         let shards = self.coarse_candidates(kern, queries, n_candidates, probe_words);
         // Rescore pass: exact full-width distance for every survivor,
         // then the final (distance, row) order — identical float
@@ -364,7 +390,7 @@ impl ShardedClassMemory {
     }
 
     /// Exact top-k cosine search over the attached integer rows,
-    /// sharded across rows with per-shard bounded heaps. Matches are
+    /// sharded across rows with per-shard candidate buffers. Matches are
     /// best-first, ties to the lowest row index — bit-identical to
     /// stably sorting the full score vector of
     /// [`Self::search_batch_int`].
@@ -465,7 +491,7 @@ impl ShardedClassMemory {
         let n_candidates = n_candidates.clamp(kept, self.n_rows());
         let q_norms: Vec<f64> = queries.iter().map(|q| q.norm()).collect();
         // Coarse pass: normalized partial scores over the leading
-        // dimension blocks, bounded heaps of size `n_candidates`.
+        // dimension blocks, candidate buffers of `n_candidates` each.
         let shards = self.int_coarse_candidates(kern, queries, &q_norms, n_candidates, probe_dims);
         // Rescore pass: exact full-width i32 dot for every survivor,
         // then the final (score desc, row asc) order — identical float
@@ -503,7 +529,7 @@ impl ShardedClassMemory {
         d
     }
 
-    /// Row-sharded bounded-heap scan shared by exact top-k
+    /// Row-sharded bounded scan shared by exact top-k
     /// (`probe_words == words_per_row`) and the coarse pass of the
     /// pruned scan (the leading blocks, or a strided prefix of the last
     /// one). Returns one entry per worker shard: per-query candidate
@@ -521,8 +547,9 @@ impl ShardedClassMemory {
     ) -> Vec<Vec<Vec<(u32, usize)>>> {
         let nq = queries.len();
         let shards = par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
-            let mut heaps: Vec<BoundedTopK<(u32, usize)>> =
-                (0..nq).map(|_| BoundedTopK::new(keep)).collect();
+            let mut buffers: Vec<BoundedTopK<(u32, usize)>> = (0..nq)
+                .map(|_| BoundedTopK::new(keep, range.len()))
+                .collect();
             let mut dist = vec![0u32; nq * TOPK_ROW_TILE];
             let mut tile_start = range.start;
             while tile_start < range.end {
@@ -550,22 +577,22 @@ impl ShardedClassMemory {
                         (kern.hamming_rows_stride)(q_block, rows, len, drow);
                     }
                 }
-                // Once a heap is full its worst distance bounds the
-                // scan. A shard's rows arrive in ascending order, so a
-                // row that ties the worst also loses the `(distance,
-                // row)` tie and is skipped with the rest.
-                for (qi, heap) in heaps.iter_mut().enumerate() {
-                    let mut bound = heap.bound().map(|&(d, _)| d);
+                // Once a buffer has its bound, the bound's distance
+                // bounds the scan. A shard's rows arrive in ascending
+                // order, so a row that ties it also loses the
+                // `(distance, row)` tie and is skipped with the rest.
+                for (qi, buf) in buffers.iter_mut().enumerate() {
+                    let mut bound = buf.bound().map(|&(d, _)| d);
                     for (i, &d) in dist[qi * tile..(qi + 1) * tile].iter().enumerate() {
                         if bound.is_none_or(|worst| d < worst) {
-                            heap.push((d, tile_start + i));
-                            bound = heap.bound().map(|&(d, _)| d);
+                            buf.push((d, tile_start + i));
+                            bound = buf.bound().map(|&(d, _)| d);
                         }
                     }
                 }
                 tile_start = tile_end;
             }
-            vec![heaps.into_iter().map(BoundedTopK::into_sorted).collect()]
+            vec![buffers.into_iter().map(BoundedTopK::into_sorted).collect()]
         });
         crate::stats::record_hamming_rows(row_equivalents(
             nq * self.n_rows(),
@@ -575,7 +602,7 @@ impl ShardedClassMemory {
         shards
     }
 
-    /// Row-sharded bounded-heap scan over the blocked integer planes,
+    /// Row-sharded bounded scan over the blocked integer planes,
     /// shared by exact int top-k (`probe_dims == D`) and the coarse
     /// pass of the pruned int scan (a leading-dimension prefix).
     ///
@@ -624,8 +651,9 @@ impl ShardedClassMemory {
             })
             .collect();
         let shards = par::par_chunk_map(self.n_rows(), TOPK_ROW_CHUNK, |range| {
-            let mut heaps: Vec<BoundedTopK<(Desc, usize)>> =
-                (0..nq).map(|_| BoundedTopK::new(keep)).collect();
+            let mut buffers: Vec<BoundedTopK<(Desc, usize)>> = (0..nq)
+                .map(|_| BoundedTopK::new(keep, range.len()))
+                .collect();
             let mut dots = vec![0i64; nq * TOPK_ROW_TILE];
             let mut tile_start = range.start;
             while tile_start < range.end {
@@ -656,22 +684,22 @@ impl ShardedClassMemory {
                         }
                     }
                 }
-                // The same worst-key bound as the binary pass, in the
-                // heap's `(Desc(score), row)` order.
-                for (qi, heap) in heaps.iter_mut().enumerate() {
-                    let mut bound = heap.bound().map(|&(s, _)| s);
+                // The same bound as the binary pass, in the buffer's
+                // `(Desc(score), row)` order.
+                for (qi, buf) in buffers.iter_mut().enumerate() {
+                    let mut bound = buf.bound().map(|&(s, _)| s);
                     for (i, &dot) in dots[qi * tile..(qi + 1) * tile].iter().enumerate() {
                         let row = tile_start + i;
                         let score = Desc(self.int_score_of_dot(row, dot, q_norms[qi]));
                         if bound.is_none_or(|worst| score < worst) {
-                            heap.push((score, row));
-                            bound = heap.bound().map(|&(s, _)| s);
+                            buf.push((score, row));
+                            bound = buf.bound().map(|&(s, _)| s);
                         }
                     }
                 }
                 tile_start = tile_end;
             }
-            vec![heaps.into_iter().map(BoundedTopK::into_sorted).collect()]
+            vec![buffers.into_iter().map(BoundedTopK::into_sorted).collect()]
         });
         crate::stats::record_dot_rows(row_equivalents(nq * self.n_rows(), probe_dims, self.dim()));
         shards
@@ -692,14 +720,112 @@ mod tests {
 
     #[test]
     fn bounded_heap_keeps_k_smallest_in_order() {
-        let mut h = BoundedTopK::new(3);
+        let mut h = BoundedTopK::new(3, 7);
         for v in [9u32, 1, 7, 3, 5, 2, 8] {
             h.push((v, 0usize));
         }
         assert_eq!(h.into_sorted(), vec![(1, 0), (2, 0), (3, 0)]);
-        let mut empty = BoundedTopK::<(u32, usize)>::new(0);
+        let mut empty = BoundedTopK::<(u32, usize)>::new(0, 1);
         empty.push((1, 0));
         assert_eq!(empty.into_sorted(), vec![]);
+    }
+
+    /// Pushes `items` in order through a buffer of `k` and returns its
+    /// sorted contents beside the sort-then-truncate reference.
+    fn buffer_and_reference<T: Ord + Copy>(items: &[T], k: usize) -> (Vec<T>, Vec<T>) {
+        let mut buf = BoundedTopK::new(k, items.len());
+        for &item in items {
+            buf.push(item);
+        }
+        let mut want = items.to_vec();
+        want.sort_unstable();
+        want.truncate(k);
+        (buf.into_sorted(), want)
+    }
+
+    #[test]
+    fn buffer_handles_k_edge_cases() {
+        let items: Vec<(u32, usize)> = [4u32, 9, 1, 7, 1, 3].into_iter().zip(0..).collect();
+        for k in [0, 1, 5, 6, 7, 100] {
+            let (got, want) = buffer_and_reference(&items, k);
+            assert_eq!(got, want, "k = {k}");
+            assert_eq!(got.len(), k.min(items.len()));
+        }
+        // No bound until k items are in; then the largest of them.
+        let mut buf = BoundedTopK::new(3, 10);
+        buf.push((5u32, 0usize));
+        buf.push((2, 1));
+        assert_eq!(buf.bound(), None);
+        buf.push((8, 2));
+        assert_eq!(buf.bound(), Some(&(8, 2)));
+        assert_eq!(buf.items.capacity(), 6);
+        // The allocation never exceeds the item count.
+        assert!(BoundedTopK::<(u32, usize)>::new(1000, 10).items.capacity() < 1000);
+    }
+
+    #[test]
+    fn buffer_keeps_the_lowest_rows_among_equal_keys() {
+        // Equal keys, distinct rows: the lowest rows win the tie.
+        let items: Vec<(u32, usize)> = (0..50).map(|row| (7u32, row)).collect();
+        for k in [1, 4, 20] {
+            let (got, want) = buffer_and_reference(&items, k);
+            assert_eq!(got, want, "k = {k}");
+        }
+        // Fully equal items: k copies survive.
+        let (got, want) = buffer_and_reference(&[(3u32, 0usize); 9], 4);
+        assert_eq!(got, want);
+        assert_eq!(got, vec![(3, 0); 4]);
+    }
+
+    #[test]
+    fn buffer_compacts_on_strictly_descending_input() {
+        // Every push beats the bound, so the buffer fills to 2k and
+        // compacts every k pushes; the bound tracks the k-th smallest
+        // as of each compaction.
+        let k = 5;
+        let items: Vec<(u32, usize)> = (0..40u32).rev().zip(0..).collect();
+        let mut buf = BoundedTopK::new(k, items.len());
+        for (i, &item) in items.iter().enumerate() {
+            buf.push(item);
+            assert!(buf.items.len() < 2 * k, "compacted at 2k");
+            let pushed = i + 1;
+            if pushed >= k && (pushed - k) % k == 0 {
+                assert_eq!(buf.items.len(), k);
+                assert_eq!(
+                    buf.bound(),
+                    Some(&items[i + 1 - k]),
+                    "after {pushed} pushes"
+                );
+            }
+        }
+        let (got, want) = buffer_and_reference(&items, k);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn buffer_matches_sort_then_truncate_on_random_keys() {
+        let mut rng = HvRng::from_seed(30);
+        for case in 0..300 {
+            let n = rng.index(200);
+            let k = rng.index(40);
+            // Few distinct keys and repeated rows: many duplicates.
+            let spread = 1 + rng.index(8);
+            let bins: Vec<(u32, usize)> = (0..n)
+                .map(|_| (rng.index(spread) as u32, rng.index(n.max(1))))
+                .collect();
+            let (got, want) = buffer_and_reference(&bins, k);
+            assert_eq!(got, want, "binary keys, case {case}, k {k}");
+            let ints: Vec<(Desc, usize)> = (0..n)
+                .map(|_| {
+                    (
+                        Desc(rng.index(spread) as f64 / 4.0 - 0.5),
+                        rng.index(n.max(1)),
+                    )
+                })
+                .collect();
+            let (got, want) = buffer_and_reference(&ints, k);
+            assert_eq!(got, want, "int keys, case {case}, k {k}");
+        }
     }
 
     #[test]

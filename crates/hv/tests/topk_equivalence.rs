@@ -30,7 +30,7 @@ fn non_scalar_backends() -> Vec<&'static Kernel> {
 }
 
 /// Reference top-k: stable sort of the full per-row score vector by
-/// (score desc, row asc) — what the heap kernels must reproduce
+/// (score desc, row asc) — what the top-k kernels must reproduce
 /// bit-for-bit.
 fn reference_topk(scores: &[f64], k: usize) -> Vec<(usize, u64)> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
@@ -284,7 +284,7 @@ proptest! {
 
 /// Row-sharded path (beyond the parallel chunk minimum) agrees with the
 /// reference at scale — pinned explicitly rather than sampled — and so
-/// does a tie-heavy corpus, where the heaps' worst-key bound ties most
+/// does a tie-heavy corpus, where the candidate buffers' bound ties most
 /// rows across tiles and shards.
 #[test]
 fn row_sharded_topk_matches_reference() {
@@ -316,7 +316,7 @@ fn row_sharded_topk_matches_reference() {
     }
 
     // Every row is one of three hypervectors, so nearly every row ties
-    // the heap's worst key. Copies of base 0 — the nearest to the first
+    // the buffer's bound. Copies of base 0 — the nearest to the first
     // query — sit at rows 999, 1999, …, 8999, so its top-k crosses from
     // them into ties of the next-nearest base at every k > 9.
     let dim = 1100;
@@ -355,6 +355,14 @@ fn row_sharded_topk_matches_reference() {
         probe_factor: 2,
         exact_threshold: 0,
     };
+    // A probe factor of 1 sizes each candidate buffer at exactly k, so
+    // every drop to a nearer tied distance fills it to 2k and compacts
+    // it: at k = 1, with the rows split into two shards, three
+    // compactions per shard across the three queries' buffers.
+    let tight = ProbeConfig {
+        probe_factor: 1,
+        ..probe
+    };
     for k in [1, 7, 25] {
         for kb in kernel::available() {
             let results = [
@@ -373,6 +381,16 @@ fn row_sharded_topk_matches_reference() {
                     "int pruned",
                     &full_int,
                     mem.search_topk_int_pruned_with(kb, &int_refs, k, &probe),
+                ),
+                (
+                    "pruned, k candidates",
+                    &full,
+                    mem.search_topk_binary_pruned_with(kb, &refs, k, &tight),
+                ),
+                (
+                    "int pruned, k candidates",
+                    &full_int,
+                    mem.search_topk_int_pruned_with(kb, &int_refs, k, &tight),
                 ),
             ];
             for (path, reference, got) in results {

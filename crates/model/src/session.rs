@@ -117,7 +117,7 @@ pub trait ClassifySession: Sync {
     ) -> BatchTopKResult;
 
     /// Name of the SIMD kernel backend every encode and search in this
-    /// session runs on (`"scalar"` or `"avx2"`) —
+    /// session runs on (`"scalar"`, `"avx2"` or `"avx512"`) —
     /// surfaced so operators can verify what is actually executing.
     fn kernel_backend(&self) -> &'static str {
         hypervec::kernel::name()
@@ -353,7 +353,7 @@ impl<'a, E: Encoder + Sync> InferenceSession<'a, E> {
     }
 
     /// Name of the SIMD kernel backend every encode and search in this
-    /// session runs on (`"scalar"` or `"avx2"`).
+    /// session runs on (`"scalar"`, `"avx2"` or `"avx512"`).
     #[must_use]
     pub fn kernel_backend(&self) -> &'static str {
         hypervec::kernel::name()

@@ -6,7 +6,7 @@
 //! no-op (or an explicit `Unsupported` error) everywhere else. No external
 //! crates are involved.
 //!
-//! Three things live here:
+//! Four things live here:
 //!
 //! * [`Poller`] — a level-triggered `epoll` wrapper (Linux only) whose
 //!   [`Poller::wait`] retries `EINTR` internally with a recomputed timeout.
@@ -15,6 +15,8 @@
 //!   with an atomic flag so a storm of completions costs one pipe write.
 //! * [`raise_nofile_limit`] — best-effort `RLIMIT_NOFILE` bump so a 10k+
 //!   connection target does not die on the default soft limit of 1024.
+//! * [`set_listen_backlog`] — best-effort re-`listen` that deepens a
+//!   listener's accept queue past std's fixed backlog of 128.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -100,6 +102,7 @@ mod sys {
         pub fn close(fd: i32) -> i32;
         pub fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
+        pub fn listen(sockfd: i32, backlog: i32) -> i32;
     }
 }
 
@@ -325,6 +328,30 @@ pub fn raise_nofile_limit(target: u64) -> Option<(u64, u64)> {
     }
 }
 
+/// Best-effort resize of `listener`'s accept queue to `backlog` pending
+/// connections. `TcpListener::bind` listens with a backlog of 128; a
+/// burst of connects past a full queue has its SYNs dropped, and each
+/// dropped peer retries only after a whole-second retransmit timeout.
+/// Linux resizes the queue when `listen` is called again on a socket
+/// that is already listening, clamping the value to
+/// `net.core.somaxconn`. Returns whether the call succeeded; a silent
+/// no-op returning `false` off Linux.
+pub fn set_listen_backlog(listener: &std::net::TcpListener, backlog: usize) -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::fd::AsRawFd;
+        let backlog = i32::try_from(backlog).unwrap_or(i32::MAX);
+        // SAFETY: `listen` takes no pointers, and the borrowed listener
+        // keeps its descriptor open for the duration of the call.
+        unsafe { sys::listen(listener.as_raw_fd(), backlog) == 0 }
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (listener, backlog);
+        false
+    }
+}
+
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
@@ -358,6 +385,30 @@ mod tests {
         assert_eq!(poller.wait(&mut events, 10).unwrap(), 0);
         waker.wake();
         assert_eq!(poller.wait(&mut events, 1000).unwrap(), 1);
+    }
+
+    #[test]
+    fn deepened_backlog_holds_a_connect_burst() {
+        use std::net::{TcpListener, TcpStream};
+        // Nothing accepts, so every connect must fit the accept queue:
+        // at std's backlog of 128 the 130th SYN is dropped and its
+        // connect times out. The kernel clamps the backlog to
+        // somaxconn, which caps how many connects can be asked for.
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .unwrap_or(128);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        assert!(set_listen_backlog(&listener, 512));
+        let addr = listener.local_addr().unwrap();
+        let burst = 300.min(somaxconn);
+        let mut held = Vec::with_capacity(burst);
+        for i in 0..burst {
+            match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+                Ok(stream) => held.push(stream),
+                Err(e) => panic!("connect {} of {burst} did not complete: {e}", i + 1),
+            }
+        }
     }
 
     #[test]

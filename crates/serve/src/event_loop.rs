@@ -59,7 +59,9 @@ use std::time::{Duration, Instant};
 use hdc_store::ModelRegistry;
 
 use crate::batcher::{BatchQueue, Delivery};
-use crate::epoll::{raise_nofile_limit, PollEvent, Poller, Waker, EV_READ, EV_WRITE};
+use crate::epoll::{
+    raise_nofile_limit, set_listen_backlog, PollEvent, Poller, Waker, EV_READ, EV_WRITE,
+};
 use crate::metrics::{elapsed_us, ServeMetrics};
 use crate::protocol;
 use crate::server::{
@@ -438,6 +440,9 @@ fn run_event_loop<'env>(
     // Best-effort headroom for the sockets themselves plus pipes,
     // listener and whatever the process already holds.
     let _ = raise_nofile_limit(env.max_connections as u64 * 2 + 64);
+    // Best-effort accept queue as deep as the connection ceiling, so a
+    // connect burst does not overflow std's 128 entries.
+    let _ = set_listen_backlog(listener, env.max_connections);
 
     let poller = Poller::new()?;
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, EV_READ)?;

@@ -141,7 +141,7 @@ pub struct SearchMatch {
 /// Server shape and runtime facts reported by an info response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerInfo {
-    /// Active SIMD kernel backend (`scalar` or `avx2`).
+    /// Active SIMD kernel backend (`scalar`, `avx2` or `avx512`).
     pub backend: String,
     /// Hypervector dimensionality `D`.
     pub dim: usize,
