@@ -5,10 +5,10 @@
 //! branchless selection) is only deployable if it changes *when* work
 //! happens, never *what* is computed — the paper's accuracy claims
 //! (Fig. 8) must survive the constant-time rewrite untouched. The CI
-//! kernel matrix runs this file under both kernel backends (the default
-//! dispatch, avx2 where the CPU has it, and `HYPERVEC_KERNEL=scalar`),
-//! so the equivalence holds on each word-parallel engine, not just the
-//! one the dev box dispatches to.
+//! kernel matrix runs this file in two legs, the default dispatch
+//! (`avx512` or `avx2`, whichever the runner has) and
+//! `HYPERVEC_KERNEL=scalar`, so the equivalence holds on each
+//! word-parallel engine, not just the one the dev box dispatches to.
 //! Every check runs at feature counts below, at, and past the
 //! accumulator's 16-input carry-save group ([`FEATURE_COUNTS`]).
 

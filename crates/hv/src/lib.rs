@@ -74,7 +74,10 @@
 //!   plus an i16 *sidecar* plane (values saturated to ±32767) that drives the `vpmaddwd`
 //!   fast path — a memory whose values never hit the clamp records
 //!   that fact, and queries that narrow losslessly take the half-width
-//!   plane with bit-identical dots.
+//!   plane with bit-identical dots. On Linux, `reserve` advises each
+//!   binary plane that spans an aligned 2 MiB page onto transparent
+//!   huge pages (`MADV_HUGEPAGE`, best-effort), so scans of a
+//!   many-MiB corpus walk 2 MiB pages instead of 4 KiB ones.
 //! * **Batch kernels** — `search_batch_binary` / `search_batch_int`
 //!   compute the top-1 row *and* the full score vector for N queries
 //!   at once via word-parallel popcount (binary) or strided multi-row
@@ -112,7 +115,11 @@
 //! ([`ProbeConfig::probe_words`] of `⌈D/64⌉`; the default is exactly
 //! the first plane block, one contiguous stream), keeps
 //! `probe_factor · k` candidates per query, and
-//! rescores the survivors with exact full-width distances.
+//! rescores the survivors with exact full-width distances. Each coarse
+//! key is the exact distance over the probe, so the rescore continues
+//! from it and stops at the running k-th best distance: a candidate is
+//! dropped once its partial sum exceeds it, and the rescore ends at
+//! the first coarse key that does.
 //! `search_topk_int_pruned` is the cosine twin under the same
 //! [`ProbeConfig`] semantics: its coarse pass runs the i16-quantized
 //! strided kernel over the leading `probe_words · 64` dimensions of
@@ -127,12 +134,13 @@
 //! grows past the size of the query's true neighborhood, at the cost
 //! of rescoring more survivors.
 //!
-//! Because the survivor set — and therefore the rescoring work — is
-//! data-dependent, the pruned scans are bypassed by the serving
-//! layer's constant-time hardened mode in favor of the exact scan,
-//! which reads the same rows for every query; which rows enter its
-//! candidate buffers, and when they compact, still depends on the
-//! scores (threat model in the repository's `SECURITY.md`).
+//! Because the survivor set and the rescore's bound — and therefore
+//! the rescoring work — are data-dependent, the serving layer's
+//! constant-time hardened mode bypasses the pruned scans in favor of
+//! the exact scan, which reads the same rows for every query; which
+//! rows enter its candidate buffers, and when they compact, still
+//! depends on the scores (threat model in the repository's
+//! `SECURITY.md`).
 //!
 //! ## Kernel backends
 //!

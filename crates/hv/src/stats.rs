@@ -5,9 +5,11 @@
 //! row dot products. The serving stack's metrics plane reads these to
 //! report how many class-memory rows the kernels have scanned, split
 //! by similarity domain (binary Hamming vs integer dot). A scan that
-//! reads only a prefix of each row (the coarse pass of pruned top-k)
-//! counts in full-row equivalents, so the counters follow the work
-//! actually done.
+//! reads only part of each row counts in full-row equivalents, so the
+//! counters follow the work actually done: the coarse pass of pruned
+//! top-k counts its prefix as that fraction of a row, and the binary
+//! rescore, which continues from the coarse distance and stops at the
+//! running k-th best, counts the words it reads past the probe.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -23,7 +23,13 @@
 //!   scans only the leading `probe_words` packed words (binary) or
 //!   `probe_words · 64` dimensions (int) of every row, keeps
 //!   `probe_factor · k` candidates per query, then rescores the
-//!   survivors exactly at full width. Both planes are blocked in the
+//!   survivors exactly at full width. The binary coarse key is the exact
+//!   distance over the probe, so the binary rescore continues from it,
+//!   reads only the words after the probe, and stops at the running
+//!   k-th best distance: a candidate is dropped once its partial sum
+//!   exceeds it, and the rescore ends at the first coarse key that does
+//!   (partial cosine dots are not monotone, so the int rescore reads
+//!   every survivor's full row). Both planes are blocked in the
 //!   same 1024 dimensions, so the default probe of [`BLOCK_WORDS`]
 //!   words is exactly block 0: one contiguous stream over the leading
 //!   block of every row. Wider probes read whole leading blocks, and a
@@ -317,8 +323,11 @@ impl ShardedClassMemory {
     /// Pruned top-k Hamming search: a coarse pass over the leading
     /// [`ProbeConfig::probe_words`] packed words of each row keeps
     /// `probe_factor · k` candidates per query, which are then rescored
-    /// with exact full-width distances. At full probe width (`probe_words ≥
-    /// ⌈D/64⌉`) the result is bit-identical to
+    /// with exact full-width distances. The rescore continues each
+    /// candidate from its coarse distance (the exact distance over the
+    /// probe) and stops at the running k-th best distance, so it reads
+    /// only what can still change the top-k. At full probe width
+    /// (`probe_words ≥ ⌈D/64⌉`) the result is bit-identical to
     /// [`Self::search_topk_binary`]; narrower probes trade recall for
     /// throughput. Falls back to the exact scan below
     /// [`ProbeConfig::exact_threshold`] rows.
@@ -351,9 +360,6 @@ impl ShardedClassMemory {
         if self.n_rows() <= probe.exact_threshold {
             return self.search_topk_binary_with(kern, queries, k);
         }
-        if self.n_rows() == 0 {
-            return Err(HvError::EmptyInput);
-        }
         for q in queries {
             self.check_query_dim(q.dim())?;
         }
@@ -364,21 +370,18 @@ impl ShardedClassMemory {
         // Coarse pass: partial distances over the sampled word prefixes,
         // candidate buffers of `n_candidates` each.
         let shards = self.coarse_candidates(kern, queries, n_candidates, probe_words);
-        // Rescore pass: exact full-width distance for every survivor,
-        // then the final (distance, row) order — identical float
-        // expressions to the exact scan.
+        // Rescore pass: each survivor's exact distance continues from
+        // its coarse key and stops once it cannot make the top-k; the
+        // final (distance, row) order and float expressions match the
+        // exact scan.
+        let mut words_read = 0;
         let hits = (0..queries.len())
             .map(|q| {
-                let q_words = queries[q].bits().words();
-                let mut exact: Vec<(u32, usize)> = merge_shards(&shards, q, n_candidates)
-                    .into_iter()
-                    .map(|(_, row)| (self.row_hamming(kern, q_words, row), row))
-                    .collect();
-                crate::stats::record_hamming_rows(exact.len() as u64);
-                exact.sort_unstable();
-                exact.truncate(kept);
-                exact
-                    .into_iter()
+                let candidates = merge_shards(&shards, q, n_candidates);
+                let (best, words) =
+                    self.rescore_bounded(kern, queries[q], &candidates, kept, probe_words);
+                words_read += words;
+                best.into_iter()
                     .map(|(d, row)| TopKMatch {
                         row,
                         score: self.binary_score(d),
@@ -386,6 +389,7 @@ impl ShardedClassMemory {
                     .collect()
             })
             .collect();
+        crate::stats::record_hamming_rows(row_equivalents(words_read, 1, self.words_per_row()));
         Ok(BatchTopKResult { k, hits })
     }
 
@@ -517,16 +521,63 @@ impl ShardedClassMemory {
         Ok(BatchTopKResult { k, hits })
     }
 
-    /// Exact full-width Hamming distance of one row against a query —
-    /// the same per-block u32 accumulation as the batch kernels.
-    fn row_hamming(&self, kern: &Kernel, q_words: &[u64], row: usize) -> u32 {
-        let mut d = 0u32;
-        for (b, block) in self.bin_blocks().iter().enumerate() {
-            let (start, len) = self.bin_block_range(b);
-            let row_words = &block[row * len..(row + 1) * len];
-            d += (kern.hamming)(&q_words[start..start + len], row_words) as u32;
+    /// Exact rescore of one query's coarse candidates into its best
+    /// `keep` by `(distance, row)`, best first.
+    ///
+    /// `candidates` arrive sorted by `(coarse, row)`, and each coarse key
+    /// is the exact distance over the first `probe_words` words, so the
+    /// rescore continues from it: it reads the rest of the block the
+    /// probe ends in, then each later block whole. Once `keep` rows are
+    /// in, the k-th best full distance bounds the rest. A candidate is
+    /// dropped after the first block where its partial sum exceeds the
+    /// bound, and the loop stops at the first coarse key that exceeds
+    /// it, since every later key is at least as large. Both tests are
+    /// strict, so a tie still reaches the `(distance, row)` comparison.
+    /// At full probe width nothing is left to read and the result is
+    /// the exact top-k. Returns the best list and the words read.
+    fn rescore_bounded(
+        &self,
+        kern: &Kernel,
+        query: &BinaryHv,
+        candidates: &[(u32, usize)],
+        keep: usize,
+        probe_words: usize,
+    ) -> (Vec<(u32, usize)>, usize) {
+        let q_words = query.bits().words();
+        let mut words_read = 0;
+        let mut best: Vec<(u32, usize)> = Vec::with_capacity(keep + 1);
+        'candidates: for &(coarse, row) in candidates {
+            let bound = if best.len() == keep {
+                best.last().map(|&(d, _)| d)
+            } else {
+                None
+            };
+            if bound.is_some_and(|worst| coarse > worst) {
+                break;
+            }
+            let mut d = coarse;
+            let mut skip = probe_words;
+            for (b, block) in self.bin_blocks().iter().enumerate() {
+                let (start, len) = self.bin_block_range(b);
+                let from = skip.min(len);
+                skip -= from;
+                if from == len {
+                    continue;
+                }
+                let row_words = &block[row * len + from..(row + 1) * len];
+                d += (kern.hamming)(&q_words[start + from..start + len], row_words) as u32;
+                words_read += len - from;
+                if bound.is_some_and(|worst| d > worst) {
+                    continue 'candidates;
+                }
+            }
+            let at = best.partition_point(|&entry| entry < (d, row));
+            if at < keep {
+                best.insert(at, (d, row));
+                best.truncate(keep);
+            }
         }
-        d
+        (best, words_read)
     }
 
     /// Row-sharded bounded scan shared by exact top-k
@@ -869,7 +920,10 @@ mod tests {
         // Counters are process-wide and tests run in parallel, so only
         // a lower bound is checkable: an exact scan touches every row
         // once per query; a pruned scan counts its coarse prefix as
-        // that fraction of a row, plus each rescored candidate.
+        // that fraction of a row, plus the words its rescore reads. The
+        // binary rescore reads past the probe in full for at least each
+        // query's first k candidates, which no bound can drop yet; the
+        // int rescore reads every candidate's full row.
         let dim = 200;
         let mut rng = HvRng::from_seed(29);
         let bins: Vec<BinaryHv> = (0..45).map(|_| rng.binary_hv(dim)).collect();
@@ -886,9 +940,11 @@ mod tests {
             probe_factor: 2,
             exact_threshold: 0,
         };
-        let rescored = (queries.len() * 10) as u64;
+        let rescored = row_equivalents(queries.len() * 5 * 3, 1, 4);
+        let int_rescored = (queries.len() * 10) as u64;
         assert_eq!(row_equivalents(scanned, 1, 4), 33);
         assert_eq!(row_equivalents(scanned, 64, dim), 43);
+        assert_eq!(rescored, 11);
 
         let before = crate::stats::hamming_rows();
         mem.search_topk_binary(&refs, 5).unwrap();
@@ -902,7 +958,7 @@ mod tests {
         assert!(crate::stats::dot_rows() >= before + scanned as u64);
         let before = crate::stats::dot_rows();
         mem.search_topk_int_pruned(&int_refs, 5, &probe).unwrap();
-        assert!(crate::stats::dot_rows() >= before + 43 + rescored);
+        assert!(crate::stats::dot_rows() >= before + 43 + int_rescored);
     }
 
     #[test]

@@ -46,6 +46,61 @@ fn as_pairs(matches: &[TopKMatch]) -> Vec<(usize, u64)> {
     matches.iter().map(|m| (m.row, m.score.to_bits())).collect()
 }
 
+/// Reference pruned top-k: the `probe_factor · k` best rows by
+/// `(prefix distance, row)` over the first `probe_words` words, then
+/// their full distances, sorted and truncated to `k` — what the pruned
+/// scan must reproduce at any probe width. Scores come from `scores`,
+/// the full score vector.
+fn narrow_probe_reference(
+    rows: &[BinaryHv],
+    query: &BinaryHv,
+    k: usize,
+    probe: &ProbeConfig,
+    scores: &[f64],
+) -> Vec<(usize, u64)> {
+    let q_words = query.bits().words();
+    let probe_words = probe.probe_words.clamp(1, q_words.len());
+    let kept = k.min(rows.len());
+    let mut coarse: Vec<(u32, usize)> = rows
+        .iter()
+        .enumerate()
+        .map(|(r, row)| {
+            let prefix = row.bits().words()[..probe_words].iter().zip(q_words);
+            (prefix.map(|(a, b)| (a ^ b).count_ones()).sum(), r)
+        })
+        .collect();
+    coarse.sort_unstable();
+    coarse.truncate((probe.probe_factor.max(1) * kept).clamp(kept, rows.len()));
+    let mut exact: Vec<(usize, usize)> = coarse
+        .into_iter()
+        .map(|(_, r)| (rows[r].hamming(query), r))
+        .collect();
+    exact.sort_unstable();
+    exact.truncate(kept);
+    exact
+        .into_iter()
+        .map(|(_, r)| (r, scores[r].to_bits()))
+        .collect()
+}
+
+/// `query` with `flips` random bits flipped: all in the first `split`
+/// dimensions, all in the rest, or each in either at random, so rows at
+/// one full distance arrive under different coarse keys.
+fn plant(query: &BinaryHv, rng: &mut HvRng, flips: usize, split: usize) -> BinaryHv {
+    let dim = query.dim();
+    let mut row = query.clone();
+    let mode = rng.index(3);
+    for _ in 0..flips {
+        let in_prefix = split == dim || mode == 0 || (mode == 2 && rng.coin());
+        row.flip(if in_prefix {
+            rng.index(split)
+        } else {
+            split + rng.index(dim - split)
+        });
+    }
+    row
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -247,37 +302,74 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    // A case runs in well under a millisecond, but only about one in
+    // seven tells a non-strict rescore drop from the strict one, and one
+    // in ten a non-strict coarse stop, so this property samples more
+    // cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn narrow_pruned_is_valid_subset_with_exact_scores(
-        dim in prop_oneof![Just(1000), Just(4096)],
+        dim in prop_oneof![Just(130), Just(1030), Just(2112), Just(10_000)],
         n_rows in 10usize..=80,
         k in 1usize..=6,
+        probe_words in prop_oneof![
+            Just(1),
+            Just(5),
+            Just(16),
+            Just(17),
+            Just(20),
+            Just(32),
+            Just(160) // past ⌈D/64⌉ at every dim above
+        ],
+        probe_factor in 1usize..=4,
         seed in any::<u64>(),
     ) {
         // A narrow probe may miss neighbors (that is the recall trade),
         // but every match it returns must carry the row's *exact* score
         // and the list must be best-first among the returned rows.
+        // Beyond that, it must be exactly the prefix-then-rescore
+        // reference. Planted rows two or three flips from the query,
+        // their flips split between the probe and the rest, put equal
+        // full distances under different coarse keys, and exact copies
+        // of them tie outright, so ties sit at the rescore's bound.
         let mut rng = HvRng::from_seed(seed);
-        let rows: Vec<BinaryHv> = (0..n_rows).map(|_| rng.binary_hv(dim)).collect();
-        let mem = ShardedClassMemory::from_rows(&rows).unwrap();
+        let mut rows: Vec<BinaryHv> = (0..n_rows).map(|_| rng.binary_hv(dim)).collect();
         let q = rng.binary_hv(dim);
+        let split = (64 * probe_words).min(dim);
+        let planted: Vec<usize> = (0..n_rows / 2).map(|_| rng.index(n_rows)).collect();
+        for &slot in &planted {
+            let flips = 2 + rng.index(2);
+            rows[slot] = plant(&q, &mut rng, flips, split);
+        }
+        for _ in 0..3 {
+            let from = planted[rng.index(planted.len())];
+            rows[rng.index(n_rows)] = rows[from].clone();
+        }
+        let mem = ShardedClassMemory::from_rows(&rows).unwrap();
         let probe = ProbeConfig {
-            probe_words: 2,
-            probe_factor: 2,
+            probe_words,
+            probe_factor,
             exact_threshold: 0,
         };
-        let pruned = mem.search_topk_binary_pruned(&[&q], k, &probe).unwrap();
-        let full = mem.search_batch_binary(&[&q]).unwrap();
-        let matches = pruned.matches(0);
-        prop_assert_eq!(matches.len(), k.min(n_rows));
-        for m in matches {
-            prop_assert_eq!(m.score.to_bits(), full.scores(0)[m.row].to_bits());
-        }
-        for w in matches.windows(2) {
-            prop_assert!(
-                w[0].score > w[1].score || (w[0].score == w[1].score && w[0].row < w[1].row)
-            );
+        let full = mem.search_batch_binary_with(kernel::scalar(), &[&q]).unwrap();
+        let want = narrow_probe_reference(&rows, &q, k, &probe, full.scores(0));
+        for kb in kernel::available() {
+            let pruned = mem.search_topk_binary_pruned_with(kb, &[&q], k, &probe).unwrap();
+            let matches = pruned.matches(0);
+            prop_assert_eq!(matches.len(), k.min(n_rows));
+            for m in matches {
+                prop_assert_eq!(m.score.to_bits(), full.scores(0)[m.row].to_bits());
+            }
+            for w in matches.windows(2) {
+                prop_assert!(
+                    w[0].score > w[1].score || (w[0].score == w[1].score && w[0].row < w[1].row)
+                );
+            }
+            prop_assert_eq!(&as_pairs(matches), &want, "narrow probe: {}", kb.name);
         }
     }
 }
@@ -363,8 +455,28 @@ fn row_sharded_topk_matches_reference() {
         probe_factor: 1,
         ..probe
     };
+    // A probe ending one word into the second block, against the
+    // prefix-then-rescore reference.
+    let narrow = ProbeConfig {
+        probe_words: 17,
+        ..probe
+    };
     for k in [1, 7, 25] {
+        let want_narrow: Vec<Vec<(usize, u64)>> = (0..refs.len())
+            .map(|q| narrow_probe_reference(&rows, refs[q], k, &narrow, full.scores(q)))
+            .collect();
         for kb in kernel::available() {
+            let got = mem
+                .search_topk_binary_pruned_with(kb, &refs, k, &narrow)
+                .unwrap();
+            for (q, want) in want_narrow.iter().enumerate() {
+                assert_eq!(
+                    &as_pairs(got.matches(q)),
+                    want,
+                    "tied corpus, narrow pruned top-{k}: {} q {q}",
+                    kb.name
+                );
+            }
             let results = [
                 ("exact", &full, mem.search_topk_binary_with(kb, &refs, k)),
                 (
