@@ -18,9 +18,11 @@
 //!    correct — a `(D·P)^L` search (Figs. 5/6).
 //! 5. **Timing-oracle probe** ([`warmth_distinguisher`]): times
 //!    chosen-input encodes and applies Welch's t-test ([`welch_t`]) to
-//!    read the victim's bound-pair cache state — the side channel that
-//!    `DeriveMode::Hardened` closes (threat model in the repository's
-//!    `SECURITY.md`).
+//!    read whether recent batch traffic left the victim faster — the
+//!    side channel of the cached mode's former lazy bound-pair table.
+//!    It fails against both serving modes: cached mode builds no table,
+//!    and `DeriveMode::Hardened` does fixed work (threat model in the
+//!    repository's `SECURITY.md`).
 //!
 //! ## Example: stealing an unprotected model
 //!

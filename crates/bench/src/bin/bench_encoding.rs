@@ -4,13 +4,14 @@
 //! the word-parallel engine (single-sample and batch, single- and
 //! multi-threaded) for the standard and the locked encoder, then writes
 //! `BENCH_encoding.json` so the perf trajectory is tracked across PRs.
-//! Beside them: the bundling core on every kernel backend, and two
-//! ratios at the paper's ISOLET shape (`D = 10 000, N = 617, M = 16`),
-//! each the median of interleaved trial pairs in one process: the
-//! carry-save bulk add against the per-add ripple loop it replaced
-//! (`speedup_carry_save_vs_ripple`), and the fused-bind row path
-//! against the precomputed bound-pair table it replaced at that shape
-//! (`speedup_fused_vs_table`).
+//! Beside them: the bundling core (the column bind-and-count every
+//! cached encode runs) on every kernel backend, and two ratios at the
+//! paper's ISOLET shape (`D = 10 000, N = 617, M = 16`), each the
+//! median of interleaved trial pairs in one process: the column pass
+//! against the per-add ripple loop the accumulator ran before carry-save
+//! bundling (`speedup_carry_save_vs_ripple`), and the column pass
+//! against the staged plane loop the on-the-fly and hardened encoders
+//! keep, fed the same bound pairs (`speedup_columns_vs_staged`).
 //!
 //! Usage: `bench_encoding [--dim D] [--features N] [--levels M]
 //! [--batch B] [--out PATH]` — defaults reproduce the acceptance
@@ -22,14 +23,14 @@ use std::time::Instant;
 use hdc_model::{Encoder, RecordEncoder};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hdlock_bench::summarize;
-use hypervec::{kernel, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, LevelHvs};
+use hypervec::{kernel, BinaryHv, BitSliceAccumulator, HvRng, TileBlock};
 
 /// The paper's ISOLET shape for the two same-process ratios.
 const ISOLET_DIM: usize = 10_000;
 const ISOLET_FEATURES: usize = 617;
 const ISOLET_LEVELS: usize = 16;
-/// Distinct rows behind the fused vs table ratio, so table reads are
-/// spread over the whole table as in served traffic.
+/// Distinct rows behind the columns vs staged ratio, so value reads
+/// vary as in served traffic.
 const ISOLET_ROWS: usize = 64;
 /// Interleaved trial pairs behind each ratio (odd, so the median is
 /// one of them).
@@ -88,91 +89,109 @@ struct Measurement {
     samples_per_sec: f64,
 }
 
-/// Random packed feature words and one value's words: the inputs of a
-/// fused-bind bundle of `n_features` pairs.
-fn bundle_inputs(dim: usize, n_features: usize) -> (Vec<Vec<u64>>, Vec<u64>) {
-    let n_words = dim.div_ceil(64);
-    let mut rng = HvRng::from_seed(7);
-    let feature_words = (0..n_features)
-        .map(|_| (0..n_words).map(|_| rng.next_u64()).collect())
-        .collect();
-    let value_words = (0..n_words).map(|_| rng.next_u64()).collect();
-    (feature_words, value_words)
+/// Random features, values and rows of levels: the inputs of the
+/// bundling rungs, row-major as the staged and ripple loops read them.
+struct BundleInputs {
+    features: Vec<BinaryHv>,
+    values: Vec<BinaryHv>,
+    rows: Vec<Vec<u16>>,
 }
 
-/// Samples/second of the bit-sliced bundling core on one explicit
-/// kernel backend: the fused-bind bulk add
-/// (`BitSliceAccumulator::add_bound_pairs`) the encoders run per sample
-/// without a bound-pair table, isolated from encoder bookkeeping so the
-/// per-backend numbers track the raw SIMD speedup.
-fn kernel_bundle_throughput(
-    k: &'static kernel::Kernel,
-    dim: usize,
-    n_features: usize,
-    min_secs: f64,
-) -> f64 {
-    let (feature_words, value_words) = bundle_inputs(dim, n_features);
-    let mut acc = BitSliceAccumulator::with_kernel(dim, k);
-    throughput(1, min_secs, || {
-        acc.clear();
-        acc.add_bound_pairs(
-            feature_words
-                .iter()
-                .map(|fea| (fea.as_slice(), value_words.as_slice())),
-        );
-        std::hint::black_box(&acc);
-    })
+impl BundleInputs {
+    fn new(dim: usize, n_features: usize, m_levels: usize, n_rows: usize, seed: u64) -> Self {
+        let mut rng = HvRng::from_seed(seed);
+        BundleInputs {
+            features: (0..n_features).map(|_| rng.binary_hv(dim)).collect(),
+            values: (0..m_levels).map(|_| rng.binary_hv(dim)).collect(),
+            rows: (0..n_rows)
+                .map(|_| {
+                    (0..n_features)
+                        .map(|_| rng.index(m_levels) as u16)
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    fn dim(&self) -> usize {
+        self.values[0].dim()
+    }
+
+    /// Features and values tile-major, as the encoders hold them.
+    fn tiles(&self) -> (TileBlock, TileBlock) {
+        (
+            TileBlock::from_hvs(self.dim(), &self.features),
+            TileBlock::from_hvs(self.dim(), &self.values),
+        )
+    }
 }
 
-/// Rows/second of `BoundPairCache::accumulate_row` over `rows` on the
-/// active backend, one thread: table rows when `cache` is warm, the
-/// fused bind when it is cold.
-fn row_bundle_throughput(
-    cache: &BoundPairCache,
-    features: &[BinaryHv],
-    values: &LevelHvs,
-    rows: &[Vec<u16>],
-    min_secs: f64,
-) -> f64 {
-    let mut acc = BitSliceAccumulator::new(values.dim());
-    throughput(rows.len(), min_secs, || {
-        for row in rows {
-            acc.clear();
-            cache.accumulate_row(&mut acc, features, values, row);
+/// Rows/second of the column bind-and-count
+/// (`BitSliceAccumulator::bundle_row`, the path of every cached encode)
+/// over `inputs.rows` on one explicit kernel backend, one thread,
+/// isolated from encoder bookkeeping so the per-backend numbers track
+/// the raw SIMD speedup.
+fn column_throughput(k: &'static kernel::Kernel, inputs: &BundleInputs, min_secs: f64) -> f64 {
+    let (features, values) = inputs.tiles();
+    let mut acc = BitSliceAccumulator::with_kernel(inputs.dim(), k);
+    throughput(inputs.rows.len(), min_secs, || {
+        for row in &inputs.rows {
+            acc.bundle_row(&features, &values, row);
             std::hint::black_box(&acc);
         }
     })
 }
 
-/// Samples/second of the per-add ripple loop the accumulator ran before
+/// Rows/second of the staged plane loop
+/// (`BitSliceAccumulator::add_staged`) fed each row's bound pairs, one
+/// `xor_into` per slot, as the on-the-fly and hardened encoders fill it:
+/// the baseline of `speedup_columns_vs_staged`, on the active backend.
+fn staged_throughput(inputs: &BundleInputs, min_secs: f64) -> f64 {
+    let xor_into = kernel::active().xor_into;
+    let mut acc = BitSliceAccumulator::new(inputs.dim());
+    throughput(inputs.rows.len(), min_secs, || {
+        for row in &inputs.rows {
+            acc.clear();
+            acc.add_staged(row.len(), |i, slot| {
+                let value = &inputs.values[usize::from(row[i])];
+                xor_into(
+                    value.bits().words(),
+                    inputs.features[i].bits().words(),
+                    slot,
+                );
+            });
+            std::hint::black_box(&acc);
+        }
+    })
+}
+
+/// Rows/second of the per-add ripple loop the accumulator ran before
 /// carry-save bundling (one fused XOR, then ripple steps until no word
 /// carries, per feature) — the baseline of
 /// `speedup_carry_save_vs_ripple`. It keeps enough planes for a count
-/// of `n_features`, so no carry is dropped.
-fn ripple_bundle_throughput(
-    k: &'static kernel::Kernel,
-    dim: usize,
-    n_features: usize,
-    min_secs: f64,
-) -> f64 {
-    let (feature_words, value_words) = bundle_inputs(dim, n_features);
+/// of `N`, so no carry is dropped.
+fn ripple_throughput(k: &'static kernel::Kernel, inputs: &BundleInputs, min_secs: f64) -> f64 {
+    let n_features = inputs.features.len();
     let n_planes = (usize::BITS - n_features.leading_zeros()) as usize;
-    let n_words = dim.div_ceil(64);
+    let n_words = inputs.dim().div_ceil(64);
     let mut planes = vec![vec![0u64; n_words]; n_planes];
     let mut scratch = vec![0u64; n_words];
-    throughput(1, min_secs, || {
-        for plane in &mut planes {
-            plane.iter_mut().for_each(|w| *w = 0);
-        }
-        for fea in &feature_words {
-            (k.xor_into)(fea, &value_words, &mut scratch);
+    throughput(inputs.rows.len(), min_secs, || {
+        for row in &inputs.rows {
             for plane in &mut planes {
-                if !(k.ripple_step)(plane, &mut scratch) {
-                    break;
+                plane.iter_mut().for_each(|w| *w = 0);
+            }
+            for (fea, &lv) in inputs.features.iter().zip(row) {
+                let value = &inputs.values[usize::from(lv)];
+                (k.xor_into)(fea.bits().words(), value.bits().words(), &mut scratch);
+                for plane in &mut planes {
+                    if !(k.ripple_step)(plane, &mut scratch) {
+                        break;
+                    }
                 }
             }
+            std::hint::black_box(&planes);
         }
-        std::hint::black_box(&planes);
     })
 }
 
@@ -281,20 +300,28 @@ fn main() {
     // on, so BENCH_encoding.json tracks the raw SIMD speedup next to
     // the end-to-end encoder numbers.
     let backends = kernel::available();
+    let bundle = BundleInputs::new(opts.dim, opts.n_features, opts.m_levels, 1, 7);
     for k in &backends {
         results.push(Measurement {
             name: format!("kernel_bundle_{}", k.name),
-            samples_per_sec: kernel_bundle_throughput(k, opts.dim, opts.n_features, min_secs),
+            samples_per_sec: column_throughput(k, &bundle, min_secs),
         });
     }
 
-    // Carry-save vs per-add ripple at the ISOLET shape on the active
-    // backend: alternate the two so drift hits both alike, and gate on
-    // the median of the per-pair ratios.
+    // Two ratios at the ISOLET shape on the active backend, each over
+    // interleaved pairs so drift hits both sides alike, gated on the
+    // median of the per-pair ratios: the column pass against the
+    // per-add ripple loop, then against the staged plane loop.
+    let isolet = BundleInputs::new(ISOLET_DIM, ISOLET_FEATURES, ISOLET_LEVELS, ISOLET_ROWS, 617);
+    let one_row = BundleInputs {
+        rows: isolet.rows[..1].to_vec(),
+        features: isolet.features.clone(),
+        values: isolet.values.clone(),
+    };
     let (mut carry_save, mut ripple, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..RATIO_TRIALS {
-        let c = kernel_bundle_throughput(kernel::active(), ISOLET_DIM, ISOLET_FEATURES, 0.2);
-        let r = ripple_bundle_throughput(kernel::active(), ISOLET_DIM, ISOLET_FEATURES, 0.2);
+        let c = column_throughput(kernel::active(), &one_row, 0.2);
+        let r = ripple_throughput(kernel::active(), &one_row, 0.2);
         carry_save.push(c);
         ripple.push(r);
         ratios.push(c / r);
@@ -311,46 +338,25 @@ fn main() {
     let (ratio_min, ratio_max) = (spread.min, spread.max);
     let carry_save_speedup = median(ratios);
 
-    // Fused bind vs warm bound-pair table at the ISOLET shape, where
-    // the table (11.8 MiB) is over `BoundPairCache::TABLE_BUDGET_BYTES`
-    // and encoders no longer build it: the same interleaved pairs.
-    let mut isolet_rng = HvRng::from_seed(617);
-    let features = isolet_rng.orthogonal_pool(ISOLET_DIM, ISOLET_FEATURES);
-    let values = LevelHvs::generate(&mut isolet_rng, ISOLET_DIM, ISOLET_LEVELS)
-        .expect("ISOLET level hypervectors");
-    let isolet_rows: Vec<Vec<u16>> = (0..ISOLET_ROWS)
-        .map(|_| {
-            (0..ISOLET_FEATURES)
-                .map(|_| isolet_rng.index(ISOLET_LEVELS) as u16)
-                .collect()
-        })
-        .collect();
-    let table = BoundPairCache::new();
-    table.warm(&features, &values);
-    let no_table = BoundPairCache::new();
-    let (mut fused, mut tabled, mut fused_ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut columns, mut staged, mut column_ratios) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..RATIO_TRIALS {
-        let f = row_bundle_throughput(&no_table, &features, &values, &isolet_rows, 0.2);
-        let t = row_bundle_throughput(&table, &features, &values, &isolet_rows, 0.2);
-        fused.push(f);
-        tabled.push(t);
-        fused_ratios.push(f / t);
+        let c = column_throughput(kernel::active(), &isolet, 0.2);
+        let s = staged_throughput(&isolet, 0.2);
+        columns.push(c);
+        staged.push(s);
+        column_ratios.push(c / s);
     }
-    assert!(
-        !no_table.is_warm(),
-        "the fused rung must never build a table"
-    );
     results.push(Measurement {
-        name: "isolet_row_fused".to_owned(),
-        samples_per_sec: median(fused),
+        name: "isolet_row_columns".to_owned(),
+        samples_per_sec: median(columns),
     });
     results.push(Measurement {
-        name: "isolet_row_table".to_owned(),
-        samples_per_sec: median(tabled),
+        name: "isolet_row_staged".to_owned(),
+        samples_per_sec: median(staged),
     });
-    let fused_spread = summarize(&fused_ratios);
-    let (fused_min, fused_max) = (fused_spread.min, fused_spread.max);
-    let fused_speedup = median(fused_ratios);
+    let column_spread = summarize(&column_ratios);
+    let (columns_min, columns_max) = (column_spread.min, column_spread.max);
+    let columns_speedup = median(column_ratios);
 
     let scalar = results[0].samples_per_sec;
     let batch_best = results
@@ -377,9 +383,9 @@ fn main() {
          {carry_save_speedup:.2}x median over {RATIO_TRIALS} pairs ({ratio_min:.2}–{ratio_max:.2})"
     );
     println!(
-        "  fused bind vs bound-pair table rows (D = {ISOLET_DIM}, N = {ISOLET_FEATURES}, \
-         M = {ISOLET_LEVELS}, {ISOLET_ROWS} rows): {fused_speedup:.2}x median over \
-         {RATIO_TRIALS} pairs ({fused_min:.2}–{fused_max:.2})"
+        "  column pass vs staged plane loop (D = {ISOLET_DIM}, N = {ISOLET_FEATURES}, \
+         M = {ISOLET_LEVELS}, {ISOLET_ROWS} rows): {columns_speedup:.2}x median over \
+         {RATIO_TRIALS} pairs ({columns_min:.2}–{columns_max:.2})"
     );
 
     let mut json = String::new();
@@ -421,9 +427,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"fused_vs_table\": {{ \"dim\": {ISOLET_DIM}, \"n_features\": {ISOLET_FEATURES}, \"m_levels\": {ISOLET_LEVELS}, \"rows\": {ISOLET_ROWS}, \"pairs\": {RATIO_TRIALS}, \"min\": {fused_min:.2}, \"max\": {fused_max:.2} }},"
+        "  \"columns_vs_staged\": {{ \"dim\": {ISOLET_DIM}, \"n_features\": {ISOLET_FEATURES}, \"m_levels\": {ISOLET_LEVELS}, \"rows\": {ISOLET_ROWS}, \"pairs\": {RATIO_TRIALS}, \"min\": {columns_min:.2}, \"max\": {columns_max:.2} }},"
     );
-    let _ = writeln!(json, "  \"speedup_fused_vs_table\": {fused_speedup:.2}");
+    let _ = writeln!(
+        json,
+        "  \"speedup_columns_vs_staged\": {columns_speedup:.2}"
+    );
     let _ = writeln!(json, "}}");
     std::fs::write(&opts.out, json).expect("write benchmark JSON");
     println!("(json written to {})", opts.out);

@@ -25,7 +25,7 @@
 
 use hdc_model::Encoder;
 use hypervec::{
-    kernel, par, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, IntHv, LevelHvs,
+    kernel, par, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, IntHv, LevelHvs, TileBlock,
 };
 
 use crate::error::LockError;
@@ -99,10 +99,10 @@ pub fn derive_feature_into(
 pub enum DeriveMode {
     /// Derive all `N` feature hypervectors once and cache them (one
     /// vault read total). The fast software path: each row binds and
-    /// bundles the cached features in one fused carry-save pass, and a
-    /// batch of at least `M` rows builds the `N × M` bound-pair table
-    /// only when it fits [`BoundPairCache::TABLE_BUDGET_BYTES`] (2 MiB).
-    /// At the paper's ISOLET shape (11.8 MiB of table) it never does.
+    /// bundles the cached features in one column pass
+    /// ([`BitSliceAccumulator::bundle_row`]), low counters in registers,
+    /// which reads the same bytes for every row and never builds a
+    /// bound-pair table.
     #[default]
     Cached,
     /// Re-derive from the key on every encoded sample (one vault read
@@ -146,11 +146,13 @@ pub struct LockedEncoder {
     pool: BasePool,
     values: LevelHvs,
     vault: KeyVault,
-    derived: Vec<BinaryHv>,
-    /// Shared `(feature, level)` bound-pair cache over the cached
-    /// derived features: in cached mode a batch builds its table only
-    /// under [`BoundPairCache::TABLE_BUDGET_BYTES`]; hardened mode
-    /// builds it eagerly at any size for its constant-time select.
+    /// The `N` derived feature hypervectors, tile-major: the only copy.
+    features: TileBlock,
+    /// The `M` public value hypervectors, tile-major, for the column
+    /// pass.
+    value_tiles: TileBlock,
+    /// The `N × M` bound-pair table of hardened mode's constant-time
+    /// select, built on its first encode; no other mode builds it.
     bound_cache: BoundPairCache,
     mode: DeriveMode,
     n_layers: usize,
@@ -243,14 +245,16 @@ impl LockedEncoder {
         }
         let n_layers = key.n_layers();
         // Derive the cached feature hypervectors with a single
-        // privileged read, reusing one scratch pair across features.
+        // privileged read, reusing one scratch pair across features and
+        // scattering each straight into the tile block.
+        let mut features = TileBlock::zeroed(key.n_features(), pool.dim());
+        let mut fea = BinaryHv::ones(pool.dim());
         let mut scratch = BinaryHv::ones(pool.dim());
-        let mut derived = Vec::with_capacity(key.n_features());
         for i in 0..key.n_features() {
-            let mut fea = BinaryHv::ones(pool.dim());
             derive_feature_into(&pool, key.feature(i), i, &mut fea, &mut scratch)?;
-            derived.push(fea);
+            features.set(i, fea.bits().words());
         }
+        let value_tiles = TileBlock::from_hvs(values.dim(), values.levels());
         let vault = KeyVault::seal(key);
         // Account for the derivation read in the audit trail.
         vault.with_key(|_| ()).map_err(|_| LockError::VaultSealed)?;
@@ -258,7 +262,8 @@ impl LockedEncoder {
             pool,
             values,
             vault,
-            derived,
+            features,
+            value_tiles,
             bound_cache: BoundPairCache::new(),
             mode: DeriveMode::Cached,
             n_layers,
@@ -344,7 +349,7 @@ impl LockedEncoder {
         match self.mode {
             DeriveMode::Cached => {
                 for (i, &lv) in levels.iter().enumerate() {
-                    acc.add_bound_pair(self.values.level(usize::from(lv)), &self.derived[i]);
+                    acc.add_bound_pair(self.values.level(usize::from(lv)), &self.features.get(i));
                 }
             }
             DeriveMode::OnTheFly => {
@@ -367,7 +372,7 @@ impl LockedEncoder {
                         for (i, &lv) in levels.iter().enumerate() {
                             acc.add_bound_pair(
                                 self.values.level(usize::from(lv)),
-                                &self.derived[i],
+                                &self.features.get(i),
                             );
                         }
                     })
@@ -379,7 +384,7 @@ impl LockedEncoder {
 
     fn derived_feature(&self, i: usize) -> BinaryHv {
         match self.mode {
-            DeriveMode::Cached => self.derived[i].clone(),
+            DeriveMode::Cached => self.features.get(i),
             DeriveMode::OnTheFly => self
                 .vault
                 .with_key(|key| derive_feature(&self.pool, key.feature(i), i))
@@ -390,10 +395,12 @@ impl LockedEncoder {
             DeriveMode::Hardened => {
                 let n_words = self.dim().div_ceil(64);
                 let mut words = vec![0u64; n_words];
-                for (j, fea) in self.derived.iter().enumerate() {
+                let mut fea = vec![0u64; n_words];
+                for j in 0..self.features.len() {
+                    self.features.get_into(j, &mut fea);
                     let eq = (j as u64) ^ (i as u64);
                     let mask = ((eq | eq.wrapping_neg()) >> 63).wrapping_sub(1);
-                    for (w, &fw) in words.iter_mut().zip(fea.bits().words()) {
+                    for (w, &fw) in words.iter_mut().zip(&fea) {
                         *w |= fw & mask;
                     }
                 }
@@ -402,11 +409,10 @@ impl LockedEncoder {
         }
     }
 
-    /// Accumulates one row from the cached derived features via the
-    /// shared bound-pair cache.
+    /// Encodes one row from the cached features in one column pass,
+    /// replacing the accumulator's contents.
     fn accumulate_row_cached(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
-        self.bound_cache
-            .accumulate_row(acc, &self.derived, &self.values, levels);
+        acc.bundle_row(&self.features, &self.value_tiles, levels);
     }
 
     /// Accumulates one row deriving every feature from the key under a
@@ -439,8 +445,12 @@ impl LockedEncoder {
     fn accumulate_row_hardened(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
         self.vault
             .with_key_oblivious(|_| {
-                self.bound_cache
-                    .accumulate_row_oblivious(acc, &self.derived, &self.values, levels);
+                self.bound_cache.accumulate_row_oblivious(
+                    acc,
+                    &self.features,
+                    &self.values,
+                    levels,
+                );
             })
             .expect("vault alive while encoder exists");
     }
@@ -457,20 +467,15 @@ impl LockedEncoder {
             self.check_row(row);
         }
         match self.mode {
-            DeriveMode::Cached => {
-                self.bound_cache
-                    .warm_for_batch(&self.derived, &self.values, rows.len());
-                par::par_chunk_map(rows.len(), 4, |range| {
-                    let mut acc = BitSliceAccumulator::new(self.dim());
-                    let mut out = Vec::with_capacity(range.len());
-                    for r in range {
-                        acc.clear();
-                        self.accumulate_row_cached(&mut acc, rows[r]);
-                        out.push(finish(&acc));
-                    }
-                    out
-                })
-            }
+            DeriveMode::Cached => par::par_chunk_map(rows.len(), 4, |range| {
+                let mut acc = BitSliceAccumulator::new(self.dim());
+                let mut out = Vec::with_capacity(range.len());
+                for r in range {
+                    self.accumulate_row_cached(&mut acc, rows[r]);
+                    out.push(finish(&acc));
+                }
+                out
+            }),
             DeriveMode::OnTheFly => par::par_chunk_map(rows.len(), 4, |range| {
                 let mut acc = BitSliceAccumulator::new(self.dim());
                 let mut fea = BinaryHv::ones(self.dim());
@@ -486,7 +491,7 @@ impl LockedEncoder {
             DeriveMode::Hardened => {
                 // Warm unconditionally — no batch-length branch, so the
                 // first query after a swap costs the same as the last.
-                self.bound_cache.warm(&self.derived, &self.values);
+                self.bound_cache.warm(&self.features, &self.values);
                 par::par_chunk_map(rows.len(), 4, |range| {
                     let mut acc = BitSliceAccumulator::new(self.dim());
                     let mut out = Vec::with_capacity(range.len());
@@ -514,7 +519,7 @@ impl LockedEncoder {
 
 impl Encoder for LockedEncoder {
     fn n_features(&self) -> usize {
-        self.derived.len()
+        self.features.len()
     }
 
     fn m_levels(&self) -> usize {

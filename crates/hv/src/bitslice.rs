@@ -18,28 +18,37 @@
 //! save steps (Muła/Kurz/Lemire, arXiv:1611.07612). Each group of 16
 //! inputs goes through one step — 15 full adders per word that fold
 //! the group into the four low planes (ones/twos/fours/eights) and
-//! leave a sixteens carry. All three bulk adds share one loop that goes
-//! further:
+//! leave a sixteens carry. Both bulk paths go further:
 //!
 //! * a last, shorter group is padded with zero inputs rather than added
 //!   one by one;
-//! * every 16 nonzero sixteens carries go through a second carry-save
-//!   step into planes 4–7, and only its 256s carry ripples over the
-//!   planes above; fewer than 16 left over at the end ripple from
-//!   plane 4.
+//! * every 16 sixteens carries (nonzero ones, on the staged path) go
+//!   through a second carry-save step into planes 4–7, and only its
+//!   256s carry ripples over the planes above.
 //!
-//! Per input that is about one full adder (five word operations), a
-//! sixteenth of one more and a 256th of a ripple, against one ripple
-//! step per plane for a single add (`speedup_carry_save_vs_ripple` in
-//! `bench_encoding` measures both at the ISOLET shape). The front
-//! doors differ in where the inputs come from: `add_bound_pairs` XORs
-//! zero-copy `(feature, value)` slices as the fused-bind step loads
-//! them (paper Eq. 2 without a table or a staging copy),
-//! [`BitSliceAccumulator::add_staged`] has the caller write each input
-//! into a staging slot, and [`BitSliceAccumulator::add_slices`] reads
-//! caller slices zero-copy (a bound-pair table). Either way the planes
-//! end up holding the same binary counts, so every result below is
-//! identical whichever path filled them.
+//! Per input that is about one full adder (five word operations, or
+//! two `vpternlogq`), a sixteenth of one more and a 256th of a ripple,
+//! against one ripple step per plane for a single add
+//! (`speedup_carry_save_vs_ripple` in `bench_encoding` measures both at
+//! the ISOLET shape). The two bulk paths differ in where inputs come
+//! from and how often the planes move:
+//!
+//! * [`BitSliceAccumulator::add_staged`] has the caller write each
+//!   input into a staging slot (a freshly derived feature bound to its
+//!   value, a masked table select) and folds each group of 16 plane by
+//!   plane, loading and storing the four low planes every group; fewer
+//!   than 16 sixteens carries left at the end ripple from plane 4.
+//! * [`BitSliceAccumulator::bundle_row`] encodes a whole row from a
+//!   [`TileBlock`] of features and one of values, column by column: the
+//!   kernel XORs each feature's column with its value's in registers
+//!   (paper Eq. 2 without a table or a staging copy), counts all `N`
+//!   bound pairs with the four low counter planes held in registers
+//!   (the higher ones, touched once per 16 pairs, in a stack buffer),
+//!   and writes each plane word once. A tile of every feature is one sequential
+//!   stream, so the pass reads the features front to back once.
+//!
+//! Either way the planes end up holding the same binary counts, so
+//! every result below is identical whichever path filled them.
 //!
 //! ## Layout
 //!
@@ -63,8 +72,180 @@
 use crate::binary::BinaryHv;
 use crate::bitvec::BitWords;
 use crate::dense::IntHv;
-use crate::kernel::{self, CarrySaveGroup, CarrySavePlanes, Kernel, CARRY_SAVE_INPUTS};
+use crate::kernel::{self, BoundRow, Kernel, CARRY_SAVE_INPUTS, TILE_WORDS};
 use crate::rng::HvRng;
+
+/// `len` packed hypervectors of one dimension stored **tile-major**, the
+/// layout [`BitSliceAccumulator::bundle_row`] reads: with `T =
+/// ⌈⌈dim/64⌉ / 8⌉` tiles of [`TILE_WORDS`] words per vector, tile `t`
+/// of vector `i` holds words `8t .. 8t + 8` of the vector at word
+/// `(t·len + i)·8`. One tile of every vector is therefore one
+/// contiguous run, which a column pass reads as a single sequential
+/// stream. Words past `⌈dim/64⌉` in the last tile are zero padding.
+/// The block starts on a 64-byte boundary, so no 512-bit column load
+/// splits a cache line.
+///
+/// Vector `i` comes back out by a plain gather ([`Self::get`]).
+///
+/// # Examples
+///
+/// ```
+/// use hypervec::{HvRng, TileBlock};
+///
+/// let mut rng = HvRng::from_seed(5);
+/// let hvs: Vec<_> = (0..3).map(|_| rng.binary_hv(700)).collect();
+/// let block = TileBlock::from_hvs(700, &hvs);
+/// assert_eq!(block.len(), 3);
+/// assert_eq!(block.get(2), hvs[2]);
+/// ```
+pub struct TileBlock {
+    /// The block at `buf[start..]`, where `start` is the first 64-byte
+    /// boundary: `buf` holds `TILE_WORDS − 1` spare words for it. An
+    /// ordinary 8-byte-aligned allocation, not an over-aligned one, so
+    /// the allocator recycles a dropped block like any buffer of its
+    /// size; over-aligned blocks of encoders rebuilt at every boot and
+    /// rekey left holes a served host's peak RSS grew by.
+    buf: Vec<u64>,
+    start: usize,
+    len: usize,
+    dim: usize,
+}
+
+impl Clone for TileBlock {
+    /// Copies into a fresh buffer, which has its own 64-byte boundary.
+    fn clone(&self) -> Self {
+        let mut out = Self::zeroed(self.len, self.dim);
+        out.buf[out.start..][..self.buf.len() - (TILE_WORDS - 1)].copy_from_slice(self.words());
+        out
+    }
+}
+
+impl std::fmt::Debug for TileBlock {
+    /// Shape only: the contents may be key-derived features.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TileBlock")
+            .field("len", &self.len)
+            .field("dim", &self.dim)
+            .finish_non_exhaustive()
+    }
+}
+
+impl TileBlock {
+    /// A block of `len` all-zero vectors of dimension `dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`.
+    #[must_use]
+    pub fn zeroed(len: usize, dim: usize) -> Self {
+        assert!(dim > 0, "tile block dimension must be positive");
+        let words = len * dim.div_ceil(64).div_ceil(TILE_WORDS) * TILE_WORDS;
+        let buf = vec![0u64; words + TILE_WORDS - 1];
+        let start = (TILE_WORDS - buf.as_ptr() as usize / 8 % TILE_WORDS) % TILE_WORDS;
+        TileBlock {
+            buf,
+            start,
+            len,
+            dim,
+        }
+    }
+
+    /// A block holding `hvs` in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0` or a vector's dimension differs from `dim`.
+    #[must_use]
+    pub fn from_hvs(dim: usize, hvs: &[BinaryHv]) -> Self {
+        let mut block = Self::zeroed(hvs.len(), dim);
+        for (i, hv) in hvs.iter().enumerate() {
+            assert_eq!(hv.dim(), dim, "dimension mismatch in tile block");
+            block.set(i, hv.bits().words());
+        }
+        block
+    }
+
+    /// Number of vectors.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the block holds no vectors.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Dimensionality `D` of every vector.
+    #[must_use]
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The whole block as tile-major words, padding included.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.buf[self.start..][..self.buf.len() - (TILE_WORDS - 1)]
+    }
+
+    /// Where tile `t` of vector `i` starts in `buf`.
+    fn at(&self, t: usize, i: usize) -> usize {
+        self.start + (t * self.len + i) * TILE_WORDS
+    }
+
+    /// Panics unless vector `i` exists and `n_words` is its word count.
+    fn check(&self, i: usize, n_words: usize) {
+        assert!(
+            i < self.len,
+            "vector {i} out of range ({} vectors)",
+            self.len
+        );
+        assert_eq!(
+            n_words,
+            self.dim.div_ceil(64),
+            "word-count mismatch in tile block"
+        );
+    }
+
+    /// Overwrites vector `i` with the `⌈dim/64⌉` packed words `words`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or `words` has the wrong length.
+    pub fn set(&mut self, i: usize, words: &[u64]) {
+        self.check(i, words.len());
+        for (t, chunk) in words.chunks(TILE_WORDS).enumerate() {
+            let at = self.at(t, i);
+            self.buf[at..at + chunk.len()].copy_from_slice(chunk);
+        }
+    }
+
+    /// Gathers vector `i` into `out`, `⌈dim/64⌉` words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or `out` has the wrong length.
+    pub fn get_into(&self, i: usize, out: &mut [u64]) {
+        self.check(i, out.len());
+        for (t, chunk) in out.chunks_mut(TILE_WORDS).enumerate() {
+            let at = self.at(t, i);
+            chunk.copy_from_slice(&self.buf[at..at + chunk.len()]);
+        }
+    }
+
+    /// Vector `i`, gathered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn get(&self, i: usize) -> BinaryHv {
+        let mut words = vec![0; self.dim.div_ceil(64)];
+        self.get_into(i, &mut words);
+        BinaryHv::from_bits(BitWords::from_words(words, self.dim))
+    }
+}
 
 /// Word-parallel bundling accumulator over bit-sliced counter planes.
 ///
@@ -96,11 +277,13 @@ pub struct BitSliceAccumulator {
     /// Input slots for [`Self::add_staged`], `n_words` each, allocated
     /// on first use and kept across [`Self::clear`].
     staging: Vec<u64>,
-    /// The bulk adds' pending sixteens carries, up to 16 slots of
-    /// `n_words`.
+    /// [`Self::add_staged`]'s pending sixteens carries, up to 16 slots
+    /// of `n_words`.
     sixteens: Vec<u64>,
-    /// `n_words` zero words that pad a bulk add's last, short group.
+    /// `n_words` zero words that pad a staged add's last, short group.
     zeros: Vec<u64>,
+    /// [`Self::bundle_row`]'s value offsets, one per feature of a row.
+    offsets: Vec<u32>,
     /// Number of vectors added.
     count: usize,
     /// Backend every plane update runs on.
@@ -138,6 +321,7 @@ impl BitSliceAccumulator {
             staging: Vec::new(),
             sixteens: Vec::new(),
             zeros: Vec::new(),
+            offsets: Vec::new(),
             count: 0,
             kernel,
         }
@@ -157,10 +341,11 @@ impl BitSliceAccumulator {
 
     /// Number of counter bit-planes currently allocated. Per-vector adds
     /// grow the stack only when a carry runs past the top plane, so it
-    /// never exceeds `⌊log2(count)⌋ + 1`; a bulk add also allocates the
-    /// four low planes its carry-save step writes, and the eight of the
-    /// second carry-save level once a bulk add runs one, even when the
-    /// counts would fit in fewer. [`Self::clear`] keeps them all.
+    /// never exceeds `⌊log2(count)⌋ + 1`; a staged add also allocates
+    /// the four low planes its carry-save step writes, and the eight of
+    /// the second carry-save level once it runs one, even when the
+    /// counts would fit in fewer, and [`Self::bundle_row`] allocates the
+    /// `⌊log2 N⌋ + 1` its row needs. [`Self::clear`] keeps them all.
     #[must_use]
     pub fn n_planes(&self) -> usize {
         self.planes.len()
@@ -204,59 +389,54 @@ impl BitSliceAccumulator {
         self.add_scratch();
     }
 
-    /// Bulk add of packed vectors the caller already holds (a
-    /// precomputed bound-pair table), read straight from the caller's
-    /// slices by the shared carry-save loop. Bits at positions ≥ `dim`
-    /// are ignored.
+    /// Resets the accumulator to one encoded row: the bundle of the `N`
+    /// bound pairs `features[i] ^ values[levels[i]]` (paper Eq. 2), with
+    /// `N = levels.len()` — [`Kernel::bind_bundle_columns`] counts them
+    /// column by column and writes the `⌊log2 N⌋ + 1` planes they need
+    /// (higher planes left from earlier use are zeroed), and
+    /// [`Self::count`] becomes `N`. The row's value offsets go through a
+    /// scratch buffer the accumulator keeps, so steady-state use
+    /// allocates nothing. Bits at positions ≥ `dim` are ignored.
     ///
-    /// Bit-exact with calling [`Self::add_words`] on each input in turn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an input's length differs from `⌈dim/64⌉`.
-    pub fn add_slices<'a>(&mut self, inputs: impl IntoIterator<Item = &'a [u64]>) {
-        let n_words = self.n_words;
-        let mut inputs = inputs.into_iter();
-        self.bulk_add(|k, zeros, low, carry| {
-            let mut group: CarrySaveGroup<'_> = [zeros; CARRY_SAVE_INPUTS];
-            let mut len = 0;
-            for (slot, words) in group.iter_mut().zip(&mut inputs) {
-                check_words(n_words, words);
-                *slot = words;
-                len += 1;
-            }
-            (len, len > 0 && (k.carry_save_16)(&group, low, carry))
-        });
-    }
-
-    /// Bulk add of bound pairs `feature ^ value` (paper Eq. 2) given as
-    /// zero-copy `(feature words, value words)` slices: the fused-bind
-    /// carry-save step XORs each pair as it loads it, so no bound vector
-    /// is ever written to memory. The encoders' cold row path. Bits at
-    /// positions ≥ `dim` are ignored.
-    ///
-    /// Bit-exact with calling [`Self::add_words`] on each `feature ^
-    /// value` in turn.
+    /// Bit-exact with clearing and calling [`Self::add_words`] on each
+    /// `features[i] ^ values[levels[i]]` in turn.
     ///
     /// # Panics
     ///
-    /// Panics if a slice's length differs from `⌈dim/64⌉`.
-    pub fn add_bound_pairs<'a>(&mut self, pairs: impl IntoIterator<Item = (&'a [u64], &'a [u64])>) {
-        let n_words = self.n_words;
-        let mut pairs = pairs.into_iter();
-        self.bulk_add(|k, zeros, low, carry| {
-            let mut a: CarrySaveGroup<'_> = [zeros; CARRY_SAVE_INPUTS];
-            let mut b = a;
-            let mut len = 0;
-            for ((fea_slot, val_slot), (fea, val)) in a.iter_mut().zip(b.iter_mut()).zip(&mut pairs)
-            {
-                check_words(n_words, fea);
-                check_words(n_words, val);
-                (*fea_slot, *val_slot) = (fea, val);
-                len += 1;
-            }
-            (len, len > 0 && (k.bind_carry_save_16)(&a, &b, low, carry))
-        });
+    /// Panics if a level is not below `values.len()`, if `levels.len()`
+    /// differs from `features.len()`, or if a block's dimension differs
+    /// from the accumulator's.
+    pub fn bundle_row(&mut self, features: &TileBlock, values: &TileBlock, levels: &[u16]) {
+        assert_eq!(
+            features.dim(),
+            self.dim,
+            "dimension mismatch in bit-sliced add"
+        );
+        assert_eq!(
+            values.dim(),
+            self.dim,
+            "dimension mismatch in bit-sliced add"
+        );
+        assert_eq!(
+            levels.len(),
+            features.len(),
+            "row has {} levels for {} features",
+            levels.len(),
+            features.len()
+        );
+        let n_planes = (usize::BITS - levels.len().leading_zeros()) as usize;
+        self.grow_planes(n_planes);
+        for plane in &mut self.planes[n_planes..] {
+            plane.iter_mut().for_each(|w| *w = 0);
+        }
+        let row = BoundRow {
+            features: features.words(),
+            values: values.words(),
+            levels,
+            dim: self.dim,
+        };
+        (self.kernel.bind_bundle_columns)(&row, &mut self.offsets, &mut self.planes);
+        self.count = levels.len();
     }
 
     /// Bulk add of `n` vectors the caller computes on the fly (a masked
@@ -272,25 +452,55 @@ impl BitSliceAccumulator {
     /// turn.
     pub fn add_staged(&mut self, n: usize, mut fill: impl FnMut(usize, &mut [u64])) {
         let n_words = self.n_words;
+        self.grow_planes(4);
+        self.zeros.resize(n_words, 0);
         let mut staging = std::mem::take(&mut self.staging);
         staging.resize(CARRY_SAVE_INPUTS * n_words, 0);
-        let mut next = 0;
-        self.bulk_add(|k, zeros, low, carry| {
-            let len = (n - next).min(CARRY_SAVE_INPUTS);
+        let mut sixteens = std::mem::take(&mut self.sixteens);
+        let mut pending = 0;
+        for start in (0..n).step_by(CARRY_SAVE_INPUTS) {
+            let len = (n - start).min(CARRY_SAVE_INPUTS);
             for (j, slot) in staging.chunks_exact_mut(n_words).take(len).enumerate() {
-                fill(next + j, slot);
+                fill(start + j, slot);
             }
             let group = std::array::from_fn(|j| {
                 if j < len {
                     &staging[j * n_words..(j + 1) * n_words]
                 } else {
-                    zeros
+                    self.zeros.as_slice()
                 }
             });
-            next += len;
-            (len, len > 0 && (k.carry_save_16)(&group, low, carry))
-        });
+            if sixteens.len() < (pending + 1) * n_words {
+                sixteens.resize((pending + 1) * n_words, 0);
+            }
+            let carry = &mut sixteens[pending * n_words..(pending + 1) * n_words];
+            let [ones, twos, fours, eights, ..] = &mut self.planes[..] else {
+                unreachable!("the four low planes were allocated above");
+            };
+            let low = [ones, twos, fours, eights].map(|plane| plane.as_mut_slice());
+            let live = (self.kernel.carry_save_16)(&group, low, carry);
+            // Counters are independent per bit position, so garbage past
+            // `dim` in an input reaches only the tail bits it was added
+            // to; masking here keeps it out of every higher plane.
+            for plane in &mut self.planes[..4] {
+                Self::mask_tail(self.dim, plane);
+            }
+            Self::mask_tail(self.dim, carry);
+            self.count += len;
+            if !live {
+                continue;
+            }
+            pending += 1;
+            if pending == CARRY_SAVE_INPUTS {
+                self.fold_sixteens(&sixteens);
+                pending = 0;
+            }
+        }
+        for carry in sixteens.chunks_exact_mut(n_words).take(pending) {
+            Self::ripple(&mut self.planes, self.kernel, 4, carry);
+        }
         self.staging = staging;
+        self.sixteens = sixteens;
     }
 
     /// Clears bits at positions ≥ `dim` in the last word of `words`.
@@ -315,62 +525,6 @@ impl BitSliceAccumulator {
         while self.planes.len() < n {
             self.planes.push(vec![0; self.n_words]);
         }
-    }
-
-    /// The loop the bulk adds share. `fold(kernel, zeros, low, carry)`
-    /// runs one carry-save step over the next (at most 16) inputs into
-    /// the four low planes `low`, padding a short group with the zero
-    /// slice `zeros`, writes its sixteens carry into `carry` and returns
-    /// how many inputs it added — 0 once they run out (then it must not
-    /// have touched `low` or `carry`) — and whether the carry is
-    /// nonzero. Every 16 nonzero sixteens carries go through a second
-    /// carry-save step into planes 4–7, whose 256s carry ripples from
-    /// plane 8; the fewer than 16 left at the end ripple from plane 4
-    /// one by one. Slots for pending carries grow with use and are kept
-    /// across [`Self::clear`].
-    fn bulk_add(
-        &mut self,
-        mut fold: impl FnMut(&'static Kernel, &[u64], CarrySavePlanes<'_>, &mut [u64]) -> (usize, bool),
-    ) {
-        let n_words = self.n_words;
-        self.grow_planes(4);
-        self.zeros.resize(n_words, 0);
-        let mut sixteens = std::mem::take(&mut self.sixteens);
-        let mut pending = 0;
-        loop {
-            if sixteens.len() < (pending + 1) * n_words {
-                sixteens.resize((pending + 1) * n_words, 0);
-            }
-            let carry = &mut sixteens[pending * n_words..(pending + 1) * n_words];
-            let [ones, twos, fours, eights, ..] = &mut self.planes[..] else {
-                unreachable!("the four low planes were allocated above");
-            };
-            let low = [ones, twos, fours, eights].map(|plane| plane.as_mut_slice());
-            let (added, live) = fold(self.kernel, &self.zeros, low, carry);
-            if added == 0 {
-                break;
-            }
-            // Counters are independent per bit position, so garbage past
-            // `dim` in an input reaches only the tail bits it was added
-            // to; masking here keeps it out of every higher plane.
-            for plane in &mut self.planes[..4] {
-                Self::mask_tail(self.dim, plane);
-            }
-            Self::mask_tail(self.dim, carry);
-            self.count += added;
-            if !live {
-                continue;
-            }
-            pending += 1;
-            if pending == CARRY_SAVE_INPUTS {
-                self.fold_sixteens(&sixteens);
-                pending = 0;
-            }
-        }
-        for carry in sixteens.chunks_exact_mut(n_words).take(pending) {
-            Self::ripple(&mut self.planes, self.kernel, 4, carry);
-        }
-        self.sixteens = sixteens;
     }
 
     /// The second carry-save level: folds 16 sixteens carries into
@@ -561,34 +715,6 @@ mod tests {
         );
         // Streams stay aligned after the call.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
-    fn bound_pair_add_matches_explicit_bind() {
-        // The fused bind (paper Eq. 2) the encoders run, never a
-        // materialized product: XORed in the carry-save step as it loads
-        // each pair, or one XOR per word straight into a staging slot.
-        let mut rng = HvRng::from_seed(4);
-        let pairs: Vec<(BinaryHv, BinaryHv)> = (0..21)
-            .map(|_| (rng.binary_hv(300), rng.binary_hv(300)))
-            .collect();
-        let mut fused = BitSliceAccumulator::new(300);
-        fused.add_bound_pairs(
-            pairs
-                .iter()
-                .map(|(a, b)| (a.bits().words(), b.bits().words())),
-        );
-        let mut staged = BitSliceAccumulator::new(300);
-        staged.add_staged(pairs.len(), |i, slot| {
-            let (a, b) = &pairs[i];
-            (kernel::active().xor_into)(a.bits().words(), b.bits().words(), slot);
-        });
-        let mut explicit = BitSliceAccumulator::new(300);
-        for (a, b) in &pairs {
-            explicit.add(&a.bind(b));
-        }
-        assert_eq!(fused.to_int(), explicit.to_int());
-        assert_eq!(staged.to_int(), explicit.to_int());
     }
 
     #[test]

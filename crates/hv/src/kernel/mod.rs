@@ -2,28 +2,33 @@
 //!
 //! Every hot bit-kernel in this crate — XOR-accumulate, popcount
 //! reduction, the bit-sliced accumulator's Harley–Seal carry-save step
-//! (plain, and fused with the bind of its inputs) and its ripple-carry
-//! increment, the word-parallel majority/threshold
-//! comparison, the strided Hamming and integer dot-product row scans
-//! that every batch search and top-k pass runs over the block-major
-//! planes, and the integer dot product behind cosine search — funnels
-//! through one [`Kernel`] dispatch table instead of hand-written `u64`
-//! loops duplicated per call site. Three interchangeable backends
-//! implement the table:
+//! and its ripple-carry increment, the column bind-and-count that
+//! encodes a whole row into counter planes, the word-parallel
+//! majority/threshold comparison, the strided Hamming and integer
+//! dot-product row scans that every batch search and top-k pass runs
+//! over the block-major planes, and the integer dot product behind
+//! cosine search — funnels through one [`Kernel`] dispatch table
+//! instead of hand-written `u64` loops duplicated per call site. Three
+//! interchangeable backends implement the table:
 //!
 //! * **`scalar`** — the original word-parallel `u64` code, extracted
-//!   verbatim from the former per-file loops. This is the *reference*:
-//!   every other backend must be bit-identical to it (enforced by
+//!   verbatim from the former per-file loops, and the bind-and-count on
+//!   whole eight-word tiles, which the compiler vectorizes to the
+//!   target's baseline width. This is the *reference*: every other
+//!   backend must be bit-identical to it (enforced by
 //!   `tests/kernel_equivalence.rs`).
 //! * **`avx2`** — `std::arch` x86_64 intrinsics (256-bit XOR/AND, the
-//!   vpshufb nibble-LUT popcount, widening 32→64-bit multiplies),
-//!   compiled on every x86_64 build and installed only when
-//!   `is_x86_feature_detected!("avx2")` says the CPU has it.
+//!   vpshufb nibble-LUT popcount, widening 32→64-bit multiplies, 256-bit
+//!   bind-and-count columns), compiled on every x86_64 build and
+//!   installed only when `is_x86_feature_detected!("avx2")` says the CPU
+//!   has it.
 //! * **`avx512`** — the `avx2` table with its three popcount-bound
 //!   entries (`popcount`, `hamming`, `hamming_rows_stride`) replaced by
-//!   512-bit `vpopcntq` versions with masked tail loads; the other
-//!   entries are the AVX2 functions. Installed only when the CPU has
-//!   both `avx512f` and `avx512vpopcntdq`.
+//!   512-bit `vpopcntq` versions with masked tail loads, and its own
+//!   bundling body: 512-bit bind-and-count columns whose full adders are
+//!   two `vpternlogq` each. The other entries are the AVX2 functions.
+//!   Installed only when the CPU has both `avx512f` and
+//!   `avx512vpopcntdq`.
 //!
 //! ## Dispatch rules
 //!
@@ -51,19 +56,22 @@
 //!
 //! 1. Implement the function set and expose it as a `static` [`Kernel`]
 //!    (a table that changes a few entries of another can share the rest
-//!    through struct update, as `avx512` does with `avx2`).
+//!    through struct update, as `avx512` does with `avx2`). The
+//!    bundling entries expand the shared networks (`harley_seal!` and
+//!    the column network of [`Kernel::bind_bundle_columns`]) over the
+//!    backend's own word type, given its full adder and loads.
 //! 2. Register it in [`available`] with its detection guard, in
 //!    dispatch preference order; `by_name` and the default follow.
 //! 3. `tests/kernel_equivalence.rs` picks it up automatically via
 //!    [`available`] — no new test code needed for bit-exactness.
 
-/// The Harley–Seal carry-save network of [`Kernel::carry_save_16`] and
-/// [`Kernel::bind_carry_save_16`] (Muła/Kurz/Lemire, arXiv:1611.07612),
-/// written once and expanded by the scalar and AVX2 backends over their
-/// own word types (the `avx512` table shares the AVX2 expansion).
+/// The Harley–Seal carry-save network of [`Kernel::carry_save_16`]
+/// (Muła/Kurz/Lemire, arXiv:1611.07612), written once and expanded by
+/// every backend over its own word type, both for the plain step and
+/// inside the column network of [`Kernel::bind_bundle_columns`].
 /// `$csa(a, b, c)` is the backend's full adder returning `(carry, sum)`
 /// of `a + b + c` per bit; `$x(j)` yields input `j` (a load, or the XOR
-/// of two loads for the fused bind), called where the network consumes
+/// of a feature and a value load), called where the network consumes
 /// it so only a few inputs are live at once; `$low` holds the four low
 /// counter planes `[ones, twos, fours, eights]`. Evaluates to the
 /// updated low planes and the sixteens carry: 15 full adders per word
@@ -91,6 +99,76 @@ macro_rules! harley_seal {
     }};
 }
 
+/// The column network of [`Kernel::bind_bundle_columns`], written once
+/// and expanded by every backend over its own column type (a tile of
+/// eight `u64` words, a 256-bit or a 512-bit vector). It counts the
+/// `$n` bound pairs of one column; `$x(i, j)` yields pair `i + j`, where
+/// `i` starts a group of 16 and `j < 16`, so a backend adds the group's
+/// base offset once and each `j` becomes a constant displacement.
+/// [`harley_seal!`] folds each group into the four low planes, which
+/// stay in registers for the whole column (the last short group is
+/// padded with `$zero`), and the groups' sixteens carries collect in a
+/// 16-slot buffer. The planes from 4 up live in `$upper`, a slice in
+/// memory of at least four planes, zeroed by the caller: each full
+/// buffer goes through a second expansion into planes 4–7, whose 256s
+/// carry ripples over the rest, so the registers stay free for the
+/// first-level network. The last, short buffer ripples carry by carry
+/// through the planes the count reaches, as
+/// `BitSliceAccumulator::add_staged` does, unless that takes more
+/// adders than padding it to a full fold (at `N = 64`, 12 against 15).
+/// Evaluates to planes 0–3, which the caller writes once beside
+/// `$upper`. `$csa` is the backend's full adder, as in
+/// [`harley_seal!`].
+macro_rules! bind_bundle_column {
+    ($csa:expr, $zero:expr, $x:expr, $n:expr, $upper:expr) => {{
+        const INPUTS: usize = $crate::kernel::CARRY_SAVE_INPUTS;
+        let (zero, x, n, upper) = ($zero, $x, $n, $upper);
+        // Folds the first `len` sixteens carries, the rest padded with
+        // zero, into planes 4–7 and ripples the 256s carry from plane 8.
+        let fold = |upper: &mut [_], sixteens: &[_; INPUTS], len: usize| {
+            let group = |j: usize| if j < len { sixteens[j] } else { zero };
+            let mid = [upper[0], upper[1], upper[2], upper[3]];
+            let (mid, mut carry) = harley_seal!($csa, group, mid);
+            upper[..4].copy_from_slice(&mid);
+            for plane in &mut upper[4..] {
+                (carry, *plane) = $csa(*plane, carry, zero);
+            }
+        };
+        let mut low = [zero; 4];
+        let mut sixteens = [zero; INPUTS];
+        let mut pending = 0;
+        let mut i = 0;
+        while i < n {
+            let (l, carry) = if i + INPUTS <= n {
+                harley_seal!($csa, |j: usize| x(i, j), low)
+            } else {
+                harley_seal!($csa, |j: usize| if i + j < n { x(i, j) } else { zero }, low)
+            };
+            low = l;
+            sixteens[pending] = carry;
+            pending += 1;
+            i += INPUTS;
+            if pending == INPUTS {
+                fold(&mut *upper, &sixteens, INPUTS);
+                pending = 0;
+            }
+        }
+        // Planes above the low four that a count of `n` reaches.
+        let used = ((usize::BITS - n.leading_zeros()) as usize).saturating_sub(4);
+        if pending * used < INPUTS + used.saturating_sub(4) {
+            for &carry in &sixteens[..pending] {
+                let mut carry = carry;
+                for plane in &mut upper[..used] {
+                    (carry, *plane) = $csa(*plane, carry, zero);
+                }
+            }
+        } else {
+            fold(&mut *upper, &sixteens, pending);
+        }
+        low
+    }};
+}
+
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
@@ -99,6 +177,14 @@ use std::sync::OnceLock;
 
 /// Input vectors one [`Kernel::carry_save_16`] step folds.
 pub const CARRY_SAVE_INPUTS: usize = 16;
+
+/// `u64` words per tile of the tile-major layout
+/// [`Kernel::bind_bundle_columns`] reads: one 512-bit column, 64 bytes.
+pub const TILE_WORDS: usize = 8;
+
+/// Counter planes past the four a column holds in registers: enough
+/// for any count that fits a `usize`.
+const MAX_UPPER_PLANES: usize = usize::BITS as usize - 4;
 
 /// The packed input vectors of one [`Kernel::carry_save_16`] step.
 pub type CarrySaveGroup<'a> = [&'a [u64]; CARRY_SAVE_INPUTS];
@@ -147,17 +233,25 @@ pub struct Kernel {
     /// the higher planes with `ripple_step`.
     pub carry_save_16:
         fn(inputs: &CarrySaveGroup<'_>, low: CarrySavePlanes<'_>, carry: &mut [u64]) -> bool,
-    /// `carry_save_16` fused with the bind of its inputs: adds the 16
-    /// bound pairs `a[k] ^ b[k]` (paper Eq. 2) without materializing
-    /// them — `a` the feature words, `b` the value words of an encoded
-    /// row. Planes, carry and return value are exactly those of
-    /// `carry_save_16` over the XORed words.
-    pub bind_carry_save_16: fn(
-        a: &CarrySaveGroup<'_>,
-        b: &CarrySaveGroup<'_>,
-        low: CarrySavePlanes<'_>,
-        carry: &mut [u64],
-    ) -> bool,
+    /// Encodes one row into counter planes, column by column: for each
+    /// column of every tile it XORs each feature's column with the
+    /// column of the value `row.levels[i]` selects (the bound pairs of
+    /// paper Eq. 2, never written to memory), counts all `N` pairs with
+    /// the Harley–Seal network while the four low counter planes stay
+    /// in registers (the higher ones, touched once per 16 pairs, in a
+    /// stack buffer), and writes each plane word once. `planes[p]` then
+    /// holds bit `p` of the per-dimension count of set bits, for the
+    /// `⌊log2 N⌋ + 1` planes a count of `N` needs; higher planes are
+    /// not touched. Bits at positions ≥ `row.dim` are ignored and
+    /// written as zero. `offsets` is scratch for the row's value
+    /// offsets, reused across calls.
+    ///
+    /// Every backend panics before reading through a raw pointer when a
+    /// level is not below `M`, when a block's length is not a whole
+    /// number of tile-major vectors (`N` of them for the features), or
+    /// when a plane the count needs is missing or not `⌈dim/64⌉` words.
+    pub bind_bundle_columns:
+        fn(row: &BoundRow<'_>, offsets: &mut Vec<u32>, planes: &mut [Vec<u64>]),
     /// One plane step of the word-parallel threshold comparison
     /// (most-significant plane first): with `t_bit` the threshold's bit
     /// at this plane, `gt |= eq & plane; eq &= !plane` when `t_bit` is
@@ -255,20 +349,115 @@ pub fn scalar() -> &'static Kernel {
 }
 
 /// Words every backend's carry-save step processes: the shortest of its
-/// input (`a`, and `b` for the fused bind), plane and carry slices, so
-/// mismatched lengths stay memory-safe — and every backend processes
-/// the same words.
-fn carry_save_len(
-    a: &CarrySaveGroup<'_>,
-    b: &CarrySaveGroup<'_>,
-    low: &CarrySavePlanes<'_>,
-    carry: &[u64],
-) -> usize {
-    a.iter()
-        .chain(b)
+/// input, plane and carry slices, so mismatched lengths stay
+/// memory-safe — and every backend processes the same words.
+fn carry_save_len(inputs: &CarrySaveGroup<'_>, low: &CarrySavePlanes<'_>, carry: &[u64]) -> usize {
+    inputs
+        .iter()
         .map(|s| s.len())
         .chain(low.iter().map(|s| s.len()))
         .fold(carry.len(), usize::min)
+}
+
+/// One row of a [`Kernel::bind_bundle_columns`] call. Both blocks are
+/// **tile-major**: with `T = ⌈⌈dim/64⌉ / TILE_WORDS⌉` tiles per vector,
+/// the [`TILE_WORDS`] words of tile `t` of vector `i` of a block of `n`
+/// vectors sit at `(t·n + i)·TILE_WORDS`, and words past `⌈dim/64⌉` in
+/// the last tile are padding. So one column pass over the features
+/// reads one sequential stream, and a tile's `M` value columns are one
+/// kilobyte-sized run at `M = 16`.
+#[derive(Debug, Clone, Copy)]
+pub struct BoundRow<'a> {
+    /// The `N` feature vectors, tile-major.
+    pub features: &'a [u64],
+    /// The `M` value vectors, tile-major.
+    pub values: &'a [u64],
+    /// The row's level per feature: feature `i` binds value
+    /// `levels[i]`, so `N = levels.len()`.
+    pub levels: &'a [u16],
+    /// Dimension `D` of every vector.
+    pub dim: usize,
+}
+
+/// The checked shape of one [`Kernel::bind_bundle_columns`] call.
+#[derive(Debug, Clone, Copy)]
+struct ColumnShape {
+    /// Features `N`.
+    n: usize,
+    /// Values `M`.
+    m: usize,
+    /// Words per vector, `⌈dim/64⌉`.
+    n_words: usize,
+    /// Tiles per vector.
+    tiles: usize,
+    /// Planes a count of `N` needs: `⌊log2 N⌋ + 1`, or 0 for `N = 0`.
+    n_planes: usize,
+    /// Dimension `D`.
+    dim: usize,
+}
+
+impl ColumnShape {
+    /// Checks every bound the backends' raw-pointer reads and writes
+    /// rely on, and writes the row's value offsets into `offsets`: the
+    /// word offset of value `levels[i]`'s column inside one tile's value
+    /// run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim` is 0, a level is not below `M`, the feature block
+    /// is not `N · T · TILE_WORDS` words, the value block is not a
+    /// whole number of vectors, or `planes` lacks a needed plane of
+    /// `⌈dim/64⌉` words.
+    fn check(row: &BoundRow<'_>, offsets: &mut Vec<u32>, planes: &[Vec<u64>]) -> Self {
+        assert!(row.dim > 0, "column bind: dimension must be positive");
+        let n = row.levels.len();
+        let n_words = row.dim.div_ceil(64);
+        let tiles = n_words.div_ceil(TILE_WORDS);
+        let vector_len = tiles * TILE_WORDS;
+        // Checked: a wrapped product could match a short block.
+        assert_eq!(
+            n.checked_mul(vector_len),
+            Some(row.features.len()),
+            "column bind: the feature block is not {n} tile-major vectors of {vector_len} words"
+        );
+        assert!(
+            row.values.len().is_multiple_of(vector_len),
+            "column bind: the value block is not a whole number of {vector_len}-word vectors"
+        );
+        let m = row.values.len() / vector_len;
+        offsets.clear();
+        offsets.extend(row.levels.iter().map(|&lv| {
+            let lv = usize::from(lv);
+            assert!(lv < m, "level index {lv} out of range (M = {m})");
+            // A `u16` level times 8 fits a `u32`.
+            (lv * TILE_WORDS) as u32
+        }));
+        let n_planes = (usize::BITS - n.leading_zeros()) as usize;
+        assert!(
+            planes.len() >= n_planes && planes[..n_planes].iter().all(|p| p.len() == n_words),
+            "column bind: a count of {n} needs {n_planes} planes of {n_words} words"
+        );
+        ColumnShape {
+            n,
+            m,
+            n_words,
+            tiles,
+            n_planes,
+            dim: row.dim,
+        }
+    }
+
+    /// Clears the bits at positions ≥ `dim` in the last word of every
+    /// written plane: garbage there in a feature or value word reaches
+    /// only its own bit position, so this is all "ignored" takes.
+    fn mask_tail(&self, planes: &mut [Vec<u64>]) {
+        let tail = self.dim % 64;
+        if tail != 0 {
+            for plane in &mut planes[..self.n_planes] {
+                plane[self.n_words - 1] &= (1u64 << tail) - 1;
+            }
+        }
+    }
 }
 
 /// Resolves an optional `HYPERVEC_KERNEL` override to a backend.

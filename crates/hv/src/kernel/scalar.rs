@@ -2,12 +2,16 @@
 //!
 //! These are the loops that used to live inline in `bitvec.rs`,
 //! `bitslice.rs` and `search.rs`, extracted unchanged, plus the
-//! word-at-a-time Harley–Seal steps (plain and fused-bind). Every other
-//! backend must match them bit-for-bit.
+//! word-at-a-time Harley–Seal step and the bind-and-count on one
+//! eight-word tile per column. Every other backend must match them
+//! bit-for-bit.
 
 use std::ops::Range;
 
-use super::{carry_save_len, CarrySaveGroup, CarrySavePlanes, Kernel, CARRY_SAVE_INPUTS};
+use super::{
+    carry_save_len, BoundRow, CarrySaveGroup, CarrySavePlanes, ColumnShape, Kernel,
+    CARRY_SAVE_INPUTS, MAX_UPPER_PLANES, TILE_WORDS,
+};
 
 /// The scalar reference backend.
 pub(super) static KERNEL: Kernel = Kernel {
@@ -18,7 +22,7 @@ pub(super) static KERNEL: Kernel = Kernel {
     hamming,
     ripple_step,
     carry_save_16,
-    bind_carry_save_16,
+    bind_bundle_columns,
     threshold_step,
     hamming_rows_stride,
     dot_i32,
@@ -75,45 +79,28 @@ pub(super) fn carry_save_16(
     low: CarrySavePlanes<'_>,
     carry: &mut [u64],
 ) -> bool {
-    let n = carry_save_len(inputs, inputs, &low, carry);
-    carry_save_words::<false>(inputs, inputs, low, carry, 0..n) != 0
+    let n = carry_save_len(inputs, &low, carry);
+    carry_save_words(inputs, low, carry, 0..n) != 0
 }
 
-pub(super) fn bind_carry_save_16(
-    a: &CarrySaveGroup<'_>,
-    b: &CarrySaveGroup<'_>,
-    low: CarrySavePlanes<'_>,
-    carry: &mut [u64],
-) -> bool {
-    let n = carry_save_len(a, b, &low, carry);
-    carry_save_words::<true>(a, b, low, carry, 0..n) != 0
-}
-
-/// The Harley–Seal network one word at a time over `words`, on the
-/// inputs `a` — or, with `BIND`, on the bound pairs `a[j] ^ b[j]` —
-/// returning the OR of the carries it wrote: the whole scalar steps,
-/// and the tail of the AVX2 ones.
-pub(super) fn carry_save_words<const BIND: bool>(
-    a: &CarrySaveGroup<'_>,
-    b: &CarrySaveGroup<'_>,
+/// The Harley–Seal network one word at a time over `words`, returning
+/// the OR of the carries it wrote: the whole scalar step, and the tail
+/// of the AVX2 one.
+pub(super) fn carry_save_words(
+    inputs: &CarrySaveGroup<'_>,
     low: CarrySavePlanes<'_>,
     carry: &mut [u64],
     words: Range<usize>,
 ) -> u64 {
     // Every slice cut to exactly `words.end` lets the compiler drop the
-    // per-word bounds checks of the 16 (or 32) input loads.
+    // per-word bounds checks of the 16 input loads.
     let end = words.end;
-    let a: [&[u64]; CARRY_SAVE_INPUTS] = std::array::from_fn(|j| &a[j][..end]);
-    let b: [&[u64]; CARRY_SAVE_INPUTS] = if BIND {
-        std::array::from_fn(|j| &b[j][..end])
-    } else {
-        a
-    };
+    let inputs: [&[u64]; CARRY_SAVE_INPUTS] = std::array::from_fn(|j| &inputs[j][..end]);
     let [ones, twos, fours, eights] = low.map(|plane| &mut plane[..end]);
     let carry = &mut carry[..end];
     let mut any = 0u64;
     for w in words {
-        let x = |j: usize| if BIND { a[j][w] ^ b[j][w] } else { a[j][w] };
+        let x = |j: usize| inputs[j][w];
         let ([o, t, f, e], sixteens) =
             harley_seal!(csa, x, [ones[w], twos[w], fours[w], eights[w]]);
         (ones[w], twos[w], fours[w], eights[w]) = (o, t, f, e);
@@ -121,6 +108,60 @@ pub(super) fn carry_save_words<const BIND: bool>(
         any |= sixteens;
     }
     any
+}
+
+/// One column of the scalar bind-and-count: a whole tile, so each
+/// feature and value load and its bounds check cover eight words.
+type Column = [u64; TILE_WORDS];
+
+/// [`csa`] over a [`Column`], word by word (a loop the compiler
+/// vectorizes to the target's baseline vector width).
+fn csa_column(a: Column, b: Column, c: Column) -> (Column, Column) {
+    let mut carry = [0; TILE_WORDS];
+    let mut sum = [0; TILE_WORDS];
+    for k in 0..TILE_WORDS {
+        (carry[k], sum[k]) = csa(a[k], b[k], c[k]);
+    }
+    (carry, sum)
+}
+
+/// The column bind-and-count one tile at a time: column `t` is words
+/// `t·TILE_WORDS ..` of every vector, padding included; only the words
+/// inside the vector are stored.
+fn bind_bundle_columns(row: &BoundRow<'_>, offsets: &mut Vec<u32>, planes: &mut [Vec<u64>]) {
+    let shape = ColumnShape::check(row, offsets, planes);
+    let ColumnShape {
+        n,
+        m,
+        n_words,
+        tiles,
+        n_planes,
+        ..
+    } = shape;
+    let (features, _) = row.features.as_chunks::<TILE_WORDS>();
+    let (values, _) = row.values.as_chunks::<TILE_WORDS>();
+    let mut upper = [[0u64; TILE_WORDS]; MAX_UPPER_PLANES];
+    let upper = &mut upper[..n_planes.max(8) - 4];
+    for t in 0..tiles {
+        let features = &features[t * n..(t + 1) * n];
+        let values = &values[t * m..(t + 1) * m];
+        let x = |i: usize, j: usize| {
+            let (fea, val) = (
+                features[i + j],
+                values[offsets[i + j] as usize / TILE_WORDS],
+            );
+            std::array::from_fn(|k| fea[k] ^ val[k])
+        };
+        upper.fill([0; TILE_WORDS]);
+        let low = bind_bundle_column!(csa_column, [0u64; TILE_WORDS], x, n, &mut *upper);
+        let at = t * TILE_WORDS;
+        let words = (n_words - at).min(TILE_WORDS);
+        for (p, plane) in planes[..n_planes].iter_mut().enumerate() {
+            let column = if p < 4 { &low[p] } else { &upper[p - 4] };
+            plane[at..at + words].copy_from_slice(&column[..words]);
+        }
+    }
+    shape.mask_tail(planes);
 }
 
 fn threshold_step(plane: &[u64], t_bit: bool, gt: &mut [u64], eq: &mut [u64]) {

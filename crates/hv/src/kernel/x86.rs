@@ -2,16 +2,21 @@
 //!
 //! In the `avx2` table, 256-bit lanes carry four `u64` words (or eight
 //! `i32` values) per operation: XOR/AND/OR on `__m256i`, popcount via
-//! the vpshufb nibble-LUT + `vpsadbw` reduction, and the widening
-//! `vpmuldq` 32→64-bit multiply for integer dot products. Tails
-//! shorter than a full vector run the scalar code, so results are
-//! defined for every slice length.
+//! the vpshufb nibble-LUT + `vpsadbw` reduction, the widening
+//! `vpmuldq` 32→64-bit multiply for integer dot products, and
+//! bind-and-count columns of four words, two per tile. Tails shorter
+//! than a full vector run the scalar code, so results are defined for
+//! every slice length; the bind-and-count reads the padded last tile
+//! whole and stores only its words inside the vector.
 //!
 //! The `avx512` table is the `avx2` table with its three
 //! popcount-bound entries — `popcount`, `hamming` and
 //! `hamming_rows_stride` — replaced by 512-bit `vpopcntq`
 //! (AVX-512 VPOPCNTDQ) versions: eight words per vector, and masked
-//! loads for the tail, so there is no scalar tail. Its other entries
+//! loads for the tail, so there is no scalar tail. It also carries its
+//! own bundling body, `bind_bundle_columns` on one 512-bit column per
+//! tile, whose full adder is two `vpternlogq` (majority and parity),
+//! with masked loads and stores for the last tile. Its other entries
 //! are the AVX2 functions themselves.
 //!
 //! # Safety
@@ -24,23 +29,28 @@
 //! `#[target_feature]` functions below. All pointer accesses are
 //! unaligned loads/stores within slice bounds (a masked load touches
 //! only its enabled lanes); the strided row scans assert their row
-//! bounds before entering the unsafe body.
+//! bounds, and the bind-and-count its block, level and plane bounds,
+//! before entering the unsafe body.
 
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m256i, __m512i, _mm256_abs_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8,
-    _mm256_and_si256, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_madd_epi16,
+    __m256i, __m512i, __mmask8, _mm256_abs_epi16, _mm256_add_epi32, _mm256_add_epi64,
+    _mm256_add_epi8, _mm256_and_si256, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_madd_epi16,
     _mm256_max_epu16, _mm256_mul_epi32, _mm256_or_si256, _mm256_permute2x128_si256,
     _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
     _mm256_srai_epi32, _mm256_srli_epi16, _mm256_srli_epi64, _mm256_storeu_si256,
     _mm256_testz_si256, _mm256_unpackhi_epi32, _mm256_unpackhi_epi64, _mm256_unpacklo_epi32,
     _mm256_unpacklo_epi64, _mm256_xor_si256, _mm512_add_epi64, _mm512_castsi512_si256,
-    _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
-    _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_xor_si512,
+    _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_mask_storeu_epi64,
+    _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64, _mm512_reduce_add_epi64, _mm512_setzero_si512,
+    _mm512_ternarylogic_epi64, _mm512_xor_si512,
 };
 
-use super::{carry_save_len, scalar, CarrySaveGroup, CarrySavePlanes, Kernel};
+use super::{
+    carry_save_len, scalar, BoundRow, CarrySaveGroup, CarrySavePlanes, ColumnShape, Kernel,
+    MAX_UPPER_PLANES, TILE_WORDS,
+};
 
 /// `u64` words per 256-bit vector.
 const WORDS: usize = 4;
@@ -60,7 +70,7 @@ const AVX2_TABLE: Kernel = Kernel {
     hamming,
     ripple_step,
     carry_save_16,
-    bind_carry_save_16,
+    bind_bundle_columns,
     threshold_step,
     hamming_rows_stride,
     dot_i32,
@@ -73,13 +83,15 @@ const AVX2_TABLE: Kernel = Kernel {
 pub(super) static AVX2: Kernel = AVX2_TABLE;
 
 /// The AVX-512 VPOPCNTDQ backend: the AVX2 table with its three
-/// popcount-bound entries replaced. Only reachable through
-/// [`super::available`], which checks `avx512f` and `avx512vpopcntdq`.
+/// popcount-bound entries and its bind-and-count replaced. Only
+/// reachable through [`super::available`], which checks `avx512f` and
+/// `avx512vpopcntdq`.
 pub(super) static AVX512: Kernel = Kernel {
     name: "avx512",
     popcount: popcount_vpopcnt,
     hamming: hamming_vpopcnt,
     hamming_rows_stride: hamming_rows_stride_vpopcnt,
+    bind_bundle_columns: bind_bundle_columns_zmm,
     ..AVX2_TABLE
 };
 
@@ -175,17 +187,23 @@ fn dot_i16_rows_stride(q_block: &[i16], rows: &[i16], stride: usize, dots: &mut 
 
 fn carry_save_16(inputs: &CarrySaveGroup<'_>, low: CarrySavePlanes<'_>, carry: &mut [u64]) -> bool {
     // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
-    unsafe { carry_save_16_avx2::<false>(inputs, inputs, low, carry) }
+    unsafe { carry_save_16_avx2(inputs, low, carry) }
 }
 
-fn bind_carry_save_16(
-    a: &CarrySaveGroup<'_>,
-    b: &CarrySaveGroup<'_>,
-    low: CarrySavePlanes<'_>,
-    carry: &mut [u64],
-) -> bool {
-    // SAFETY: AVX2 availability is guaranteed by the dispatch layer.
-    unsafe { carry_save_16_avx2::<true>(a, b, low, carry) }
+fn bind_bundle_columns(row: &BoundRow<'_>, offsets: &mut Vec<u32>, planes: &mut [Vec<u64>]) {
+    let shape = ColumnShape::check(row, offsets, planes);
+    // SAFETY: AVX2 availability is guaranteed by the dispatch layer, and
+    // `check` bounds every block, offset and plane access.
+    unsafe { bind_bundle_columns_avx2(row, &shape, offsets, planes) }
+    shape.mask_tail(planes);
+}
+
+fn bind_bundle_columns_zmm(row: &BoundRow<'_>, offsets: &mut Vec<u32>, planes: &mut [Vec<u64>]) {
+    let shape = ColumnShape::check(row, offsets, planes);
+    // SAFETY: AVX-512F availability is guaranteed by the dispatch layer,
+    // and `check` bounds every block, offset and plane access.
+    unsafe { bind_bundle_columns_avx512(row, &shape, offsets, planes) }
+    shape.mask_tail(planes);
 }
 
 /// Per-byte popcount of a 256-bit vector via the nibble lookup table,
@@ -772,31 +790,22 @@ unsafe fn csa256(a: __m256i, b: __m256i, c: __m256i) -> (__m256i, __m256i) {
     )
 }
 
-/// Both carry-save steps: on the inputs `a`, or with `BIND` on the
-/// bound pairs `a[j] ^ b[j]`, XORed in registers as they are loaded.
+/// The carry-save step on 256-bit blocks, with the scalar tail.
 #[target_feature(enable = "avx2")]
-unsafe fn carry_save_16_avx2<const BIND: bool>(
-    a: &CarrySaveGroup<'_>,
-    b: &CarrySaveGroup<'_>,
+unsafe fn carry_save_16_avx2(
+    inputs: &CarrySaveGroup<'_>,
     low: CarrySavePlanes<'_>,
     carry: &mut [u64],
 ) -> bool {
     // `n` is the shortest of all input, plane and carry slices, so
     // every vector block below is in bounds for each of them.
-    let n = carry_save_len(a, b, &low, carry);
+    let n = carry_save_len(inputs, &low, carry);
     let [ones, twos, fours, eights] = low;
     let blocks = n / WORDS;
     let mut any = _mm256_setzero_si256();
     for i in 0..blocks {
         let at = i * WORDS;
-        let x = |j: usize| {
-            let v = _mm256_loadu_si256(a[j].as_ptr().add(at).cast());
-            if BIND {
-                _mm256_xor_si256(v, _mm256_loadu_si256(b[j].as_ptr().add(at).cast()))
-            } else {
-                v
-            }
-        };
+        let x = |j: usize| _mm256_loadu_si256(inputs[j].as_ptr().add(at).cast());
         let low = [
             _mm256_loadu_si256(ones.as_ptr().add(at).cast()),
             _mm256_loadu_si256(twos.as_ptr().add(at).cast()),
@@ -811,12 +820,166 @@ unsafe fn carry_save_16_avx2<const BIND: bool>(
         _mm256_storeu_si256(carry.as_mut_ptr().add(at).cast(), sixteens);
         any = _mm256_or_si256(any, sixteens);
     }
-    let tail = scalar::carry_save_words::<BIND>(
-        a,
-        b,
+    let tail = scalar::carry_save_words(
+        inputs,
         [ones, twos, fours, eights],
         carry,
         blocks * WORDS..n,
     );
     _mm256_testz_si256(any, any) == 0 || tail != 0
+}
+
+/// The bind-and-count on two 256-bit columns per tile.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `shape` must be what
+/// [`ColumnShape::check`] returned for `row`, `offsets` and `planes`.
+#[target_feature(enable = "avx2")]
+unsafe fn bind_bundle_columns_avx2(
+    row: &BoundRow<'_>,
+    shape: &ColumnShape,
+    offsets: &[u32],
+    planes: &mut [Vec<u64>],
+) {
+    // The padded last tile is read whole, which `check` keeps inside
+    // both blocks; only its words inside the vector are stored.
+    let ColumnShape {
+        n,
+        m,
+        n_words,
+        tiles,
+        n_planes,
+        ..
+    } = *shape;
+    let zero = _mm256_setzero_si256();
+    let mut upper = [zero; MAX_UPPER_PLANES];
+    let upper = &mut upper[..n_planes.max(8) - 4];
+    let off = offsets.as_ptr();
+    for t in 0..tiles {
+        for half in 0..TILE_WORDS / WORDS {
+            let at = t * TILE_WORDS + half * WORDS;
+            if at >= n_words {
+                break;
+            }
+            let features = row.features.as_ptr().add(t * n * TILE_WORDS + half * WORDS);
+            let values = row.values.as_ptr().add(t * m * TILE_WORDS + half * WORDS);
+            let x = |i: usize, j: usize| {
+                let (features, off) = (features.add(i * TILE_WORDS), off.add(i));
+                _mm256_xor_si256(
+                    _mm256_loadu_si256(features.add(j * TILE_WORDS).cast()),
+                    _mm256_loadu_si256(values.add(*off.add(j) as usize).cast()),
+                )
+            };
+            upper.fill(zero);
+            let low = bind_bundle_column!(csa256, zero, x, n, &mut *upper);
+            let words = (n_words - at).min(WORDS);
+            for (p, plane) in planes[..n_planes].iter_mut().enumerate() {
+                let v = if p < 4 { low[p] } else { upper[p - 4] };
+                if words == WORDS {
+                    _mm256_storeu_si256(plane.as_mut_ptr().add(at).cast(), v);
+                } else {
+                    let mut lanes = [0u64; WORDS];
+                    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
+                    plane[at..at + words].copy_from_slice(&lanes[..words]);
+                }
+            }
+        }
+    }
+}
+
+/// Full adder over 512 independent bit positions: `(carry, sum)` of
+/// `a + b + c`, one `vpternlogq` each — majority (`0xE8`) and parity
+/// (`0x96`).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[target_feature(enable = "avx512f")]
+unsafe fn csa512(a: __m512i, b: __m512i, c: __m512i) -> (__m512i, __m512i) {
+    (
+        _mm512_ternarylogic_epi64::<0xE8>(a, b, c),
+        _mm512_ternarylogic_epi64::<0x96>(a, b, c),
+    )
+}
+
+/// The bind-and-count on one 512-bit column per tile.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `shape` must be what
+/// [`ColumnShape::check`] returned for `row`, `offsets` and `planes`.
+#[target_feature(enable = "avx512f")]
+unsafe fn bind_bundle_columns_avx512(
+    row: &BoundRow<'_>,
+    shape: &ColumnShape,
+    offsets: &[u32],
+    planes: &mut [Vec<u64>],
+) {
+    let ColumnShape {
+        n,
+        m,
+        n_words,
+        tiles,
+        n_planes,
+        ..
+    } = *shape;
+    let zero = _mm512_setzero_si512();
+    let mut upper = [zero; MAX_UPPER_PLANES];
+    let upper = &mut upper[..n_planes.max(8) - 4];
+    for t in 0..tiles {
+        let at = t * TILE_WORDS;
+        let features = row.features.as_ptr().add(t * n * TILE_WORDS);
+        let values = row.values.as_ptr().add(t * m * TILE_WORDS);
+        upper.fill(zero);
+        // The last tile is read with masked loads and written with
+        // masked stores, so its padding is never touched.
+        let lanes = match n_words - at {
+            rem if rem >= ZMM_WORDS => !0,
+            rem => tail_mask(rem),
+        };
+        let low = if lanes == !0 {
+            column_avx512::<false>(features, values, offsets, lanes, upper)
+        } else {
+            column_avx512::<true>(features, values, offsets, lanes, upper)
+        };
+        for (p, plane) in planes[..n_planes].iter_mut().enumerate() {
+            let v = if p < 4 { low[p] } else { upper[p - 4] };
+            _mm512_mask_storeu_epi64(plane.as_mut_ptr().add(at).cast(), lanes, v);
+        }
+    }
+}
+
+/// One 512-bit column of [`bind_bundle_columns_avx512`]: every feature's
+/// tile at `features + i·TILE_WORDS` XORed with its value's tile at
+/// `values + offsets[i]`, read whole or, with `MASKED`, only in `lanes`.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and the `offsets.len()` feature tiles
+/// and every value tile an offset names must be readable in `lanes`.
+#[target_feature(enable = "avx512f")]
+unsafe fn column_avx512<const MASKED: bool>(
+    features: *const u64,
+    values: *const u64,
+    offsets: &[u32],
+    lanes: __mmask8,
+    upper: &mut [__m512i],
+) -> [__m512i; 4] {
+    let load = |at: *const u64| {
+        if MASKED {
+            _mm512_maskz_loadu_epi64(lanes, at.cast())
+        } else {
+            _mm512_loadu_si512(at.cast())
+        }
+    };
+    let off = offsets.as_ptr();
+    let x = |i: usize, j: usize| {
+        let (features, off) = (features.add(i * TILE_WORDS), off.add(i));
+        _mm512_xor_si512(
+            load(features.add(j * TILE_WORDS)),
+            load(values.add(*off.add(j) as usize)),
+        )
+    };
+    bind_bundle_column!(csa512, _mm512_setzero_si512(), x, offsets.len(), upper)
 }

@@ -29,16 +29,20 @@
 //! dimensions is one packed `u64` plane, so counter updates are
 //! whole-word `AND`/`XOR` instead of 64 scalar adds. A single add is a
 //! ripple-carry increment that, at `D = 10 000`, walks nearly every
-//! plane; the bulk adds the encoders use fold each 16 inputs with one
-//! Harley–Seal carry-save step into the four low planes and (on the
-//! fused and staged paths) each 16 of those sixteens carries with a
-//! second step into the next four, rippling only what is left — about
-//! one full adder per input word. The
-//! encoders' row path fuses the bind into that step: it reads each
-//! feature and value hypervector once and XORs them in registers, so
-//! no bound pair is written to memory, and a precomputed [`BoundPairCache`]
-//! table replaces it only where the table fits a 2 MiB L2. The engine
-//! is **bit-exact** with the scalar path by construction:
+//! plane; the bulk paths fold each 16 inputs with one Harley–Seal
+//! carry-save step into the four low planes and each 16 of those
+//! sixteens carries with a second step into the next four, rippling
+//! only what is left — about one full adder per input word. Every
+//! cached encode is one column pass
+//! ([`BitSliceAccumulator::bundle_row`]): the features and values sit
+//! **tile-major** in [`TileBlock`]s, so for each 512-bit tile the
+//! kernel reads one sequential stream of feature tiles, XORs each with
+//! its value's tile in registers (no bound pair is ever written to
+//! memory, and no table is built), counts all `N` with the four low
+//! counter planes held in registers, and writes each plane word once.
+//! Only the hardened mode keeps a precomputed [`BoundPairCache`] table,
+//! for its constant-time select. The engine is **bit-exact** with the
+//! scalar path by construction:
 //!
 //! * **Layout** — `planes[p][w]` is bit `p` of the counters for
 //!   dimensions `64·w..64·w+63`; the bipolar sum at dimension `d` is
@@ -145,7 +149,8 @@
 //! ## Kernel backends
 //!
 //! All of the loops above — XOR-accumulate, popcount reduction, the
-//! carry-save step and the ripple-carry increment, the threshold
+//! carry-save step and the ripple-carry increment, the column
+//! bind-and-count, the threshold
 //! comparison, the strided Hamming-distance row scan, and the integer
 //! dot products (the one-pair `dot_i32` plus the strided multi-row
 //! `dot_rows_stride` / `dot_i16_rows_stride` primitives that sweep a
@@ -158,7 +163,9 @@
 //! vpshufb popcount for Hamming, `vpmuldq` for i32 and `vpmaddwd` with
 //! group-deferred i64 widening for i16), and `avx512` (the `avx2`
 //! table with 512-bit `vpopcntq` popcount, Hamming and Hamming row
-//! scan, installed when the CPU has `avx512f` and `avx512vpopcntdq`).
+//! scan, and its own 512-bit bind-and-count whose full adders are
+//! `vpternlogq`, installed when the CPU has `avx512f` and
+//! `avx512vpopcntdq`).
 //!
 //! * **Dispatch rules** — selected once at first use: `avx512` when
 //!   the CPU has it, else `avx2`, else `scalar`. Every consumer
@@ -219,7 +226,7 @@ pub mod topk;
 
 pub use accumulator::BundleAccumulator;
 pub use binary::BinaryHv;
-pub use bitslice::BitSliceAccumulator;
+pub use bitslice::{BitSliceAccumulator, TileBlock};
 pub use boundcache::BoundPairCache;
 pub use dense::IntHv;
 pub use error::HvError;

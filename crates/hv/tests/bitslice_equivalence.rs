@@ -2,11 +2,12 @@
 //! bit-identical to the scalar [`BundleAccumulator`] — full hypervector
 //! equality, not just similarity — across random dimensions (including
 //! non-word-aligned ones like 130 and the paper-scale 10 000), bundle
-//! sizes, tie policies and scratch-buffer reuse; and its carry-save bulk
-//! adds (including the fused bind of `(feature, value)` pairs) are
-//! bit-identical to the same vectors added one at a time.
+//! sizes, tie policies and scratch-buffer reuse; and its two bulk paths
+//! (the staged carry-save add, and the column bind-and-count of a row's
+//! `(feature, value)` pairs from tile-major blocks) are bit-identical to
+//! the same vectors added one at a time.
 
-use hypervec::{kernel, BinaryHv, BitSliceAccumulator, BundleAccumulator, HvRng};
+use hypervec::{kernel, BinaryHv, BitSliceAccumulator, BundleAccumulator, HvRng, TileBlock};
 use proptest::prelude::*;
 
 /// Dimensions that exercise word boundaries and paper scale.
@@ -68,27 +69,41 @@ proptest! {
     }
 
     #[test]
-    fn bound_pair_accumulation_is_bit_identical(d in dims(), n in 1usize..=40, seed in any::<u64>()) {
-        // Bound pairs through the fused-bind bulk add (the encoders'
-        // cold path) and written into the staging slots (the on-the-fly
-        // path), against the scalar fused add.
+    fn bound_pair_accumulation_is_bit_identical(
+        d in dims(),
+        n in prop_oneof![0usize..=40, 250usize..=270],
+        m in 1usize..=16,
+        seed in any::<u64>(),
+        tie_seed in any::<u64>(),
+    ) {
+        // One encoded row's bound pairs through the column pass (every
+        // cached encode) and written into the staging slots (the
+        // on-the-fly path), against the scalar bundle of the same
+        // pairs: integer sums, both majority policies, the coins the
+        // random tie-break draws, and the count.
         let mut rng = HvRng::from_seed(seed);
-        let pairs: Vec<(BinaryHv, BinaryHv)> =
-            (0..n).map(|_| (rng.binary_hv(d), rng.binary_hv(d))).collect();
-        let mut fast = BitSliceAccumulator::new(d);
+        let features: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(d)).collect();
+        let values: Vec<BinaryHv> = (0..m).map(|_| rng.binary_hv(d)).collect();
+        let levels: Vec<u16> = (0..n).map(|_| rng.index(m) as u16).collect();
+        let value = |i: usize| &values[usize::from(levels[i])];
+        let mut columns = BitSliceAccumulator::new(d);
+        columns.bundle_row(&TileBlock::from_hvs(d, &features), &TileBlock::from_hvs(d, &values), &levels);
         let mut staged = BitSliceAccumulator::new(d);
-        let mut slow = BundleAccumulator::new(d);
-        fast.add_bound_pairs(pairs.iter().map(|(a, b)| (a.bits().words(), b.bits().words())));
         staged.add_staged(n, |i, slot| {
-            let (a, b) = &pairs[i];
-            (kernel::active().xor_into)(a.bits().words(), b.bits().words(), slot);
+            (kernel::active().xor_into)(features[i].bits().words(), value(i).bits().words(), slot);
         });
-        for (a, b) in &pairs {
-            slow.add_bound_pair(a, b);
+        let mut slow = BundleAccumulator::new(d);
+        for (i, fea) in features.iter().enumerate() {
+            slow.add_bound_pair(fea, value(i));
         }
-        for bulk in [&fast, &staged] {
+        for bulk in [&columns, &staged] {
+            prop_assert_eq!(bulk.count(), n);
             prop_assert_eq!(bulk.to_int(), slow.sums().clone());
             prop_assert_eq!(bulk.majority_ties_positive(), slow.majority_ties_positive());
+            let mut rng_bulk = HvRng::from_seed(tie_seed);
+            let mut rng_slow = HvRng::from_seed(tie_seed);
+            prop_assert_eq!(bulk.majority_with(&mut rng_bulk), slow.majority_with(&mut rng_slow));
+            prop_assert_eq!(rng_bulk.next_u64(), rng_slow.next_u64());
         }
     }
 
@@ -133,16 +148,20 @@ proptest! {
         seed in any::<u64>(),
         tie_seed in any::<u64>(),
     ) {
-        // The three bulk front doors against one-at-a-time `add`, on an
+        // Both bulk paths against one-at-a-time `add`, with garbage past
+        // `dim` in every bulk input. The staged add runs on an
         // accumulator that already holds counts (past 255 for the upper
-        // `pre` range, so carries run beyond eight planes), with garbage
-        // past `dim` in every bulk input. Half the cases draw `n` ≤ 100,
-        // the other half up to 300, past one full second-level fold at
-        // 256; every length up to 300 runs at d = 130 in the test below.
+        // `pre` range, so carries run beyond eight planes); the column
+        // pass resets one, so it must come out as if fresh. Half the
+        // cases draw `n` ≤ 100, the other half up to 300, past one full
+        // second-level fold at 256; every length up to 300 runs at
+        // d = 130 in the test below.
         let mut rng = HvRng::from_seed(seed);
         let hvs: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(d)).collect();
-        // The fused pairs split each vector as `key ^ (vector ^ key)`.
-        let keys: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(d)).collect();
+        // The column pass splits each vector as `(vector ^ key) ^ key`,
+        // over four keys.
+        let keys: Vec<BinaryHv> = (0..4).map(|_| rng.binary_hv(d)).collect();
+        let levels: Vec<u16> = (0..n).map(|_| rng.index(4) as u16).collect();
         let mut dirty_words = |hv: &BinaryHv| {
             let mut words = hv.bits().words().to_vec();
             if !d.is_multiple_of(64) {
@@ -151,31 +170,35 @@ proptest! {
             words
         };
         let dirty: Vec<Vec<u64>> = hvs.iter().map(&mut dirty_words).collect();
-        let pairs: Vec<(Vec<u64>, Vec<u64>)> = hvs
-            .iter()
-            .zip(&keys)
-            .map(|(hv, key)| (dirty_words(&hv.bind(key)), dirty_words(key)))
-            .collect();
-        let (mut sequential, _) = filled_pair(d, pre, seed ^ 0x5EED);
-        let mut sliced = sequential.clone();
-        let mut staged = sequential.clone();
-        let mut fused = sequential.clone();
+        let mut features = TileBlock::zeroed(n, d);
+        for (i, hv) in hvs.iter().enumerate() {
+            features.set(i, &dirty_words(&hv.bind(&keys[usize::from(levels[i])])));
+        }
+        let mut values = TileBlock::zeroed(4, d);
+        for (v, key) in keys.iter().enumerate() {
+            values.set(v, &dirty_words(key));
+        }
+        let (filled, _) = filled_pair(d, pre, seed ^ 0x5EED);
+        let mut sequential = filled.clone();
+        let mut staged = filled.clone();
+        let mut fresh = BitSliceAccumulator::new(d);
+        let mut columns = filled;
         for hv in &hvs {
             sequential.add(hv);
+            fresh.add(hv);
         }
-        sliced.add_slices(dirty.iter().map(Vec::as_slice));
         staged.add_staged(n, |i, slot| slot.copy_from_slice(&dirty[i]));
-        fused.add_bound_pairs(pairs.iter().map(|(a, b)| (a.as_slice(), b.as_slice())));
-        for bulk in [&sliced, &staged, &fused] {
-            prop_assert_eq!(bulk.count(), sequential.count());
-            prop_assert_eq!(bulk.counts(), sequential.counts());
-            prop_assert_eq!(bulk.to_int(), sequential.to_int());
-            prop_assert_eq!(bulk.majority_ties_positive(), sequential.majority_ties_positive());
+        columns.bundle_row(&features, &values, &levels);
+        for (bulk, reference) in [(&staged, &sequential), (&columns, &fresh)] {
+            prop_assert_eq!(bulk.count(), reference.count());
+            prop_assert_eq!(bulk.counts(), reference.counts());
+            prop_assert_eq!(bulk.to_int(), reference.to_int());
+            prop_assert_eq!(bulk.majority_ties_positive(), reference.majority_ties_positive());
             let mut rng_bulk = HvRng::from_seed(tie_seed);
             let mut rng_seq = HvRng::from_seed(tie_seed);
             prop_assert_eq!(
                 bulk.majority_with(&mut rng_bulk),
-                sequential.majority_with(&mut rng_seq)
+                reference.majority_with(&mut rng_seq)
             );
             prop_assert_eq!(rng_bulk.next_u64(), rng_seq.next_u64());
         }
@@ -184,13 +207,14 @@ proptest! {
 
 #[test]
 fn bulk_adds_match_sequential_add_words_at_every_length() {
-    // Every n in 0..=300, on a fresh accumulator and on one holding
-    // counts past 255, at a dimension with a 2-bit tail word: each bulk
-    // front door against `add_words(a ^ b)` one pair at a time (the
-    // fused one takes the pairs, the other two their XOR). Both halves
-    // of every pair carry random garbage past `dim` that XORs to all
-    // ones, so unless the tail is masked every group carries out of it,
-    // at both carry-save levels.
+    // Every n in 0..=300 at a dimension with a 2-bit tail word, against
+    // `add_words(a ^ b)` one pair at a time: the staged add (on a fresh
+    // accumulator and on one holding counts past 255) takes the XOR,
+    // the column pass the pairs from tile-major blocks (on a reused
+    // accumulator, which it resets). Both halves of every pair carry
+    // random garbage past `dim` that XORs to all ones, so unless the
+    // tail is masked every group carries out of it, at both carry-save
+    // levels.
     let d = 130;
     let tail_garbage = !((1u64 << (d % 64)) - 1);
     let mut rng = HvRng::from_seed(300);
@@ -208,6 +232,14 @@ fn bulk_adds_match_sequential_add_words_at_every_length() {
         .iter()
         .map(|(a, b)| a.iter().zip(b).map(|(x, y)| x ^ y).collect())
         .collect();
+    // Pair `i` as feature `i` bound to value `i` of a 300-level block.
+    let mut features = TileBlock::zeroed(300, d);
+    let mut values = TileBlock::zeroed(300, d);
+    for (i, (a, b)) in pairs.iter().enumerate() {
+        features.set(i, a);
+        values.set(i, b);
+    }
+    let (mut columns, _) = filled_pair(d, 261, 7);
     for pre in [0, 261] {
         let (empty_or_filled, _) = filled_pair(d, pre, 7);
         for n in 0..=300 {
@@ -215,30 +247,77 @@ fn bulk_adds_match_sequential_add_words_at_every_length() {
             for words in &bound[..n] {
                 sequential.add_words(words);
             }
-            let mut fused = empty_or_filled.clone();
-            fused.add_bound_pairs(pairs[..n].iter().map(|(a, b)| (a.as_slice(), b.as_slice())));
-            let mut sliced = empty_or_filled.clone();
-            sliced.add_slices(bound[..n].iter().map(Vec::as_slice));
             let mut staged = empty_or_filled.clone();
             staged.add_staged(n, |i, slot| slot.copy_from_slice(&bound[i]));
-            for (name, bulk) in [("fused", &fused), ("sliced", &sliced), ("staged", &staged)] {
+            let mut bulks = vec![("staged", &staged)];
+            if pre == 0 {
+                let mut prefix = TileBlock::zeroed(n, d);
+                let mut words = vec![0u64; d.div_ceil(64)];
+                for i in 0..n {
+                    features.get_into(i, &mut words);
+                    prefix.set(i, &words);
+                }
+                let levels: Vec<u16> = (0..n as u16).collect();
+                columns.bundle_row(&prefix, &values, &levels);
+                bulks.push(("columns", &columns));
+            }
+            let reference = &sequential;
+            for (name, bulk) in bulks {
                 let at = format!("{name}, pre {pre}, n {n}");
-                assert_eq!(bulk.count(), sequential.count(), "{at}");
-                assert_eq!(bulk.counts(), sequential.counts(), "{at}");
+                assert_eq!(bulk.count(), reference.count(), "{at}");
+                assert_eq!(bulk.counts(), reference.counts(), "{at}");
                 assert_eq!(
                     bulk.majority_ties_positive(),
-                    sequential.majority_ties_positive(),
+                    reference.majority_ties_positive(),
                     "{at}"
                 );
                 let mut rng_bulk = HvRng::from_seed(n as u64);
                 let mut rng_seq = HvRng::from_seed(n as u64);
                 assert_eq!(
                     bulk.majority_with(&mut rng_bulk),
-                    sequential.majority_with(&mut rng_seq),
+                    reference.majority_with(&mut rng_seq),
                     "{at}"
                 );
                 assert_eq!(rng_bulk.next_u64(), rng_seq.next_u64(), "{at}");
             }
         }
+    }
+}
+
+/// The column pass indexes the value block by level: a level that is
+/// not below `M` must panic rather than read another vector's words.
+#[test]
+#[should_panic(expected = "out of range")]
+fn bundle_row_rejects_a_level_past_m() {
+    let mut rng = HvRng::from_seed(6);
+    let features: Vec<BinaryHv> = (0..2).map(|_| rng.binary_hv(64)).collect();
+    let values: Vec<BinaryHv> = (0..4).map(|_| rng.binary_hv(64)).collect();
+    let mut acc = BitSliceAccumulator::new(64);
+    acc.bundle_row(
+        &TileBlock::from_hvs(64, &features),
+        &TileBlock::from_hvs(64, &values),
+        &[4, 0],
+    );
+}
+
+/// A tile block gathers back exactly what was scattered into it, at
+/// dimensions with and without a partial last tile and word, and it and
+/// its clones start on a 64-byte boundary.
+#[test]
+fn tile_block_round_trips() {
+    for dim in [1, 64, 130, 511, 512, 513, 10_000] {
+        let mut rng = HvRng::from_seed(dim as u64);
+        let hvs: Vec<BinaryHv> = (0..5).map(|_| rng.binary_hv(dim)).collect();
+        let block = TileBlock::from_hvs(dim, &hvs);
+        assert_eq!((block.len(), block.dim()), (5, dim));
+        assert_eq!(block.words().len(), 5 * dim.div_ceil(512) * 8);
+        assert_eq!(block.words().as_ptr() as usize % 64, 0, "64-byte aligned");
+        for (i, hv) in hvs.iter().enumerate() {
+            assert_eq!(&block.get(i), hv, "D = {dim}, vector {i}");
+        }
+        // A clone lays the same words out in its own buffer, aligned.
+        let copy = block.clone();
+        assert_eq!(copy.words(), block.words());
+        assert_eq!(copy.words().as_ptr() as usize % 64, 0);
     }
 }

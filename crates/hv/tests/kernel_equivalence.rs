@@ -1,13 +1,14 @@
 //! Property tests: every compiled-in kernel backend is bit-identical to
 //! the scalar reference — primitive by primitive on random word/value
-//! slices, and end-to-end through the sharded batch search at
+//! slices, the column bind-and-count over a grid of dimensions, feature
+//! and level counts, and end-to-end through the sharded batch search at
 //! non-word-aligned dimensions (130, 10 000) for both model kinds
 //! (binary → Hamming popcount, non-binary → integer-dot cosine),
 //! including float score sequences, argmax winners and lowest-index tie
 //! order.
 
-use hypervec::kernel::{self, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS};
-use hypervec::{BinaryHv, BitSliceAccumulator, HvRng, IntHv, ShardedClassMemory};
+use hypervec::kernel::{self, BoundRow, CarrySaveGroup, Kernel, CARRY_SAVE_INPUTS, TILE_WORDS};
+use hypervec::{BinaryHv, BitSliceAccumulator, HvRng, IntHv, ShardedClassMemory, TileBlock};
 use proptest::prelude::*;
 
 /// Word-slice lengths that exercise the SIMD blocks and scalar tails.
@@ -34,14 +35,12 @@ fn group(inputs: &[Vec<u64>]) -> CarrySaveGroup<'_> {
     std::array::from_fn(|j| inputs[j].as_slice())
 }
 
-/// Runs one carry-save step — `carry_save_16` on `a`, or with `b` the
-/// fused `bind_carry_save_16` on `a[j] ^ b[j]` — on copies of `low`
-/// (with a carry buffer full of garbage it must overwrite): the planes,
-/// the carry and the live flag.
+/// Runs one `carry_save_16` step on copies of `low` (with a carry
+/// buffer full of garbage it must overwrite): the planes, the carry and
+/// the live flag.
 fn carry_save_once(
     k: &Kernel,
-    a: &[Vec<u64>],
-    b: Option<&[Vec<u64>]>,
+    inputs: &[Vec<u64>],
     low: &[Vec<u64>],
     stale_carry: &[u64],
 ) -> (Vec<Vec<u64>>, Vec<u64>, bool) {
@@ -51,11 +50,88 @@ fn carry_save_once(
         unreachable!("four low planes")
     };
     let planes = [ones, twos, fours, eights].map(|plane| plane.as_mut_slice());
-    let live = match b {
-        None => (k.carry_save_16)(&group(a), planes, &mut carry),
-        Some(b) => (k.bind_carry_save_16)(&group(a), &group(b), planes, &mut carry),
-    };
+    let live = (k.carry_save_16)(&group(inputs), planes, &mut carry);
     (low, carry, live)
+}
+
+/// `vectors` (each `⌈dim/64⌉` words) laid out tile-major, the layout
+/// `bind_bundle_columns` reads, with random garbage in every padding
+/// word of the last tile.
+fn tile_major(rng: &mut HvRng, vectors: &[Vec<u64>], dim: usize) -> Vec<u64> {
+    let n_words = dim.div_ceil(64);
+    let tiles = n_words.div_ceil(TILE_WORDS);
+    let n = vectors.len();
+    let mut block = vec![0u64; n * tiles * TILE_WORDS];
+    for (at, word) in block.iter_mut().enumerate() {
+        let (t, i, c) = (at / (n * TILE_WORDS), at / TILE_WORDS % n, at % TILE_WORDS);
+        let w = t * TILE_WORDS + c;
+        *word = vectors[i].get(w).copied().unwrap_or_else(|| rng.next_u64());
+    }
+    block
+}
+
+/// `n` random `dim`-bit vectors with random garbage past `dim` in the
+/// last word.
+fn dirty_vectors(rng: &mut HvRng, n: usize, dim: usize) -> Vec<Vec<u64>> {
+    (0..n).map(|_| words(rng, dim.div_ceil(64))).collect()
+}
+
+/// A random row for `bind_bundle_columns`: `n` features and `m` values
+/// of dimension `dim` (garbage past `dim` and in the padding), tile-major,
+/// and `n` levels; plus the features, values and levels themselves.
+struct ColumnCase {
+    dim: usize,
+    features: Vec<Vec<u64>>,
+    values: Vec<Vec<u64>>,
+    levels: Vec<u16>,
+    feature_block: Vec<u64>,
+    value_block: Vec<u64>,
+}
+
+impl ColumnCase {
+    fn new(dim: usize, n: usize, m: usize, seed: u64) -> Self {
+        let mut rng = HvRng::from_seed(seed);
+        let features = dirty_vectors(&mut rng, n, dim);
+        let values = dirty_vectors(&mut rng, m, dim);
+        let levels = (0..n).map(|_| rng.index(m) as u16).collect();
+        let feature_block = tile_major(&mut rng, &features, dim);
+        let value_block = tile_major(&mut rng, &values, dim);
+        ColumnCase {
+            dim,
+            features,
+            values,
+            levels,
+            feature_block,
+            value_block,
+        }
+    }
+
+    fn row(&self) -> BoundRow<'_> {
+        BoundRow {
+            features: &self.feature_block,
+            values: &self.value_block,
+            levels: &self.levels,
+            dim: self.dim,
+        }
+    }
+
+    /// `bind_bundle_columns` on `k`, into `n_planes` planes full of
+    /// garbage it must overwrite where the count needs them and leave
+    /// alone above.
+    fn planes(&self, k: &Kernel, n_planes: usize) -> Vec<Vec<u64>> {
+        let mut rng = HvRng::from_seed(n_planes as u64);
+        let mut planes: Vec<Vec<u64>> = (0..n_planes)
+            .map(|_| words(&mut rng, self.dim.div_ceil(64)))
+            .collect();
+        let mut offsets = vec![u32::MAX; 3];
+        (k.bind_bundle_columns)(&self.row(), &mut offsets, &mut planes);
+        planes
+    }
+}
+
+/// Planes a count of `n` needs.
+fn planes_for(n: usize) -> usize {
+    (usize::BITS - n.leading_zeros()) as usize
 }
 
 /// Every backend that is *not* the scalar reference, paired with it.
@@ -119,17 +195,33 @@ proptest! {
     }
 
     #[test]
-    fn carry_save_16_matches_scalar(n in word_lens(), seed in any::<u64>()) {
+    fn carry_save_16_matches_scalar(
+        n in word_lens(),
+        ragged in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
         // `word_lens` includes lengths that are not multiples of the
         // 4-word vector block, so every backend's scalar tail runs too.
+        // When `ragged`, each of the 21 slices (16 inputs, 4 planes,
+        // carry) gets its own length `n + 0..=5`: every backend must
+        // then process the same shortest prefix and never touch a word
+        // past it.
         let mut rng = HvRng::from_seed(seed);
-        let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
-        let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
-        let stale = words(&mut rng, n);
-        let want = carry_save_once(kernel::scalar(), &inputs, None, &low, &stale);
+        let extra: Vec<usize> = (0..CARRY_SAVE_INPUTS + 5)
+            .map(|_| if ragged { rng.index(6) } else { 0 })
+            .collect();
+        let mut slice = |i: usize| words(&mut rng, n + extra[i]);
+        let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(&mut slice).collect();
+        let low: Vec<Vec<u64>> = (CARRY_SAVE_INPUTS..CARRY_SAVE_INPUTS + 4).map(&mut slice).collect();
+        let stale = slice(CARRY_SAVE_INPUTS + 4);
+        let want = carry_save_once(kernel::scalar(), &inputs, &low, &stale);
+        let common = n + extra.iter().min().copied().unwrap_or(0);
+        for (before, after) in low.iter().zip(&want.0).chain([(&stale, &want.1)]) {
+            prop_assert_eq!(&before[common..], &after[common..], "words past the shortest slice");
+        }
         for k in non_scalar_backends() {
             prop_assert_eq!(
-                carry_save_once(k, &inputs, None, &low, &stale),
+                carry_save_once(k, &inputs, &low, &stale),
                 want.clone(),
                 "carry_save_16: {}", k.name
             );
@@ -144,7 +236,7 @@ proptest! {
         let inputs: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
         let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
         let (new_low, carry, live) =
-            carry_save_once(kernel::scalar(), &inputs, None, &low, &words(&mut rng, n));
+            carry_save_once(kernel::scalar(), &inputs, &low, &words(&mut rng, n));
         let value = |planes: &[Vec<u64>], w: usize, b: usize| -> u64 {
             planes
                 .iter()
@@ -166,59 +258,41 @@ proptest! {
     }
 
     #[test]
-    fn bind_carry_save_16_matches_scalar(
-        n in word_lens(),
-        ragged in any::<bool>(),
+    fn bind_bundle_columns_scalar_counts_exactly(
+        dim in prop_oneof![1usize..=70, 500usize..=520, Just(1030)],
+        n in prop_oneof![0usize..=40, 250usize..=270, 760usize..=780],
+        m in 1usize..=5,
         seed in any::<u64>(),
     ) {
-        // Lengths off the 4-word vector block run every backend's scalar
-        // tail. When `ragged`, each of the 37 slices (16 + 16 inputs, 4
-        // planes, carry) gets its own length `n + 0..=5`: every backend
-        // must then process the same shortest prefix and never touch a
-        // word past it.
-        let mut rng = HvRng::from_seed(seed);
-        let extra: Vec<usize> = (0..37)
-            .map(|_| if ragged { rng.index(6) } else { 0 })
-            .collect();
-        let mut slice = |i: usize| words(&mut rng, n + extra[i]);
-        let a: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(&mut slice).collect();
-        let b: Vec<Vec<u64>> = (16..16 + CARRY_SAVE_INPUTS).map(&mut slice).collect();
-        let low: Vec<Vec<u64>> = (32..36).map(&mut slice).collect();
-        let stale = slice(36);
-        let want = carry_save_once(kernel::scalar(), &a, Some(&b), &low, &stale);
-        let common = extra.iter().min().map_or(n, |e| n + e);
-        for (before, after) in low.iter().zip(&want.0).chain([(&stale, &want.1)]) {
-            prop_assert_eq!(&before[common..], &after[common..], "words past the shortest slice");
+        // The reference itself, bit by bit: plane `p` of dimension `d`
+        // is bit `p` of how many bound pairs `features[i] ^
+        // values[levels[i]]` set bit `d`, below `dim`; every bit at or
+        // past `dim` is zero, and planes above the count's are left as
+        // they were. Past 256 inputs the ninth plane lives in memory,
+        // and past 512 it takes more than one 256s carry.
+        let case = ColumnCase::new(dim, n, m, seed);
+        let n_planes = planes_for(n);
+        let planes = case.planes(kernel::scalar(), n_planes + 2);
+        let stale = ColumnCase::planes(&ColumnCase::new(dim, 0, m, seed), kernel::scalar(), n_planes + 2);
+        prop_assert_eq!(&planes[n_planes..], &stale[n_planes..], "planes above the count");
+        for d in 0..dim.div_ceil(64) * 64 {
+            let (w, b) = (d / 64, d % 64);
+            let want: u64 = if d < dim {
+                case.features
+                    .iter()
+                    .zip(&case.levels)
+                    .map(|(fea, &lv)| ((fea[w] ^ case.values[usize::from(lv)][w]) >> b) & 1)
+                    .sum()
+            } else {
+                0
+            };
+            let got: u64 = planes[..n_planes]
+                .iter()
+                .enumerate()
+                .map(|(p, plane)| ((plane[w] >> b) & 1) << p)
+                .sum();
+            prop_assert_eq!(got, want, "dimension {}", d);
         }
-        for k in non_scalar_backends() {
-            prop_assert_eq!(
-                carry_save_once(k, &a, Some(&b), &low, &stale),
-                want.clone(),
-                "bind_carry_save_16: {}", k.name
-            );
-        }
-    }
-
-    #[test]
-    fn bind_carry_save_16_scalar_adds_exactly(n in 0usize..=6, seed in any::<u64>()) {
-        // The fused reference is the plain step over the bound pairs:
-        // identical planes, carry and live flag to `carry_save_16` on
-        // `a[j] ^ b[j]`, which `carry_save_16_scalar_adds_exactly`
-        // checks bit by bit.
-        let mut rng = HvRng::from_seed(seed);
-        let a: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
-        let b: Vec<Vec<u64>> = (0..CARRY_SAVE_INPUTS).map(|_| words(&mut rng, n)).collect();
-        let bound: Vec<Vec<u64>> = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| x.iter().zip(y).map(|(p, q)| p ^ q).collect())
-            .collect();
-        let low: Vec<Vec<u64>> = (0..4).map(|_| words(&mut rng, n)).collect();
-        let stale = words(&mut rng, n);
-        prop_assert_eq!(
-            carry_save_once(kernel::scalar(), &a, Some(&b), &low, &stale),
-            carry_save_once(kernel::scalar(), &bound, None, &low, &stale)
-        );
     }
 
     #[test]
@@ -227,24 +301,25 @@ proptest! {
         n in prop_oneof![0usize..=70, 255usize..=273],
         seed in any::<u64>(),
     ) {
-        // The accumulator's carry-save bulk adds (plain and fused-bind)
-        // driven through each backend explicitly, against the scalar
-        // reference's planes.
+        // The accumulator's two bulk paths — the staged carry-save add
+        // and the column bind-and-count — driven through each backend
+        // explicitly, against the scalar reference's planes.
         let mut rng = HvRng::from_seed(seed);
         let hvs: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(dim)).collect();
-        let keys: Vec<BinaryHv> = (0..n).map(|_| rng.binary_hv(dim)).collect();
+        let values: Vec<BinaryHv> = (0..4).map(|_| rng.binary_hv(dim)).collect();
+        let levels: Vec<u16> = (0..n).map(|_| rng.index(4) as u16).collect();
+        let (feature_tiles, value_tiles) =
+            (TileBlock::from_hvs(dim, &hvs), TileBlock::from_hvs(dim, &values));
         let bundle = |k: &'static Kernel| {
-            let mut acc = BitSliceAccumulator::with_kernel(dim, k);
-            acc.add_slices(hvs.iter().map(|hv| hv.bits().words()));
-            let mut bound = BitSliceAccumulator::with_kernel(dim, k);
-            bound.add_bound_pairs(
-                hvs.iter().zip(&keys).map(|(hv, key)| (hv.bits().words(), key.bits().words())),
-            );
+            let mut staged = BitSliceAccumulator::with_kernel(dim, k);
+            staged.add_staged(n, |i, slot| slot.copy_from_slice(hvs[i].bits().words()));
+            let mut columns = BitSliceAccumulator::with_kernel(dim, k);
+            columns.bundle_row(&feature_tiles, &value_tiles, &levels);
             (
-                acc.counts(),
-                acc.majority_ties_positive(),
-                bound.counts(),
-                bound.majority_ties_positive(),
+                staged.counts(),
+                staged.majority_ties_positive(),
+                columns.counts(),
+                columns.majority_ties_positive(),
             )
         };
         let want = bundle(kernel::scalar());
@@ -553,6 +628,126 @@ fn strided_row_scans_panic_on_short_rows() {
                     k.name
                 );
             }
+        }
+    }
+}
+
+/// The column bind-and-count on every backend against the scalar
+/// reference over the whole grid: dimensions with and without a
+/// partial last tile and a partial last word, feature counts around
+/// the 16-input group and the 256-input fold up to the ISOLET shape's
+/// 617 and 4100, whose 13 planes take the 256s carry of 16 second-level
+/// folds, and M = 2 and 16, with garbage past `dim` in every
+/// feature and value word and in the tile padding.
+#[test]
+fn bind_bundle_columns_matches_scalar_on_the_grid() {
+    let dims = [64, 130, 511, 512, 513, 1030, 2112, 10_000];
+    let feature_counts = [1, 15, 16, 17, 31, 617, 4100];
+    for (case_no, (&dim, &n, m)) in dims
+        .iter()
+        .flat_map(|d| feature_counts.iter().map(move |n| (d, n)))
+        .flat_map(|(d, n)| [2, 16].map(|m| (d, n, m)))
+        .enumerate()
+    {
+        let case = ColumnCase::new(dim, n, m, case_no as u64);
+        let want = case.planes(kernel::scalar(), planes_for(n) + 1);
+        for k in non_scalar_backends() {
+            assert_eq!(
+                case.planes(k, planes_for(n) + 1),
+                want,
+                "bind_bundle_columns: {} at D = {dim}, N = {n}, M = {m}",
+                k.name
+            );
+        }
+    }
+}
+
+/// Every backend checks a column call before reading through a raw
+/// pointer: a level not below `M`, a feature block a word short of `N`
+/// tile-major vectors, a value block that is not whole vectors, and a
+/// missing or short plane each panic.
+#[test]
+fn bind_bundle_columns_panic_on_bad_shapes() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let case = ColumnCase::new(1030, 40, 4, 1);
+    let n_planes = planes_for(40);
+    for k in kernel::available() {
+        let run = |features: &[u64], values: &[u64], levels: &[u16], planes: &mut Vec<Vec<u64>>| {
+            let row = BoundRow {
+                features,
+                values,
+                levels,
+                dim: 1030,
+            };
+            catch_unwind(AssertUnwindSafe(|| {
+                (k.bind_bundle_columns)(&row, &mut Vec::new(), planes)
+            }))
+        };
+        let planes = vec![vec![0u64; 17]; n_planes];
+        assert!(
+            run(
+                &case.feature_block,
+                &case.value_block,
+                &case.levels,
+                &mut planes.clone()
+            )
+            .is_ok(),
+            "{}: a well-formed call",
+            k.name
+        );
+        let mut bad_level = case.levels.clone();
+        bad_level[39] = 4;
+        let short_features = &case.feature_block[..case.feature_block.len() - 1];
+        let ragged_values = &case.value_block[..case.value_block.len() - 1];
+        let bad = [
+            (
+                "level = M",
+                run(
+                    &case.feature_block,
+                    &case.value_block,
+                    &bad_level,
+                    &mut planes.clone(),
+                ),
+            ),
+            (
+                "short feature block",
+                run(
+                    short_features,
+                    &case.value_block,
+                    &case.levels,
+                    &mut planes.clone(),
+                ),
+            ),
+            (
+                "ragged value block",
+                run(
+                    &case.feature_block,
+                    ragged_values,
+                    &case.levels,
+                    &mut planes.clone(),
+                ),
+            ),
+            (
+                "missing plane",
+                run(
+                    &case.feature_block,
+                    &case.value_block,
+                    &case.levels,
+                    &mut planes[1..].to_vec(),
+                ),
+            ),
+            (
+                "short plane",
+                run(
+                    &case.feature_block,
+                    &case.value_block,
+                    &case.levels,
+                    &mut vec![vec![0u64; 16]; n_planes],
+                ),
+            ),
+        ];
+        for (what, result) in bad {
+            assert!(result.is_err(), "{}: {what} must panic", k.name);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! for validation and as the benchmark baseline.
 
 use hypervec::{
-    par, BinaryHv, BitSliceAccumulator, BoundPairCache, HvError, HvRng, IntHv, ItemMemory, LevelHvs,
+    par, BinaryHv, BitSliceAccumulator, HvError, HvRng, IntHv, ItemMemory, LevelHvs, TileBlock,
 };
 
 /// An HDC encoding module mapping a quantized feature row (level indices
@@ -58,8 +58,8 @@ pub trait Encoder {
     ///
     /// The default implementation chunks the batch across worker threads
     /// (see [`hypervec::par`]) and encodes row-by-row; implementations
-    /// with cheaper batch strategies (cached bound pairs, reusable
-    /// accumulators) override it. Output order matches input order and
+    /// with cheaper batch strategies (reusable accumulators) override
+    /// it. Output order matches input order and
     /// every element is bit-exact with [`Encoder::encode_binary`].
     ///
     /// # Panics
@@ -128,13 +128,14 @@ pub trait Encoder {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecordEncoder {
-    features: ItemMemory,
+    /// The feature hypervectors, tile-major for the column pass every
+    /// encode runs ([`BitSliceAccumulator::bundle_row`]); the only copy,
+    /// gathered back by [`RecordEncoder::features`].
+    features: TileBlock,
     values: LevelHvs,
-    /// Shared `(feature, level)` bound-pair cache; a batch warms its
-    /// table once when it fits [`BoundPairCache::TABLE_BUDGET_BYTES`],
-    /// after which every add is a single pre-bound vector. Otherwise
-    /// rows take the fused-bind bulk add.
-    bound_cache: BoundPairCache,
+    /// `values` again, tile-major for the column pass: `M` vectors, 20 KB
+    /// at the ISOLET shape.
+    value_tiles: TileBlock,
 }
 
 impl RecordEncoder {
@@ -151,11 +152,7 @@ impl RecordEncoder {
     ) -> Result<Self, HvError> {
         let features = ItemMemory::random(rng, dim, n_features);
         let values = LevelHvs::generate(rng, dim, m_levels)?;
-        Ok(RecordEncoder {
-            features,
-            values,
-            bound_cache: BoundPairCache::new(),
-        })
+        Self::from_parts(features, values)
     }
 
     /// Builds an encoder from existing memories (e.g. hypervectors
@@ -176,16 +173,20 @@ impl RecordEncoder {
             });
         }
         Ok(RecordEncoder {
-            features,
+            features: TileBlock::from_hvs(features.dim(), features.rows()),
+            value_tiles: TileBlock::from_hvs(values.dim(), values.levels()),
             values,
-            bound_cache: BoundPairCache::new(),
         })
     }
 
-    /// The feature item memory.
+    /// The feature item memory, gathered from the tile-major block the
+    /// encoder keeps.
     #[must_use]
-    pub fn features(&self) -> &ItemMemory {
-        &self.features
+    pub fn features(&self) -> ItemMemory {
+        let rows = (0..self.features.len())
+            .map(|i| self.features.get(i))
+            .collect();
+        ItemMemory::from_rows(rows).expect("an encoder holds at least one feature")
     }
 
     /// The value (level) hypervectors.
@@ -207,18 +208,9 @@ impl RecordEncoder {
         self.check_row(levels);
         let mut acc = IntHv::zeros(self.dim());
         for (i, &lv) in levels.iter().enumerate() {
-            let fea = self.features.get(i).expect("index bounded by n_features");
-            acc.add_bound_pair(self.values.level(usize::from(lv)), fea);
+            acc.add_bound_pair(self.values.level(usize::from(lv)), &self.features.get(i));
         }
         acc
-    }
-
-    /// Accumulates one row into a (cleared) bit-sliced accumulator via
-    /// the shared bound-pair cache (pre-bound adds when warm, the
-    /// fused-bind bulk add when cold).
-    fn accumulate_row(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
-        self.bound_cache
-            .accumulate_row(acc, self.features.rows(), &self.values, levels);
     }
 
     /// Shared batch driver: chunked fan-out with a per-worker reusable
@@ -231,16 +223,11 @@ impl RecordEncoder {
         for row in rows {
             self.check_row(row);
         }
-        // Warm the cache before forking when the batch amortizes it and
-        // the table fits the budget.
-        self.bound_cache
-            .warm_for_batch(self.features.rows(), &self.values, rows.len());
         par::par_chunk_map(rows.len(), 4, |range| {
             let mut acc = BitSliceAccumulator::new(self.dim());
             let mut out = Vec::with_capacity(range.len());
             for r in range {
-                acc.clear();
-                self.accumulate_row(&mut acc, rows[r]);
+                acc.bundle_row(&self.features, &self.value_tiles, rows[r]);
                 out.push(finish(&acc));
             }
             out
@@ -274,14 +261,14 @@ impl Encoder for RecordEncoder {
     fn encode_int(&self, levels: &[u16]) -> IntHv {
         self.check_row(levels);
         let mut acc = BitSliceAccumulator::new(self.dim());
-        self.accumulate_row(&mut acc, levels);
+        acc.bundle_row(&self.features, &self.value_tiles, levels);
         acc.to_int()
     }
 
     fn encode_binary(&self, levels: &[u16]) -> BinaryHv {
         self.check_row(levels);
         let mut acc = BitSliceAccumulator::new(self.dim());
-        self.accumulate_row(&mut acc, levels);
+        acc.bundle_row(&self.features, &self.value_tiles, levels);
         acc.majority_ties_positive()
     }
 
@@ -294,10 +281,7 @@ impl Encoder for RecordEncoder {
     }
 
     fn feature_hv(&self, i: usize) -> BinaryHv {
-        self.features
-            .get(i)
-            .expect("feature index in range")
-            .clone()
+        self.features.get(i)
     }
 
     fn value_hv(&self, v: usize) -> BinaryHv {
@@ -376,8 +360,8 @@ mod tests {
                 .map(|s| (0..n).map(|i| ((s + i) % 4) as u16).collect())
                 .collect();
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
-            // Single encodes before the batch take the cold fused-bind
-            // path; the batch warms the bound-pair table for the rest.
+            // Single encodes before the batch, against the batch and the
+            // single encodes after it: no encode leaves state behind.
             let cold_int: Vec<IntHv> = refs.iter().map(|row| e.encode_int(row)).collect();
             let batch_bin = e.encode_batch_binary(&refs);
             let batch_int = e.encode_batch_int(&refs);
@@ -388,15 +372,6 @@ mod tests {
                 assert_eq!(batch_int[i], cold_int[i], "N {n} cold row {i}");
             }
         }
-    }
-
-    #[test]
-    fn cache_does_not_change_results() {
-        let e = encoder(12);
-        let row: Vec<u16> = (0..9).map(|i| (i % 4) as u16).collect();
-        let before = e.encode_binary(&row);
-        e.bound_cache.warm(e.features().rows(), e.values()); // force the cache on
-        assert_eq!(e.encode_binary(&row), before);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl HdcModel<RecordEncoder> {
     pub fn to_json(&self) -> Result<String, PersistError> {
         let saved = SavedModel {
             config: *self.config(),
-            features: self.encoder().features().clone(),
+            features: self.encoder().features(),
             values: self.encoder().values().clone(),
             discretizer: self.discretizer().clone(),
             memory: self.memory().clone(),

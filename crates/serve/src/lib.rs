@@ -144,8 +144,9 @@
 //! encoder runs in `hdlock::DeriveMode::Hardened`: every encode does
 //! fixed, input-independent work (full bound-pair table stride with a
 //! branchless select, oblivious key-vault reads, pruned top-k replaced
-//! by the fixed-shape exact scan), closing the cache-warmth timing
-//! side channel demonstrated by `hdc_attack::warmth_distinguisher`.
+//! by the fixed-shape exact scan). The default cached mode builds no
+//! bound-pair table, so `hdc_attack::warmth_distinguisher`, the
+//! cache-warmth timing probe, fails against both modes.
 //! Responses stay bit-identical to the unhardened server (pinned by an
 //! integration test); the mode is reported by the `info`/`stats` admin
 //! responses and the `hdc_hardened` gauge, and survives live rekeys.

@@ -87,7 +87,7 @@ impl ModelSnapshot {
             config: *model.config(),
             discretizer: model.discretizer().clone(),
             encoder: EncoderParts::Standard {
-                features: model.encoder().features().clone(),
+                features: model.encoder().features(),
                 values: model.encoder().values().clone(),
             },
             bins: model.memory().binary_rows().to_vec(),

@@ -52,8 +52,8 @@ proptest! {
         let batch_rows = rows(n, m, 9, seed ^ 1);
         let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
 
-        // Single encodes before any batch run the cold fused-bind path;
-        // the batch below warms the bound-pair table.
+        // Single encodes before and after the batch, all on the column
+        // pass, must match the scalar reference.
         let cold_int: Vec<_> = refs.iter().map(|row| enc.encode_int(row)).collect();
         let batch_bin = enc.encode_batch_binary(&refs);
         let batch_int = enc.encode_batch_int(&refs);
@@ -82,7 +82,7 @@ proptest! {
         let batch_rows = rows(n, m, 7, seed ^ 2);
         let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
 
-        // Cached single encodes before any batch take the cold path.
+        // Cached single encodes before any batch, on the column pass.
         for (i, row) in refs.iter().enumerate() {
             prop_assert_eq!(enc.encode_int(row), enc.encode_int_scalar(row), "cold int row {}", i);
         }
@@ -131,14 +131,15 @@ proptest! {
 /// 38 full carry-save groups and a zero-padded group of 9 per row, at
 /// M = 16 and D = 10 000. Both encoders, every locked derivation mode:
 /// single encodes before and after a batch of `M` rows, and the batch
-/// itself, all against the scalar reference. The 11.8 MiB bound-pair
-/// table is over `BoundPairCache::TABLE_BUDGET_BYTES`, so the batch
-/// leaves the record and cached encoders on the fused-bind path;
-/// hardened mode builds its table eagerly.
+/// itself, all against the scalar reference. The record and cached
+/// encoders run the column pass for every one of them (per column, two
+/// full second-level folds of 256 inputs and a short one into the
+/// counter planes above the low four, which live in memory); hardened
+/// mode builds its table eagerly.
 #[test]
 fn isolet_shape_encodes_are_bit_exact_with_scalar() {
     let (n, m, d) = (617, 16, 10_000);
-    // `M` rows: enough to warm a table under the budget, not this one.
+    // `M` rows: the batch that once built a bound-pair table.
     let batch_rows = rows(n, m, m, 617);
     let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
     let checked = [0, m - 1];
