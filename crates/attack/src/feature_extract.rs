@@ -496,11 +496,11 @@ mod tests {
     #[test]
     fn extraction_through_deployed_session_is_identical() {
         use crate::oracle::SessionOracle;
-        use hdc_model::{ClassMemory, InferenceSession};
+        use hdc_model::{ClassMemory, OwnedSession};
 
         let (enc, dump, truth) = setup(8, 15, 4, 2048);
         let memory = ClassMemory::new(ModelKind::Binary, 2, 2048);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let deployed = SessionOracle::new(&session);
         let direct = CountingOracle::new(&enc);
 

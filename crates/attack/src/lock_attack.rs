@@ -625,7 +625,7 @@ mod tests {
     #[test]
     fn attack_through_deployed_session_matches_direct_oracle() {
         use crate::oracle::SessionOracle;
-        use hdc_model::{ClassMemory, InferenceSession};
+        use hdc_model::{ClassMemory, OwnedSession};
 
         // The attacker drives the deployed serving pipeline (session
         // over the locked encoder + a trained memory) instead of a bare
@@ -639,7 +639,7 @@ mod tests {
             &vec![0u16; cfg.n_features],
         ));
         memory.rebinarize();
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let deployed = SessionOracle::new(&session);
         let direct = CountingOracle::new(&enc);
 

@@ -4,14 +4,16 @@
 //! own inputs and observe the encoding outputs". [`EncodingOracle`]
 //! models exactly that channel; [`CountingOracle`] wraps any encoder and
 //! audits how many queries an attack consumed. [`SessionOracle`] wraps a
-//! *deployed* [`InferenceSession`] instead — the attacker drives the
-//! same fused encode→search pipeline that serves production traffic, so
-//! measured attack cost and served throughput describe one code path,
-//! with identical per-row accounting.
+//! *deployed* [`OwnedSession`] instead — a registry generation's
+//! `ServingSession` as production serves it, or a session over a
+//! borrowed encoder — so the attacker drives the same fused
+//! encode→search pipeline that serves production traffic, and measured
+//! attack cost and served throughput describe one code path, with
+//! identical per-row accounting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hdc_model::{Encoder, InferenceSession};
+use hdc_model::{ClassifySession, Encoder, OwnedSession};
 use hypervec::{BinaryHv, IntHv};
 
 /// Chosen-input access to a victim encoder's outputs.
@@ -124,7 +126,9 @@ impl<E: Encoder + Sync> EncodingOracle for CountingOracle<'_, E> {
 
 /// The attacker's chosen-input channel into a *deployed* model: an
 /// [`EncodingOracle`] backed by the serving pipeline's
-/// [`InferenceSession`] rather than a bare encoder reference.
+/// [`OwnedSession`] rather than a bare encoder reference. `E` is the
+/// session's encoder handle: `AnyEncoder` for a registry generation's
+/// `ServingSession`, `&E` for a session over a borrowed encoder.
 ///
 /// Encoding queries forward to the session's encoder (the paper's
 /// Sec. 3.1 observation channel) and decision queries
@@ -133,15 +137,15 @@ impl<E: Encoder + Sync> EncodingOracle for CountingOracle<'_, E> {
 /// [`CountingOracle`], so attack-cost accounting is unchanged by the
 /// serving refactor.
 #[derive(Debug)]
-pub struct SessionOracle<'a, 'm, E> {
-    session: &'a InferenceSession<'m, E>,
+pub struct SessionOracle<'a, E> {
+    session: &'a OwnedSession<E>,
     queries: AtomicU64,
 }
 
-impl<'a, 'm, E: Encoder + Sync> SessionOracle<'a, 'm, E> {
+impl<'a, E: Encoder + Sync> SessionOracle<'a, E> {
     /// Wraps a deployed inference session.
     #[must_use]
-    pub fn new(session: &'a InferenceSession<'m, E>) -> Self {
+    pub fn new(session: &'a OwnedSession<E>) -> Self {
         SessionOracle {
             session,
             queries: AtomicU64::new(0),
@@ -168,7 +172,7 @@ impl<'a, 'm, E: Encoder + Sync> SessionOracle<'a, 'm, E> {
     }
 }
 
-impl<E: Encoder + Sync> EncodingOracle for SessionOracle<'_, '_, E> {
+impl<E: Encoder + Sync> EncodingOracle for SessionOracle<'_, E> {
     fn n_features(&self) -> usize {
         self.session.n_features()
     }
@@ -273,7 +277,7 @@ mod tests {
 
     #[test]
     fn session_oracle_matches_counting_oracle_and_accounting() {
-        use hdc_model::{ClassMemory, InferenceSession, ModelKind};
+        use hdc_model::{ClassMemory, ModelKind};
 
         let mut rng = HvRng::from_seed(4);
         let enc = RecordEncoder::generate(&mut rng, 6, 4, 256).unwrap();
@@ -283,7 +287,7 @@ mod tests {
             .acc_mut(1)
             .add(&enc.encode_binary(&probe_row(6, 4, 2)));
         memory.rebinarize();
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let deployed = SessionOracle::new(&session);
         let reference = CountingOracle::new(&enc);
 

@@ -225,25 +225,11 @@ pub fn warmth_distinguisher(
     let _ = warm.encode_batch_binary(&refs);
     queries += m as u64;
 
-    // One probe = the *minimum* over `reps` individually timed encodes:
-    // the min is the latency of the operation itself with scheduler
-    // preemption and interrupt noise stripped, which is exactly what a
-    // patient adversary reconstructs by repetition.
-    let probe = |enc: &LockedEncoder| {
-        (0..reps.max(1))
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(enc.encode_binary(&row));
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX) as f64
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-
     let mut cold_ns = Vec::with_capacity(samples);
     let mut warm_ns = Vec::with_capacity(samples);
     for _ in 0..samples {
-        cold_ns.push(probe(cold));
-        warm_ns.push(probe(warm));
+        cold_ns.push(probe_ns(cold, &row, reps));
+        warm_ns.push(probe_ns(warm, &row, reps));
         queries += 2 * reps.max(1) as u64;
     }
 
@@ -257,6 +243,20 @@ pub fn warmth_distinguisher(
         samples,
         oracle_queries: queries,
     })
+}
+
+/// One timing probe: the *minimum* over `reps` individually timed
+/// single-row encodes of `row`. The min is the latency of the operation
+/// itself with scheduler preemption and interrupt noise stripped, which
+/// is exactly what a patient adversary reconstructs by repetition.
+fn probe_ns(enc: &LockedEncoder, row: &[u16], reps: usize) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(enc.encode_binary(row));
+            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -354,8 +354,10 @@ mod tests {
     /// not retry until some attempt shows nothing.
     #[test]
     fn warmth_oracle_reads_neither_cached_nor_hardened() {
+        const SAMPLES: usize = 300;
+        const REPS: usize = 12;
         let probe = |mode: DeriveMode| {
-            let report = warmth_distinguisher(&victim(11, mode), &victim(12, mode), 300, 12)
+            let report = warmth_distinguisher(&victim(11, mode), &victim(12, mode), SAMPLES, REPS)
                 .expect("above the sample floor");
             eprintln!("{mode:?}: {report}");
             report
@@ -371,8 +373,29 @@ mod tests {
             "hardened mode must close the channel: {hardened}"
         );
         // Fixed work also means hardened probes cost more than cached
-        // ones — the tax the bench suite prices.
-        assert!(hardened.warm_mean_ns > cached.warm_mean_ns);
+        // ones — the tax the bench suite prices. Means taken in two
+        // separate windows would carry the host's drift between them, so
+        // the cost comparison alternates one cached probe with one
+        // hardened probe, at the verdicts' counts.
+        let cached_enc = victim(11, DeriveMode::Cached);
+        let hardened_enc = victim(11, DeriveMode::Hardened);
+        let row = vec![0u16; cached_enc.n_features()];
+        // Prime: hardened mode's first encode builds its table.
+        let _ = cached_enc.encode_binary(&row);
+        let _ = hardened_enc.encode_binary(&row);
+        let (mut cached_ns, mut hardened_ns) = (0.0, 0.0);
+        for _ in 0..SAMPLES {
+            cached_ns += probe_ns(&cached_enc, &row, REPS);
+            hardened_ns += probe_ns(&hardened_enc, &row, REPS);
+        }
+        let cached_mean = cached_ns / SAMPLES as f64;
+        let hardened_mean = hardened_ns / SAMPLES as f64;
+        eprintln!("interleaved probes: cached {cached_mean:.0} ns, hardened {hardened_mean:.0} ns");
+        assert!(
+            hardened_mean > cached_mean,
+            "hardened probes must cost more than cached ones: \
+             {hardened_mean:.0} ns against {cached_mean:.0} ns"
+        );
     }
 
     #[test]

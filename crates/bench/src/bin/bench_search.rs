@@ -48,7 +48,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use hdc_model::{infer, ClassMemory, Encoder as _, ModelKind};
+use hdc_model::{infer, ClassMemory, ClassifySession as _, Encoder as _, ModelKind};
 use hdc_serve::demo::{demo_model, DemoSpec};
 use hdc_serve::{
     loadgen, protocol, server, wire, BatchConfig, CoreKind, FanInConfig, LoadgenConfig,

@@ -67,8 +67,7 @@ pub fn is_quasi_orthogonal(hvs: &[BinaryHv], tolerance: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::locked_encoder::{LockConfig, LockedEncoder};
-    use hdc_model::Encoder;
+    use crate::locked_encoder::{derive_feature, LockConfig, LockedEncoder};
     use hypervec::HvRng;
 
     #[test]
@@ -92,7 +91,14 @@ mod tests {
             n_layers: 3,
         };
         let enc = LockedEncoder::generate(&mut rng, &cfg).unwrap();
-        let derived: Vec<BinaryHv> = (0..16).map(|i| enc.feature_hv(i)).collect();
+        let derived: Vec<BinaryHv> = enc
+            .vault()
+            .with_key(|key| {
+                (0..16)
+                    .map(|i| derive_feature(enc.pool(), key.feature(i), i).unwrap())
+                    .collect()
+            })
+            .unwrap();
         assert!(
             is_quasi_orthogonal(&derived, 0.03),
             "{:?}",

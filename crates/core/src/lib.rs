@@ -57,7 +57,6 @@ pub mod equivalence;
 pub mod error;
 pub mod key;
 pub mod locked_encoder;
-pub mod ngram_lock;
 pub mod pool;
 pub mod value_lock;
 pub mod vault;
@@ -72,7 +71,6 @@ pub use key::{EncodingKey, FeatureKey, LayerKey};
 pub use locked_encoder::{
     derive_feature, derive_feature_into, DeriveMode, LockConfig, LockedEncoder,
 };
-pub use ngram_lock::LockedNgramEncoder;
 pub use pool::BasePool;
 pub use value_lock::{analyze_value_locking, ValueLockAnalysis, ValueLockStrategy};
 pub use vault::KeyVault;

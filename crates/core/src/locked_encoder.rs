@@ -16,12 +16,17 @@
 //! allocation.
 //!
 //! A deployed locked model serves queries through
-//! [`hdc_model::InferenceSession`]: the session fuses the locked batch
+//! [`hdc_model::OwnedSession`]: the session fuses the locked batch
 //! encode with the sharded class-memory search, so protected inference
 //! runs on exactly the same query pipeline as the unprotected model —
 //! accuracy-neutral by construction (paper Fig. 8) and bit-identical to
-//! the scalar reference path in both derivation modes (pinned by
+//! the scalar reference path in all three derivation modes (pinned by
 //! `session_inference_matches_scalar_in_both_modes`).
+//!
+//! The encoder hands out no feature hypervector: the [`Encoder`] trait
+//! has no such method. [`derive_feature`] over the public pool and a
+//! key read from the vault ([`KeyVault::with_key`], counted in its
+//! audit trail) is the only way to one.
 
 use hdc_model::Encoder;
 use hypervec::{
@@ -382,33 +387,6 @@ impl LockedEncoder {
         acc
     }
 
-    fn derived_feature(&self, i: usize) -> BinaryHv {
-        match self.mode {
-            DeriveMode::Cached => self.features.get(i),
-            DeriveMode::OnTheFly => self
-                .vault
-                .with_key(|key| derive_feature(&self.pool, key.feature(i), i))
-                .expect("vault alive while encoder exists")
-                .expect("sealed key was validated at construction"),
-            // Sweep every cached feature and pick `i` with a branchless
-            // mask, so introspection reads look the same for any index.
-            DeriveMode::Hardened => {
-                let n_words = self.dim().div_ceil(64);
-                let mut words = vec![0u64; n_words];
-                let mut fea = vec![0u64; n_words];
-                for j in 0..self.features.len() {
-                    self.features.get_into(j, &mut fea);
-                    let eq = (j as u64) ^ (i as u64);
-                    let mask = ((eq | eq.wrapping_neg()) >> 63).wrapping_sub(1);
-                    for (w, &fw) in words.iter_mut().zip(&fea) {
-                        *w |= fw & mask;
-                    }
-                }
-                BinaryHv::from_bits(hypervec::bitvec::BitWords::from_words(words, self.dim()))
-            }
-        }
-    }
-
     /// Encodes one row from the cached features in one column pass,
     /// replacing the accumulator's contents.
     fn accumulate_row_cached(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
@@ -568,14 +546,6 @@ impl Encoder for LockedEncoder {
         self.encode_batch_with(rows, BitSliceAccumulator::to_int)
     }
 
-    fn feature_hv(&self, i: usize) -> BinaryHv {
-        self.derived_feature(i)
-    }
-
-    fn value_hv(&self, v: usize) -> BinaryHv {
-        self.values.level(v).clone()
-    }
-
     fn is_hardened(&self) -> bool {
         self.mode == DeriveMode::Hardened
     }
@@ -604,6 +574,15 @@ mod tests {
     /// Feature counts below, at and past the accumulator's 16-input
     /// carry-save group.
     const FEATURE_COUNTS: [usize; 3] = [9, 16, 40];
+
+    /// Feature `i`'s hypervector, derived from the key under one audited
+    /// vault read.
+    fn feature(enc: &LockedEncoder, i: usize) -> BinaryHv {
+        enc.vault()
+            .with_key(|key| derive_feature(enc.pool(), key.feature(i), i))
+            .expect("vault alive while encoder exists")
+            .expect("sealed key was validated at construction")
+    }
 
     #[test]
     fn derive_feature_is_product_of_rotated_bases() {
@@ -680,7 +659,7 @@ mod tests {
         let h = enc.encode_int(&row);
         let mut manual = IntHv::zeros(1024);
         for (i, &lv) in row.iter().enumerate() {
-            manual.add_binary(&enc.feature_hv(i).bind(&enc.value_hv(usize::from(lv))));
+            manual.add_binary(&feature(&enc, i).bind(enc.values().level(usize::from(lv))));
         }
         assert_eq!(h, manual);
     }
@@ -762,17 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn hardened_feature_hv_matches_cached() {
-        let mut rng = HvRng::from_seed(16);
-        let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
-        let cached: Vec<BinaryHv> = (0..9).map(|i| enc.feature_hv(i)).collect();
-        enc.set_mode(DeriveMode::Hardened);
-        for (i, fea) in cached.iter().enumerate() {
-            assert_eq!(&enc.feature_hv(i), fea, "feature {i}");
-        }
-    }
-
-    #[test]
     fn rekeyed_preserves_mode() {
         let mut rng = HvRng::from_seed(17);
         let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
@@ -814,7 +782,7 @@ mod tests {
 
     #[test]
     fn session_inference_matches_scalar_in_both_modes() {
-        use hdc_model::{ClassMemory, InferenceSession, ModelKind};
+        use hdc_model::{ClassMemory, ClassifySession, ModelKind, OwnedSession};
 
         let mut rng = HvRng::from_seed(21);
         let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
@@ -834,7 +802,7 @@ mod tests {
                 DeriveMode::Hardened,
             ] {
                 enc.set_mode(mode);
-                let session = InferenceSession::new(&enc, &memory);
+                let session = OwnedSession::new(&enc, &memory);
                 let fused = session.classify_batch(&refs);
                 for (i, row) in refs.iter().enumerate() {
                     let scalar = match kind {
@@ -853,13 +821,13 @@ mod tests {
 
     #[test]
     fn session_on_the_fly_batch_keeps_vault_accounting() {
-        use hdc_model::{ClassMemory, InferenceSession, ModelKind};
+        use hdc_model::{ClassMemory, ClassifySession, ModelKind, OwnedSession};
 
         let mut rng = HvRng::from_seed(22);
         let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
         enc.set_mode(DeriveMode::OnTheFly);
         let memory = ClassMemory::new(ModelKind::Binary, 2, 1024);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let base_reads = enc.vault().reads();
         let rows: Vec<Vec<u16>> = (0..6).map(|_| vec![0u16; 9]).collect();
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
@@ -882,7 +850,7 @@ mod tests {
         let enc = LockedEncoder::generate(&mut rng, &cfg).unwrap();
         for i in 0..12 {
             for j in (i + 1)..12 {
-                let d = enc.feature_hv(i).normalized_hamming(&enc.feature_hv(j));
+                let d = feature(&enc, i).normalized_hamming(&feature(&enc, j));
                 assert!((d - 0.5).abs() < 0.05, "features {i},{j}: {d}");
             }
         }
@@ -900,7 +868,7 @@ mod tests {
         };
         let enc = LockedEncoder::generate(&mut rng, &cfg).unwrap();
         for i in 0..5 {
-            assert_eq!(&enc.feature_hv(i), enc.pool().base(i).unwrap());
+            assert_eq!(&feature(&enc, i), enc.pool().base(i).unwrap());
         }
     }
 
@@ -925,7 +893,7 @@ mod tests {
         assert_eq!(rekeyed.values(), enc.values());
         let mut changed = 0;
         for i in 0..enc.n_features() {
-            if enc.feature_hv(i) != rekeyed.feature_hv(i) {
+            if feature(&enc, i) != feature(&rekeyed, i) {
                 changed += 1;
             }
         }

@@ -1,32 +1,12 @@
-//! Property tests for the batch corpus-ingest paths (ISSUE 6 satellite):
-//! batch k-mer encode → push → top-1 search must agree with the
-//! single-record paths in `ngram.rs` / `ngram_lock.rs`, and the record
-//! encoder's batch path must agree in both [`DeriveMode`]s.
+//! Property test for the batch corpus-ingest path: a locked record
+//! encoder's batch encode → push → top-1 search must agree with the
+//! one-record-at-a-time path in both the cached and the on-the-fly
+//! [`DeriveMode`].
 
-use hdc_model::{Encoder, NgramEncoder};
-use hdlock::{DeriveMode, LockConfig, LockedEncoder, LockedNgramEncoder};
+use hdc_model::Encoder;
+use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hypervec::{BinaryHv, HvRng, ShardedClassMemory};
 use proptest::prelude::*;
-
-/// Random corpus of `count` sequences with lengths in `[n, n + 12]`.
-fn corpus(rng: &mut HvRng, alphabet: usize, n: usize, count: usize) -> Vec<Vec<usize>> {
-    (0..count)
-        .map(|_| {
-            let len = n + rng.index(13);
-            (0..len).map(|_| rng.index(alphabet)).collect()
-        })
-        .collect()
-}
-
-/// Single-record reference: encode each sequence on its own and push in
-/// corpus order.
-fn push_one_by_one(dim: usize, rows: &[BinaryHv]) -> ShardedClassMemory {
-    let mut mem = ShardedClassMemory::new(dim);
-    for hv in rows {
-        mem.push(hv).unwrap();
-    }
-    mem
-}
 
 fn top1(mem: &ShardedClassMemory, query: &BinaryHv) -> (usize, u64) {
     let hits = mem.search_topk_binary(&[query], 1).unwrap();
@@ -37,70 +17,7 @@ fn top1(mem: &ShardedClassMemory, query: &BinaryHv) -> (usize, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Plain n-gram path: `ingest` (batch encode, blocked push) builds
-    /// the same memory — row by row, bit for bit — as the
-    /// `encode_sequence` loop, and top-1 search through either memory
-    /// returns the same row and score bits.
-    #[test]
-    fn ngram_ingest_matches_single_record_path(
-        alphabet in 4usize..=12,
-        n in 2usize..=4,
-        dim in prop_oneof![Just(256), Just(1000), Just(2048)],
-        count in 1usize..=24,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = HvRng::from_seed(seed);
-        let enc = NgramEncoder::generate(&mut rng, alphabet, n, dim).unwrap();
-        let seqs = corpus(&mut rng, alphabet, n, count);
-        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-
-        let singles: Vec<BinaryHv> = refs
-            .iter()
-            .map(|s| enc.encode_sequence(s).unwrap())
-            .collect();
-        prop_assert_eq!(&enc.encode_batch(&refs).unwrap(), &singles);
-
-        let batch_mem = enc.ingest(&refs).unwrap();
-        let single_mem = push_one_by_one(dim, &singles);
-        prop_assert_eq!(batch_mem.n_rows(), single_mem.n_rows());
-
-        let probe_seq = corpus(&mut rng, alphabet, n, 1).remove(0);
-        let q = enc.encode_sequence(&probe_seq).unwrap();
-        prop_assert_eq!(top1(&batch_mem, &q), top1(&single_mem, &q));
-    }
-
-    /// Locked n-gram path: the vault-keyed encoder's batch ingest agrees
-    /// with its own single-record path AND with a plain encoder rebuilt
-    /// from the derived symbols (the lock changes provenance, not
-    /// semantics).
-    #[test]
-    fn locked_ngram_ingest_matches_single_record_path(
-        alphabet in 4usize..=8,
-        n in 2usize..=3,
-        count in 1usize..=16,
-        seed in any::<u64>(),
-    ) {
-        let dim = 1024;
-        let mut rng = HvRng::from_seed(seed);
-        let locked = LockedNgramEncoder::generate(&mut rng, alphabet, n, dim, 16, 2).unwrap();
-        let seqs = corpus(&mut rng, alphabet, n, count);
-        let refs: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
-
-        let singles: Vec<BinaryHv> = refs
-            .iter()
-            .map(|s| locked.encode_sequence(s).unwrap())
-            .collect();
-        prop_assert_eq!(&locked.encode_batch(&refs).unwrap(), &singles);
-
-        let batch_mem = locked.ingest(&refs).unwrap();
-        let single_mem = push_one_by_one(dim, &singles);
-
-        let probe_seq = corpus(&mut rng, alphabet, n, 1).remove(0);
-        let q = locked.encode_sequence(&probe_seq).unwrap();
-        prop_assert_eq!(top1(&batch_mem, &q), top1(&single_mem, &q));
-    }
-
-    /// Record path, both `DeriveMode`s: batch encoding feeds the same
+    /// Record path, cached and on-the-fly: batch encoding feeds the same
     /// row memory as one-at-a-time encoding, and the heap top-1 agrees
     /// with the full-scan argmax either way.
     #[test]

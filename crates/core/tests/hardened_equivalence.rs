@@ -12,7 +12,7 @@
 //! Every check runs at feature counts below, at, and past the
 //! accumulator's 16-input carry-save group ([`FEATURE_COUNTS`]).
 
-use hdc_model::{ClassMemory, ClassifySession, Encoder, InferenceSession, ModelKind};
+use hdc_model::{ClassMemory, ClassifySession, Encoder, ModelKind, OwnedSession};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hypervec::{HvRng, ProbeConfig};
 
@@ -110,7 +110,7 @@ fn hardened_session_matches(n: usize) {
 
         enc.set_mode(DeriveMode::Cached);
         let (want_classes, want_scores, want_exact_topk) = {
-            let session = InferenceSession::new(&enc, &memory);
+            let session = OwnedSession::new(&enc, &memory);
             assert!(!session.hardened());
             (
                 session.classify_batch(&refs),
@@ -120,7 +120,7 @@ fn hardened_session_matches(n: usize) {
         };
 
         enc.set_mode(DeriveMode::Hardened);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         assert!(session.hardened());
         assert_eq!(
             session.classify_batch(&refs),

@@ -160,7 +160,7 @@ impl ClassMemory {
     }
 
     /// Packs a search-ready snapshot of the current class rows — the
-    /// representation [`InferenceSession`](crate::session::InferenceSession)
+    /// representation an [`OwnedSession`](crate::session::OwnedSession)
     /// and the retraining loop classify against. The binarized rows are
     /// always packed as popcount planes; the integer accumulator rows
     /// (cosine search) are attached only for non-binary memories, since

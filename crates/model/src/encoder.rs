@@ -22,6 +22,13 @@ use hypervec::{
 /// An HDC encoding module mapping a quantized feature row (level indices
 /// `0..m_levels` per feature) to a hypervector.
 ///
+/// The trait exposes the module's shape and its encode entry points,
+/// nothing else: no encoder hands out its feature hypervectors. That is
+/// the mapping HDLock protects. A locked encoder's feature hypervector
+/// can still be derived from its key, but only through an audited vault
+/// read. The public parts (a standard encoder's stored rows, either
+/// encoder's value hypervectors) stay on the concrete types.
+///
 /// Implementations must be deterministic: the same input row always
 /// produces the same output. (`sign(0)` ties in the binary output are
 /// broken towards +1 — for odd feature counts no tie can occur, and the
@@ -89,15 +96,6 @@ pub trait Encoder {
         })
     }
 
-    /// The effective feature hypervector for feature `i` — the vector
-    /// that multiplies `ValHV_{f_i}` in the encoding sum. For the
-    /// standard encoder this is a stored row; for HDLock it is derived
-    /// from the key (Eq. 9).
-    fn feature_hv(&self, i: usize) -> BinaryHv;
-
-    /// The value hypervector for level `v`.
-    fn value_hv(&self, v: usize) -> BinaryHv;
-
     /// Whether this encoder runs in a constant-time hardened mode
     /// (fixed work per query, cache-oblivious memory access). Sessions
     /// consult this to disable score-dependent early exits — e.g.
@@ -107,6 +105,45 @@ pub trait Encoder {
     /// it for `DeriveMode::Hardened` (see the repo's `SECURITY.md`).
     fn is_hardened(&self) -> bool {
         false
+    }
+}
+
+/// A borrowed encoder encodes as its referent, so a session can serve
+/// one it does not own (`OwnedSession<&E>`). Every method forwards
+/// explicitly: the default batch bodies would encode row by row, and a
+/// default `is_hardened` would report a hardened encoder as unhardened,
+/// letting its session run the score-dependent pruned top-k.
+impl<E: Encoder + Sync + ?Sized> Encoder for &E {
+    fn n_features(&self) -> usize {
+        (**self).n_features()
+    }
+
+    fn m_levels(&self) -> usize {
+        (**self).m_levels()
+    }
+
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+
+    fn encode_int(&self, levels: &[u16]) -> IntHv {
+        (**self).encode_int(levels)
+    }
+
+    fn encode_binary(&self, levels: &[u16]) -> BinaryHv {
+        (**self).encode_binary(levels)
+    }
+
+    fn encode_batch_binary(&self, rows: &[&[u16]]) -> Vec<BinaryHv> {
+        (**self).encode_batch_binary(rows)
+    }
+
+    fn encode_batch_int(&self, rows: &[&[u16]]) -> Vec<IntHv> {
+        (**self).encode_batch_int(rows)
+    }
+
+    fn is_hardened(&self) -> bool {
+        (**self).is_hardened()
     }
 }
 
@@ -279,14 +316,6 @@ impl Encoder for RecordEncoder {
     fn encode_batch_int(&self, rows: &[&[u16]]) -> Vec<IntHv> {
         self.encode_batch_with(rows, BitSliceAccumulator::to_int)
     }
-
-    fn feature_hv(&self, i: usize) -> BinaryHv {
-        self.features.get(i)
-    }
-
-    fn value_hv(&self, v: usize) -> BinaryHv {
-        self.values.level(v).clone()
-    }
 }
 
 #[cfg(test)]
@@ -320,9 +349,10 @@ mod tests {
         let e = encoder(2);
         let row: Vec<u16> = (0..9).map(|i| (i % 4) as u16).collect();
         let h = e.encode_int(&row);
+        let features = e.features();
         let mut manual = IntHv::zeros(1024);
         for (i, &lv) in row.iter().enumerate() {
-            manual.add_binary(&e.feature_hv(i).bind(&e.value_hv(usize::from(lv))));
+            manual.add_binary(&features.rows()[i].bind(e.values().level(usize::from(lv))));
         }
         assert_eq!(h, manual);
     }
@@ -389,7 +419,7 @@ mod tests {
         let row = vec![0u16; 9];
         let h = e.encode_binary(&row);
         let sum = e.features().sum().unwrap();
-        let expected = sum.sign_ties_positive().bind(&e.value_hv(0));
+        let expected = sum.sign_ties_positive().bind(e.values().level(0));
         assert_eq!(h, expected);
     }
 

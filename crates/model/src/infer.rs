@@ -4,7 +4,7 @@
 //! compared against every class hypervector — Hamming distance for
 //! binary models, cosine for non-binary models (paper Sec. 2).
 //!
-//! The throughput path lives in [`InferenceSession`]: a packed
+//! The throughput path lives in [`OwnedSession`]: a packed
 //! class-memory snapshot served by the fused batch
 //! `encode_batch_* → search_batch_*` kernels. The per-row scans in this
 //! module ([`classify_binary_hv`], [`classify_int_hv`]) are kept as the
@@ -19,13 +19,14 @@ use crate::classhv::ClassMemory;
 use crate::config::ModelKind;
 use crate::encoder::Encoder;
 use crate::metrics::EvalResult;
-use crate::session::InferenceSession;
+use crate::session::OwnedSession;
 
 /// Classifies an already-encoded binary query: the class whose
 /// binarized hypervector has the smallest Hamming distance.
 ///
 /// Scalar reference scan — the batch path is
-/// [`InferenceSession::classify_batch`], which is bit-identical.
+/// [`ClassifySession::classify_batch`](crate::ClassifySession::classify_batch),
+/// which is bit-identical.
 ///
 /// # Panics
 ///
@@ -46,7 +47,8 @@ pub fn classify_binary_hv(memory: &ClassMemory, query: &BinaryHv) -> usize {
 /// hypervector has the largest cosine similarity.
 ///
 /// Scalar reference scan — the batch path is
-/// [`InferenceSession::classify_batch`], which is bit-identical.
+/// [`ClassifySession::classify_batch`](crate::ClassifySession::classify_batch),
+/// which is bit-identical.
 ///
 /// # Panics
 ///
@@ -100,10 +102,10 @@ pub fn class_scores<E: Encoder>(encoder: &E, memory: &ClassMemory, levels: &[u16
 }
 
 /// Evaluates a trained model over a quantized dataset by building a
-/// one-shot [`InferenceSession`] and streaming the data through its
-/// fused batch `encode → search` path. Callers evaluating repeatedly
-/// against the same memory should build (and reuse) the session
-/// themselves to amortize the packing snapshot.
+/// one-shot [`OwnedSession`] over the borrowed encoder and streaming
+/// the data through its fused batch `encode → search` path. Callers
+/// evaluating repeatedly against the same memory should build (and
+/// reuse) the session themselves to amortize the packing snapshot.
 ///
 /// # Panics
 ///
@@ -114,7 +116,7 @@ pub fn evaluate<E: Encoder + Sync>(
     memory: &ClassMemory,
     data: &QuantizedDataset,
 ) -> EvalResult {
-    InferenceSession::new(encoder, memory).evaluate(data)
+    OwnedSession::new(encoder, memory).evaluate(data)
 }
 
 #[cfg(test)]

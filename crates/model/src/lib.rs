@@ -34,7 +34,6 @@ pub mod encoder;
 pub mod infer;
 pub mod metrics;
 pub mod model;
-pub mod ngram;
 pub mod persist;
 pub mod session;
 pub mod train;
@@ -45,7 +44,6 @@ pub use encoder::{Encoder, RecordEncoder};
 pub use infer::{class_scores, classify, evaluate};
 pub use metrics::{ConfusionMatrix, EvalResult, LatencyStats};
 pub use model::HdcModel;
-pub use ngram::NgramEncoder;
 pub use persist::{PersistError, SavedModel};
-pub use session::{ClassifySession, InferenceSession, OwnedSession};
+pub use session::{ClassifySession, OwnedSession};
 pub use train::{encode_dataset, train, train_online};

@@ -8,7 +8,7 @@ use crate::config::HdcConfig;
 use crate::encoder::{Encoder, RecordEncoder};
 use crate::infer;
 use crate::metrics::EvalResult;
-use crate::session::{InferenceSession, OwnedSession};
+use crate::session::OwnedSession;
 use crate::train;
 
 /// A complete HDC classifier: configuration, encoder, fitted quantizer
@@ -162,8 +162,8 @@ impl<E: Encoder + Sync> HdcModel<E> {
     /// encoder and trained memory — the unit the serving layer and the
     /// attack harness drive.
     #[must_use]
-    pub fn session(&self) -> InferenceSession<'_, E> {
-        InferenceSession::new(&self.encoder, &self.memory)
+    pub fn session(&self) -> OwnedSession<&E> {
+        OwnedSession::new(&self.encoder, &self.memory)
     }
 
     /// Decomposes the model into its parts — the inverse of

@@ -15,23 +15,26 @@
 //! run on the same session, so measured attack cost and served
 //! throughput describe the same code path.
 //!
-//! Two ownership shapes share one implementation:
+//! There is one session type, [`OwnedSession`]. It owns its packed
+//! memory and whatever encoder handle it is given:
 //!
-//! * [`InferenceSession`] **borrows** its encoder — the ergonomic form
-//!   for "build a model, serve it from this stack frame" (training
-//!   loops, tests, the single-model server).
-//! * [`OwnedSession`] **owns** its encoder — the form a model registry
-//!   needs: a generation that can be handed around behind an `Arc` and
-//!   hot-swapped without any borrow tying it to the loading frame.
+//! * an encoder by value — the generation unit a model registry swaps,
+//!   which can live behind an `Arc`, outlive the frame that loaded the
+//!   snapshot, and retire when the last in-flight batch drops it;
+//! * a reference, `OwnedSession<&E>` — "build a model, serve it from
+//!   this stack frame" (training loops, tests, [`HdcModel::session`]).
+//!   `&E` is an [`Encoder`] that forwards every entry point, batch
+//!   paths and hardening included.
 //!
-//! The [`ClassifySession`] trait is the seam the serving layer is
-//! generic over, so batch workers and connection handlers accept either
-//! shape (and any future one) without duplication.
+//! The [`ClassifySession`] trait is the query surface the serving layer
+//! and the benchmarks are written against.
 //!
 //! Results are bit-identical to the scalar per-sample pipeline
 //! (`encode_binary` + the one-row-at-a-time scan), including
-//! lowest-index tie-breaking — pinned by the `session_equivalence`
+//! lowest-index tie-breaking — pinned by the `search_session_equivalence`
 //! integration tests.
+//!
+//! [`HdcModel::session`]: crate::HdcModel::session
 
 use hdc_datasets::QuantizedDataset;
 use hypervec::{
@@ -48,12 +51,11 @@ use crate::metrics::{ConfusionMatrix, EvalResult};
 /// the encoded block (not the whole dataset) bounds peak memory.
 pub const SESSION_BLOCK: usize = 1024;
 
-/// The query surface shared by every session shape — what the serving
-/// layer ([`hdc_serve`](crate::session)), the batch workers and the
-/// registry swap logic are generic over.
+/// The query surface of a session — what the serving layer
+/// (`hdc_serve`), the batch workers and the registry swap logic call.
 ///
-/// All implementations promise bit-identical results to the scalar
-/// per-sample pipeline, including lowest-index tie-breaking.
+/// Results are bit-identical to the scalar per-sample pipeline,
+/// including lowest-index tie-breaking.
 pub trait ClassifySession: Sync {
     /// Model kind (binary → Hamming search, non-binary → cosine).
     fn kind(&self) -> ModelKind;
@@ -127,139 +129,7 @@ pub trait ClassifySession: Sync {
     /// [`Encoder::is_hardened`]). Surfaced through `info`/`stats` and
     /// the `hdc_hardened` metrics gauge so operators can audit what a
     /// deployment actually runs.
-    fn hardened(&self) -> bool {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared implementation: every session shape delegates here.
-// ---------------------------------------------------------------------
-
-fn classify_batch_impl<E: Encoder + Sync>(
-    encoder: &E,
-    kind: ModelKind,
-    sharded: &ShardedClassMemory,
-    rows: &[&[u16]],
-) -> Vec<usize> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    match kind {
-        ModelKind::Binary => {
-            let encoded = encoder.encode_batch_binary(rows);
-            let refs: Vec<&BinaryHv> = encoded.iter().collect();
-            sharded
-                .search_batch_binary(&refs)
-                .expect("session dimensions are consistent by construction")
-                .into_best_rows()
-        }
-        ModelKind::NonBinary => {
-            let encoded = encoder.encode_batch_int(rows);
-            let refs: Vec<&IntHv> = encoded.iter().collect();
-            sharded
-                .search_batch_int(&refs)
-                .expect("session dimensions are consistent by construction")
-                .into_best_rows()
-        }
-    }
-}
-
-fn scores_batch_impl<E: Encoder + Sync>(
-    encoder: &E,
-    kind: ModelKind,
-    sharded: &ShardedClassMemory,
-    rows: &[&[u16]],
-) -> BatchSearchResult {
-    match kind {
-        ModelKind::Binary => {
-            let encoded = encoder.encode_batch_binary(rows);
-            let refs: Vec<&BinaryHv> = encoded.iter().collect();
-            sharded
-                .search_batch_binary(&refs)
-                .expect("session dimensions are consistent by construction")
-        }
-        ModelKind::NonBinary => {
-            let encoded = encoder.encode_batch_int(rows);
-            let refs: Vec<&IntHv> = encoded.iter().collect();
-            sharded
-                .search_batch_int(&refs)
-                .expect("session dimensions are consistent by construction")
-        }
-    }
-}
-
-fn search_topk_impl<E: Encoder + Sync>(
-    encoder: &E,
-    kind: ModelKind,
-    sharded: &ShardedClassMemory,
-    rows: &[&[u16]],
-    k: usize,
-    probe: Option<&ProbeConfig>,
-) -> BatchTopKResult {
-    // A hardened encoder promises fixed work per query; the pruned
-    // coarse/rescore scan's candidate set (and thus its latency) is
-    // score-dependent, so hardened sessions always take the exact
-    // fixed-shape scan regardless of the caller's probe tuning.
-    let probe = if encoder.is_hardened() { None } else { probe };
-    match kind {
-        ModelKind::Binary => {
-            let encoded = encoder.encode_batch_binary(rows);
-            let refs: Vec<&BinaryHv> = encoded.iter().collect();
-            match probe {
-                Some(p) => sharded.search_topk_binary_pruned(&refs, k, p),
-                None => sharded.search_topk_binary(&refs, k),
-            }
-            .expect("session dimensions are consistent by construction")
-        }
-        ModelKind::NonBinary => {
-            let encoded = encoder.encode_batch_int(rows);
-            let refs: Vec<&IntHv> = encoded.iter().collect();
-            match probe {
-                Some(p) => sharded.search_topk_int_pruned(&refs, k, p),
-                None => sharded.search_topk_int(&refs, k),
-            }
-            .expect("session dimensions are consistent by construction")
-        }
-    }
-}
-
-fn classify_one_impl<E: Encoder>(
-    encoder: &E,
-    kind: ModelKind,
-    sharded: &ShardedClassMemory,
-    levels: &[u16],
-) -> usize {
-    match kind {
-        ModelKind::Binary => {
-            sharded
-                .search_binary(&encoder.encode_binary(levels))
-                .expect("session dimensions are consistent by construction")
-                .0
-        }
-        ModelKind::NonBinary => {
-            sharded
-                .search_int(&encoder.encode_int(levels))
-                .expect("session dimensions are consistent by construction")
-                .0
-        }
-    }
-}
-
-fn evaluate_impl<S: ClassifySession + ?Sized>(session: &S, data: &QuantizedDataset) -> EvalResult {
-    let rows: Vec<&[u16]> = (0..data.len()).map(|i| data.row(i)).collect();
-    let mut confusion = ConfusionMatrix::new(data.n_classes());
-    for block_start in (0..rows.len()).step_by(SESSION_BLOCK) {
-        let block_end = (block_start + SESSION_BLOCK).min(rows.len());
-        let block = &rows[block_start..block_end];
-        for (off, &predicted) in session.classify_batch(block).iter().enumerate() {
-            confusion.record(data.label(block_start + off), predicted);
-        }
-    }
-    EvalResult {
-        accuracy: confusion.accuracy(),
-        confusion,
-    }
+    fn hardened(&self) -> bool;
 }
 
 fn check_shape(encoder_dim: usize, memory_dim: usize) {
@@ -269,213 +139,9 @@ fn check_shape(encoder_dim: usize, memory_dim: usize) {
     );
 }
 
-/// A query-side inference pipeline: borrowed encoder plus an owned,
-/// search-packed snapshot of the class memory.
-///
-/// # Examples
-///
-/// ```
-/// use hdc_datasets::Benchmark;
-/// use hdc_model::{HdcConfig, HdcModel, InferenceSession};
-///
-/// let (train, test) = Benchmark::Face.generate(0.05, 3)?;
-/// let config = HdcConfig::paper_default().with_dim(1024);
-/// let model = HdcModel::fit_standard(&config, &train)?;
-/// let session = InferenceSession::new(model.encoder(), model.memory());
-/// let levels = model.discretizer().discretize_row(&test.samples()[0].features);
-/// let class = session.classify(&levels);
-/// assert!(class < model.memory().n_classes());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct InferenceSession<'a, E> {
-    encoder: &'a E,
-    kind: ModelKind,
-    sharded: ShardedClassMemory,
-}
-
-impl<'a, E: Encoder + Sync> InferenceSession<'a, E> {
-    /// Builds a session by snapshotting `memory` into packed form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if encoder and memory disagree on dimensionality.
-    #[must_use]
-    pub fn new(encoder: &'a E, memory: &ClassMemory) -> Self {
-        check_shape(encoder.dim(), memory.dim());
-        InferenceSession {
-            encoder,
-            kind: memory.kind(),
-            sharded: memory.to_sharded(),
-        }
-    }
-
-    /// The encoder this session serves.
-    #[must_use]
-    pub fn encoder(&self) -> &E {
-        self.encoder
-    }
-
-    /// Model kind (binary → Hamming search, non-binary → cosine).
-    #[must_use]
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
-    /// The packed class-memory snapshot.
-    #[must_use]
-    pub fn memory(&self) -> &ShardedClassMemory {
-        &self.sharded
-    }
-
-    /// Number of classes `C`.
-    #[must_use]
-    pub fn n_classes(&self) -> usize {
-        self.sharded.n_rows()
-    }
-
-    /// Number of input features `N`.
-    #[must_use]
-    pub fn n_features(&self) -> usize {
-        self.encoder.n_features()
-    }
-
-    /// Number of value levels `M`.
-    #[must_use]
-    pub fn m_levels(&self) -> usize {
-        self.encoder.m_levels()
-    }
-
-    /// Hypervector dimensionality `D`.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.encoder.dim()
-    }
-
-    /// Name of the SIMD kernel backend every encode and search in this
-    /// session runs on (`"scalar"`, `"avx2"` or `"avx512"`).
-    #[must_use]
-    pub fn kernel_backend(&self) -> &'static str {
-        hypervec::kernel::name()
-    }
-
-    /// Fused classify of a batch of quantized rows: one batch encode,
-    /// one batch search, top-1 class per row in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width does not match the encoder.
-    #[must_use]
-    pub fn classify_batch(&self, rows: &[&[u16]]) -> Vec<usize> {
-        classify_batch_impl(self.encoder, self.kind, &self.sharded, rows)
-    }
-
-    /// Fused classify of a batch, returning top-1 *and* the full
-    /// per-class score vector for every row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width does not match the encoder.
-    #[must_use]
-    pub fn scores_batch(&self, rows: &[&[u16]]) -> BatchSearchResult {
-        scores_batch_impl(self.encoder, self.kind, &self.sharded, rows)
-    }
-
-    /// Classifies a single quantized row (a batch of one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width does not match the encoder.
-    #[must_use]
-    pub fn classify(&self, levels: &[u16]) -> usize {
-        classify_one_impl(self.encoder, self.kind, &self.sharded, levels)
-    }
-
-    /// Fused top-k similarity search (see
-    /// [`ClassifySession::search_topk_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width does not match the encoder.
-    #[must_use]
-    pub fn search_topk_batch(
-        &self,
-        rows: &[&[u16]],
-        k: usize,
-        probe: Option<&ProbeConfig>,
-    ) -> BatchTopKResult {
-        search_topk_impl(self.encoder, self.kind, &self.sharded, rows, k, probe)
-    }
-
-    /// Evaluates the session over a quantized dataset, streaming it in
-    /// [`SESSION_BLOCK`]-sized blocks through the fused batch path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dataset width does not match the encoder.
-    #[must_use]
-    pub fn evaluate(&self, data: &QuantizedDataset) -> EvalResult {
-        evaluate_impl(self, data)
-    }
-}
-
-impl<E: Encoder + Sync> ClassifySession for InferenceSession<'_, E> {
-    fn kind(&self) -> ModelKind {
-        InferenceSession::kind(self)
-    }
-
-    fn n_classes(&self) -> usize {
-        InferenceSession::n_classes(self)
-    }
-
-    fn n_features(&self) -> usize {
-        InferenceSession::n_features(self)
-    }
-
-    fn m_levels(&self) -> usize {
-        InferenceSession::m_levels(self)
-    }
-
-    fn dim(&self) -> usize {
-        InferenceSession::dim(self)
-    }
-
-    fn memory(&self) -> &ShardedClassMemory {
-        InferenceSession::memory(self)
-    }
-
-    fn classify_batch(&self, rows: &[&[u16]]) -> Vec<usize> {
-        InferenceSession::classify_batch(self, rows)
-    }
-
-    fn scores_batch(&self, rows: &[&[u16]]) -> BatchSearchResult {
-        InferenceSession::scores_batch(self, rows)
-    }
-
-    fn classify(&self, levels: &[u16]) -> usize {
-        InferenceSession::classify(self, levels)
-    }
-
-    fn search_topk_batch(
-        &self,
-        rows: &[&[u16]],
-        k: usize,
-        probe: Option<&ProbeConfig>,
-    ) -> BatchTopKResult {
-        InferenceSession::search_topk_batch(self, rows, k, probe)
-    }
-
-    fn hardened(&self) -> bool {
-        self.encoder.is_hardened()
-    }
-}
-
-/// A self-contained inference pipeline: the session *owns* its encoder.
-///
-/// This is the generation unit a model registry swaps: unlike
-/// [`InferenceSession`] it carries no borrow, so it can live behind an
-/// `Arc`, outlive the stack frame that loaded the snapshot, and be
-/// retired whenever the last in-flight batch drops its reference.
+/// A query-side inference pipeline: an encoder handle `E` (an encoder,
+/// or `&E` to serve one the caller keeps) plus an owned, search-packed
+/// snapshot of the class memory.
 ///
 /// # Examples
 ///
@@ -483,12 +149,21 @@ impl<E: Encoder + Sync> ClassifySession for InferenceSession<'_, E> {
 /// use hdc_datasets::Benchmark;
 /// use hdc_model::{ClassifySession, HdcConfig, HdcModel, OwnedSession};
 ///
-/// let (train, _) = Benchmark::Face.generate(0.05, 3)?;
+/// let (train, test) = Benchmark::Face.generate(0.05, 3)?;
 /// let config = HdcConfig::paper_default().with_dim(1024);
 /// let model = HdcModel::fit_standard(&config, &train)?;
+/// let levels = model.discretizer().discretize_row(&test.samples()[0].features);
+///
+/// // Borrow the model's encoder...
+/// let session = OwnedSession::new(model.encoder(), model.memory());
+/// let class = session.classify(&levels);
+/// assert!(class < model.memory().n_classes());
+///
+/// // ...or hand the session the encoder itself.
 /// let (_, encoder, _, memory) = model.into_parts();
-/// let session = OwnedSession::new(encoder, &memory);
-/// assert_eq!(session.dim(), 1024);
+/// let owned = OwnedSession::new(encoder, &memory);
+/// assert_eq!(owned.classify(&levels), class);
+/// assert_eq!(owned.dim(), 1024);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -499,8 +174,7 @@ pub struct OwnedSession<E> {
 }
 
 impl<E: Encoder + Sync> OwnedSession<E> {
-    /// Builds an owning session by snapshotting `memory` into packed
-    /// form.
+    /// Builds a session by snapshotting `memory` into packed form.
     ///
     /// # Panics
     ///
@@ -515,7 +189,7 @@ impl<E: Encoder + Sync> OwnedSession<E> {
         }
     }
 
-    /// Assembles an owning session from an already-packed class memory —
+    /// Assembles a session from an already-packed class memory —
     /// the binary-snapshot load path, which deserializes the packed
     /// planes directly and must not round-trip them through
     /// [`ClassMemory`].
@@ -552,7 +226,19 @@ impl<E: Encoder + Sync> OwnedSession<E> {
     /// Panics if the dataset width does not match the encoder.
     #[must_use]
     pub fn evaluate(&self, data: &QuantizedDataset) -> EvalResult {
-        evaluate_impl(self, data)
+        let rows: Vec<&[u16]> = (0..data.len()).map(|i| data.row(i)).collect();
+        let mut confusion = ConfusionMatrix::new(data.n_classes());
+        for block_start in (0..rows.len()).step_by(SESSION_BLOCK) {
+            let block_end = (block_start + SESSION_BLOCK).min(rows.len());
+            let block = &rows[block_start..block_end];
+            for (off, &predicted) in self.classify_batch(block).iter().enumerate() {
+                confusion.record(data.label(block_start + off), predicted);
+            }
+        }
+        EvalResult {
+            accuracy: confusion.accuracy(),
+            confusion,
+        }
     }
 }
 
@@ -582,15 +268,63 @@ impl<E: Encoder + Sync> ClassifySession for OwnedSession<E> {
     }
 
     fn classify_batch(&self, rows: &[&[u16]]) -> Vec<usize> {
-        classify_batch_impl(&self.encoder, self.kind, &self.sharded, rows)
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        match self.kind {
+            ModelKind::Binary => {
+                let encoded = self.encoder.encode_batch_binary(rows);
+                let refs: Vec<&BinaryHv> = encoded.iter().collect();
+                self.sharded
+                    .search_batch_binary(&refs)
+                    .expect("session dimensions are consistent by construction")
+                    .into_best_rows()
+            }
+            ModelKind::NonBinary => {
+                let encoded = self.encoder.encode_batch_int(rows);
+                let refs: Vec<&IntHv> = encoded.iter().collect();
+                self.sharded
+                    .search_batch_int(&refs)
+                    .expect("session dimensions are consistent by construction")
+                    .into_best_rows()
+            }
+        }
     }
 
     fn scores_batch(&self, rows: &[&[u16]]) -> BatchSearchResult {
-        scores_batch_impl(&self.encoder, self.kind, &self.sharded, rows)
+        match self.kind {
+            ModelKind::Binary => {
+                let encoded = self.encoder.encode_batch_binary(rows);
+                let refs: Vec<&BinaryHv> = encoded.iter().collect();
+                self.sharded
+                    .search_batch_binary(&refs)
+                    .expect("session dimensions are consistent by construction")
+            }
+            ModelKind::NonBinary => {
+                let encoded = self.encoder.encode_batch_int(rows);
+                let refs: Vec<&IntHv> = encoded.iter().collect();
+                self.sharded
+                    .search_batch_int(&refs)
+                    .expect("session dimensions are consistent by construction")
+            }
+        }
     }
 
     fn classify(&self, levels: &[u16]) -> usize {
-        classify_one_impl(&self.encoder, self.kind, &self.sharded, levels)
+        match self.kind {
+            ModelKind::Binary => {
+                self.sharded
+                    .search_binary(&self.encoder.encode_binary(levels))
+                    .expect("session dimensions are consistent by construction")
+                    .0
+            }
+            ModelKind::NonBinary => {
+                self.sharded
+                    .search_int(&self.encoder.encode_int(levels))
+                    .expect("session dimensions are consistent by construction")
+                    .0
+            }
+        }
     }
 
     fn search_topk_batch(
@@ -599,7 +333,35 @@ impl<E: Encoder + Sync> ClassifySession for OwnedSession<E> {
         k: usize,
         probe: Option<&ProbeConfig>,
     ) -> BatchTopKResult {
-        search_topk_impl(&self.encoder, self.kind, &self.sharded, rows, k, probe)
+        // A hardened encoder promises fixed work per query; the pruned
+        // coarse/rescore scan's candidate set (and thus its latency) is
+        // score-dependent, so hardened sessions always take the exact
+        // fixed-shape scan regardless of the caller's probe tuning.
+        let probe = if self.encoder.is_hardened() {
+            None
+        } else {
+            probe
+        };
+        match self.kind {
+            ModelKind::Binary => {
+                let encoded = self.encoder.encode_batch_binary(rows);
+                let refs: Vec<&BinaryHv> = encoded.iter().collect();
+                match probe {
+                    Some(p) => self.sharded.search_topk_binary_pruned(&refs, k, p),
+                    None => self.sharded.search_topk_binary(&refs, k),
+                }
+                .expect("session dimensions are consistent by construction")
+            }
+            ModelKind::NonBinary => {
+                let encoded = self.encoder.encode_batch_int(rows);
+                let refs: Vec<&IntHv> = encoded.iter().collect();
+                match probe {
+                    Some(p) => self.sharded.search_topk_int_pruned(&refs, k, p),
+                    None => self.sharded.search_topk_int(&refs, k),
+                }
+                .expect("session dimensions are consistent by construction")
+            }
+        }
     }
 
     fn hardened(&self) -> bool {
@@ -613,6 +375,7 @@ mod tests {
     use crate::encoder::RecordEncoder;
     use crate::infer;
     use hypervec::HvRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn setup(kind: ModelKind, dim: usize) -> (RecordEncoder, ClassMemory, Vec<Vec<u16>>) {
         let mut rng = HvRng::from_seed(9);
@@ -632,7 +395,7 @@ mod tests {
     #[test]
     fn batch_classify_matches_scalar_pipeline_binary() {
         let (enc, memory, rows) = setup(ModelKind::Binary, 1030);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let batch = session.classify_batch(&refs);
         for (i, row) in refs.iter().enumerate() {
@@ -645,7 +408,7 @@ mod tests {
     #[test]
     fn batch_classify_matches_scalar_pipeline_nonbinary() {
         let (enc, memory, rows) = setup(ModelKind::NonBinary, 512);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let batch = session.classify_batch(&refs);
         for (i, row) in refs.iter().enumerate() {
@@ -659,7 +422,7 @@ mod tests {
     fn scores_batch_matches_class_scores() {
         for kind in [ModelKind::Binary, ModelKind::NonBinary] {
             let (enc, memory, rows) = setup(kind, 256);
-            let session = InferenceSession::new(&enc, &memory);
+            let session = OwnedSession::new(&enc, &memory);
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
             let hits = session.scores_batch(&refs);
             for (i, row) in refs.iter().enumerate() {
@@ -675,7 +438,7 @@ mod tests {
     fn owned_session_is_bit_identical_to_borrowed() {
         for kind in [ModelKind::Binary, ModelKind::NonBinary] {
             let (enc, memory, rows) = setup(kind, 130);
-            let borrowed = InferenceSession::new(&enc, &memory);
+            let borrowed = OwnedSession::new(&enc, &memory);
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
             let want = borrowed.scores_batch(&refs);
             let owned = OwnedSession::new(enc, &memory);
@@ -692,11 +455,99 @@ mod tests {
         }
     }
 
+    /// Delegates to a [`RecordEncoder`], counting batch and per-row
+    /// encode calls, and reports whatever hardening the test sets.
+    struct CountingEncoder {
+        inner: RecordEncoder,
+        hardened: bool,
+        batch_calls: AtomicUsize,
+        row_calls: AtomicUsize,
+    }
+
+    impl CountingEncoder {
+        fn new(inner: RecordEncoder, hardened: bool) -> Self {
+            CountingEncoder {
+                inner,
+                hardened,
+                batch_calls: AtomicUsize::new(0),
+                row_calls: AtomicUsize::new(0),
+            }
+        }
+
+        /// `(batch calls, per-row calls)` since the last read.
+        fn take_calls(&self) -> (usize, usize) {
+            (
+                self.batch_calls.swap(0, Ordering::Relaxed),
+                self.row_calls.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    impl Encoder for CountingEncoder {
+        fn n_features(&self) -> usize {
+            self.inner.n_features()
+        }
+
+        fn m_levels(&self) -> usize {
+            self.inner.m_levels()
+        }
+
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn encode_int(&self, levels: &[u16]) -> IntHv {
+            self.row_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.encode_int(levels)
+        }
+
+        fn encode_binary(&self, levels: &[u16]) -> BinaryHv {
+            self.row_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.encode_binary(levels)
+        }
+
+        fn encode_batch_binary(&self, rows: &[&[u16]]) -> Vec<BinaryHv> {
+            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.encode_batch_binary(rows)
+        }
+
+        fn encode_batch_int(&self, rows: &[&[u16]]) -> Vec<IntHv> {
+            self.batch_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.encode_batch_int(rows)
+        }
+
+        fn is_hardened(&self) -> bool {
+            self.hardened
+        }
+    }
+
+    #[test]
+    fn borrowed_encoder_keeps_batch_paths_and_hardening() {
+        for kind in [ModelKind::Binary, ModelKind::NonBinary] {
+            for hardened in [false, true] {
+                let (inner, memory, rows) = setup(kind, 256);
+                let enc = CountingEncoder::new(inner, hardened);
+                let session = OwnedSession::new(&enc, &memory);
+                assert_eq!(session.hardened(), hardened, "{kind:?}");
+                let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+                let probe = ProbeConfig::default();
+                let _ = enc.take_calls();
+
+                let _ = session.classify_batch(&refs);
+                assert_eq!(enc.take_calls(), (1, 0), "{kind:?} classify_batch");
+                let _ = session.scores_batch(&refs);
+                assert_eq!(enc.take_calls(), (1, 0), "{kind:?} scores_batch");
+                let _ = session.search_topk_batch(&refs, 2, Some(&probe));
+                assert_eq!(enc.take_calls(), (1, 0), "{kind:?} search_topk_batch");
+            }
+        }
+    }
+
     #[test]
     fn owned_session_moves_behind_arc() {
         let (enc, memory, rows) = setup(ModelKind::Binary, 256);
         let want: Vec<usize> = {
-            let session = InferenceSession::new(&enc, &memory);
+            let session = OwnedSession::new(&enc, &memory);
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
             session.classify_batch(&refs)
         };
@@ -718,7 +569,7 @@ mod tests {
     fn topk_session_matches_sorted_scores() {
         for kind in [ModelKind::Binary, ModelKind::NonBinary] {
             let (enc, memory, rows) = setup(kind, 1030);
-            let session = InferenceSession::new(&enc, &memory);
+            let session = OwnedSession::new(&enc, &memory);
             let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
             let hits = session.search_topk_batch(&refs, 2, None);
             let full = session.scores_batch(&refs);
@@ -744,7 +595,7 @@ mod tests {
     #[test]
     fn topk_session_pruned_full_width_matches_exact_binary() {
         let (enc, memory, rows) = setup(ModelKind::Binary, 1030);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let exact = session.search_topk_batch(&refs, 3, None);
         let probe = ProbeConfig {
@@ -759,7 +610,7 @@ mod tests {
     #[test]
     fn topk_session_pruned_full_width_matches_exact_nonbinary() {
         let (enc, memory, rows) = setup(ModelKind::NonBinary, 1030);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let exact = session.search_topk_batch(&refs, 3, None);
         let probe = ProbeConfig {
@@ -776,7 +627,7 @@ mod tests {
         // A narrow int probe routes through the quantized coarse pass;
         // whatever it returns must carry exact cosine scores.
         let (enc, memory, rows) = setup(ModelKind::NonBinary, 2048);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let probe = ProbeConfig {
             probe_words: 1,
@@ -795,7 +646,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let (enc, memory, _) = setup(ModelKind::Binary, 128);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         assert!(session.classify_batch(&[]).is_empty());
     }
 
@@ -805,7 +656,7 @@ mod tests {
         let mut rng = HvRng::from_seed(1);
         let enc = RecordEncoder::generate(&mut rng, 4, 4, 128).unwrap();
         let memory = ClassMemory::new(ModelKind::Binary, 2, 256);
-        let _ = InferenceSession::new(&enc, &memory);
+        let _ = OwnedSession::new(&enc, &memory);
     }
 
     #[test]

@@ -228,7 +228,7 @@ pub use wire::WireMode;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_model::{HdcModel, RecordEncoder};
+    use hdc_model::{ClassifySession, HdcModel, RecordEncoder};
     use hdc_store::{KeySegment, ModelRegistry, ModelSnapshot, RekeySource};
     use hdlock::{EncodingKey, LockedEncoder};
     use hypervec::HvRng;

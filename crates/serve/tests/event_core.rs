@@ -16,7 +16,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use hdc_model::{HdcModel, RecordEncoder};
+use hdc_model::{ClassifySession, HdcModel, RecordEncoder};
 use hdc_serve::demo::{self, DemoSpec};
 use hdc_serve::{
     protocol, serve_registry_with_core_metrics, wire, AdmissionConfig, BatchConfig, CoreKind,

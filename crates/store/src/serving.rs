@@ -86,8 +86,9 @@ impl Encoder for AnyEncoder {
     }
 
     // The batch entry points forward explicitly: the default trait
-    // bodies would encode row-by-row and silently lose the bound-pair
-    // cache / single-vault-read batch strategies of the inner encoders.
+    // bodies would encode row by row with a fresh accumulator each,
+    // losing the inner encoders' batch paths, which reuse one
+    // accumulator (and on-the-fly derivation's scratch) per worker.
     fn encode_batch_binary(&self, rows: &[&[u16]]) -> Vec<BinaryHv> {
         match self {
             AnyEncoder::Standard(e) => e.encode_batch_binary(rows),
@@ -99,20 +100,6 @@ impl Encoder for AnyEncoder {
         match self {
             AnyEncoder::Standard(e) => e.encode_batch_int(rows),
             AnyEncoder::Locked(e) => e.encode_batch_int(rows),
-        }
-    }
-
-    fn feature_hv(&self, i: usize) -> BinaryHv {
-        match self {
-            AnyEncoder::Standard(e) => e.feature_hv(i),
-            AnyEncoder::Locked(e) => e.feature_hv(i),
-        }
-    }
-
-    fn value_hv(&self, v: usize) -> BinaryHv {
-        match self {
-            AnyEncoder::Standard(e) => e.value_hv(v),
-            AnyEncoder::Locked(e) => e.value_hv(v),
         }
     }
 
@@ -168,7 +155,5 @@ mod tests {
 
         assert_eq!(any_std.encode_batch_binary(&refs), want_std);
         assert_eq!(any_lock.encode_batch_int(&refs), want_lock);
-        assert_eq!(any_std.feature_hv(0).dim(), 512);
-        assert_eq!(any_lock.value_hv(1).dim(), 512);
     }
 }

@@ -594,6 +594,7 @@ impl KeySegment {
 mod tests {
     use super::*;
     use hdc_datasets::Benchmark;
+    use hdc_model::ClassifySession;
     use hdlock::LockConfig;
     use hypervec::HvRng;
 

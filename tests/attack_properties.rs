@@ -94,8 +94,15 @@ proptest! {
         let cfg = LockConfig { n_features: 6, m_levels: 4, dim: 10_000, pool_size: 12, n_layers: layers };
         let mut rng = HvRng::from_seed(seed);
         let enc = LockedEncoder::generate(&mut rng, &cfg).unwrap();
-        for i in 0..6 {
-            let hv = enc.feature_hv(i);
+        let features: Vec<_> = enc
+            .vault()
+            .with_key(|key| {
+                (0..6)
+                    .map(|i| hdlock::derive_feature(enc.pool(), key.feature(i), i).unwrap())
+                    .collect()
+            })
+            .unwrap();
+        for (i, hv) in features.iter().enumerate() {
             let neg = hv.count_negative();
             // 5σ window of Binomial(10000, 0.5)
             prop_assert!((4750..=5250).contains(&neg), "feature {i}: {neg}");

@@ -147,9 +147,14 @@ fn key_reuse_across_features_is_harmless_but_detectable_by_owner() {
     }]);
     let key = EncodingKey::from_feature_keys(vec![fk.clone(), fk], 4, 256).unwrap();
     let enc = LockedEncoder::from_parts(pool, values, key).unwrap();
-    assert_eq!(enc.feature_hv(0), enc.feature_hv(1));
-    assert!(!hdlock::is_quasi_orthogonal(
-        &[enc.feature_hv(0), enc.feature_hv(1)],
-        0.1
-    ));
+    let features: Vec<_> = enc
+        .vault()
+        .with_key(|key| {
+            (0..2)
+                .map(|i| hdlock::derive_feature(enc.pool(), key.feature(i), i).unwrap())
+                .collect()
+        })
+        .unwrap();
+    assert_eq!(features[0], features[1]);
+    assert!(!hdlock::is_quasi_orthogonal(&features, 0.1));
 }

@@ -3,11 +3,12 @@
 //! crate.
 
 use hdc_attack::{
-    duplicate_model, mapping_accuracy, reason_encoding, CountingOracle, FeatureExtractOptions,
-    StandardDump,
+    duplicate_model, mapping_accuracy, reason_encoding, CountingOracle, EncodingOracle,
+    FeatureExtractOptions, SessionOracle, StandardDump,
 };
 use hdc_datasets::{Benchmark, Discretizer};
-use hdc_model::{evaluate, train, Encoder, HdcConfig, HdcModel, ModelKind};
+use hdc_model::{evaluate, train, ClassifySession, Encoder, HdcConfig, HdcModel, ModelKind};
+use hdc_store::{KeySegment, ModelRegistry, ModelSnapshot};
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hypervec::HvRng;
 
@@ -153,4 +154,49 @@ fn standard_and_locked_share_the_encoder_seam() {
     .unwrap();
     assert_eq!(dim_of(&standard), 512);
     assert_eq!(dim_of(&locked), 512);
+}
+
+#[test]
+fn session_oracle_drives_a_registry_generation() {
+    // The attacker's oracle over the session production serves: a
+    // registry generation's `ServingSession`, loaded from a locked
+    // snapshot and its key segment.
+    let (train_ds, _) = Benchmark::Pamap.generate(0.05, 27).unwrap();
+    let config = small_config(ModelKind::Binary, 27);
+    let n = train_ds.n_features();
+    let mut rng = HvRng::from_seed(27);
+    let encoder = LockedEncoder::generate(
+        &mut rng,
+        &LockConfig {
+            n_features: n,
+            m_levels: config.m_levels,
+            dim: config.dim,
+            pool_size: n,
+            n_layers: 2,
+        },
+    )
+    .unwrap();
+    let model = HdcModel::fit_with_encoder(&config, encoder, &train_ds).unwrap();
+    let key = KeySegment::from_locked_encoder(model.encoder()).unwrap();
+    let registry =
+        ModelRegistry::from_snapshot(ModelSnapshot::from_locked_model(&model), Some(&key)).unwrap();
+    let generation = registry.current();
+    let session = generation.session();
+    let oracle = SessionOracle::new(session);
+
+    let rows: Vec<Vec<u16>> = (0..7)
+        .map(|s| (0..n).map(|i| ((s * 5 + i) % 16) as u16).collect())
+        .collect();
+    let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
+    assert_eq!(oracle.classify_batch(&refs), session.classify_batch(&refs));
+    assert_eq!(oracle.queries(), 7, "one query per classified row");
+    assert_eq!(
+        oracle.query_binary_batch(&refs),
+        session.encoder().encode_batch_binary(&refs)
+    );
+    assert_eq!(
+        oracle.query_int_batch(&refs),
+        session.encoder().encode_batch_int(&refs)
+    );
+    assert_eq!(oracle.queries(), 21, "one query per encoded row");
 }

@@ -5,7 +5,7 @@
 //! paper-scale D = 10 000, including tie-breaking order.
 
 use hdc_model::{
-    infer, ClassMemory, Encoder, HdcConfig, InferenceSession, ModelKind, RecordEncoder,
+    infer, ClassMemory, ClassifySession, Encoder, HdcConfig, ModelKind, OwnedSession, RecordEncoder,
 };
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
 use hypervec::HvRng;
@@ -69,7 +69,7 @@ proptest! {
         let mut rng = HvRng::from_seed(seed);
         let enc = RecordEncoder::generate(&mut rng, 6, 4, d).unwrap();
         let memory = memory_from(&enc, kind, c, seed ^ 1);
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         let batch_rows = rows(6, 4, 11, seed ^ 2);
         let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
         let fused = session.classify_batch(&refs);
@@ -110,7 +110,7 @@ proptest! {
         let refs: Vec<&[u16]> = batch_rows.iter().map(Vec::as_slice).collect();
         for mode in [DeriveMode::Cached, DeriveMode::OnTheFly] {
             enc.set_mode(mode);
-            let session = InferenceSession::new(&enc, &memory);
+            let session = OwnedSession::new(&enc, &memory);
             let fused = session.classify_batch(&refs);
             for (i, row) in refs.iter().enumerate() {
                 prop_assert_eq!(
@@ -138,7 +138,7 @@ proptest! {
         memory.acc_mut(1).add(&hv);
         memory.acc_mut(2).add(&rng.binary_hv(130));
         memory.rebinarize();
-        let session = InferenceSession::new(&enc, &memory);
+        let session = OwnedSession::new(&enc, &memory);
         for row in rows(5, 4, 7, seed ^ 6) {
             let want = scalar_classify(&enc, &memory, kind, &row);
             prop_assert_eq!(session.classify(&row), want);
