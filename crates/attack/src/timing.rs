@@ -179,8 +179,8 @@ impl std::fmt::Display for TimingReport {
 ///
 /// Both modes defeat the probe: a cached encode is the same column pass
 /// over the same resident features whatever ran before it, and a
-/// hardened encode performs the same full-table strided work — the
-/// property the hardened CI leg pins for both.
+/// hardened encode reads every value for every feature in fixed order —
+/// the property the hardened CI leg pins for both.
 ///
 /// Returns `None` (with a skip notice) when `samples` is below
 /// [`MIN_TIMING_SAMPLES`].
@@ -212,8 +212,8 @@ pub fn warmth_distinguisher(
     let row = vec![0u16; n];
     let mut queries = 0u64;
 
-    // Prime: in hardened mode the first encode builds the table, so the
-    // timed loops below observe steady-state behavior.
+    // Prime: one throwaway encode each, so the timed loops below observe
+    // steady-state behavior.
     let _ = cold.encode_binary(&row);
     let _ = warm.encode_binary(&row);
     queries += 2;
@@ -380,7 +380,7 @@ mod tests {
         let cached_enc = victim(11, DeriveMode::Cached);
         let hardened_enc = victim(11, DeriveMode::Hardened);
         let row = vec![0u16; cached_enc.n_features()];
-        // Prime: hardened mode's first encode builds its table.
+        // Prime: one throwaway encode each.
         let _ = cached_enc.encode_binary(&row);
         let _ = hardened_enc.encode_binary(&row);
         let (mut cached_ns, mut hardened_ns) = (0.0, 0.0);

@@ -24,10 +24,10 @@
 //! Beyond the paper's defense, [`DeriveMode::Hardened`] puts the
 //! locked encoder in a constant-time mode for serving deployments:
 //! fixed input-independent work per encode and oblivious key-vault
-//! reads ([`KeyVault::with_key_oblivious`]), bit-identical outputs. The
-//! default cached mode builds no bound-pair table, so neither mode has
-//! the cache-warmth timing side channel the cached mode's lazy table
-//! once opened (the repository's `SECURITY.md` states the full threat
+//! reads ([`KeyVault::with_key_oblivious`]), bit-identical outputs.
+//! Neither mode builds a bound-pair table, so neither has the
+//! cache-warmth timing side channel the cached mode's lazy table once
+//! opened (the repository's `SECURITY.md` states the full threat
 //! model; the companion `hdc-attack` crate's `warmth_distinguisher` is
 //! the probe, and fails against both).
 //!

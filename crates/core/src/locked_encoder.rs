@@ -29,9 +29,7 @@
 //! audit trail) is the only way to one.
 
 use hdc_model::Encoder;
-use hypervec::{
-    kernel, par, BinaryHv, BitSliceAccumulator, BoundPairCache, HvRng, IntHv, LevelHvs, TileBlock,
-};
+use hypervec::{kernel, par, BinaryHv, BitSliceAccumulator, HvRng, IntHv, LevelHvs, TileBlock};
 
 use crate::error::LockError;
 use crate::key::{EncodingKey, FeatureKey};
@@ -114,18 +112,18 @@ pub enum DeriveMode {
     /// per sample), mirroring a hardware pipeline that never leaves key
     ///-derived state in observable memory.
     OnTheFly,
-    /// Constant-time serving mode: the same table and vault accesses
+    /// Constant-time serving mode: the same memory and vault accesses
     /// per encoded sample regardless of query content or cache state.
-    /// Every encode strides the **whole** `N × M` bound-pair table with
-    /// branchless selection
-    /// ([`BoundPairCache::accumulate_row_oblivious`]) and performs one
-    /// cache-oblivious vault read ([`KeyVault::with_key_oblivious`])
-    /// per sample, so neither access pattern depends on which
+    /// Every encode performs one cache-oblivious vault read
+    /// ([`KeyVault::with_key_oblivious`]) per sample, then stages each
+    /// feature from the resident features and XORs in its value,
+    /// selected from **all** `M` value hypervectors, read in order, by
+    /// a branchless mask, so neither access pattern depends on which
     /// `(feature, level)` pairs the query touches. One exception: the
     /// accumulator's carry ripple stops once no dimension carries, so
     /// its length follows the bundle counts (a residual risk in
     /// `SECURITY.md`). Bit-identical to [`DeriveMode::Cached`] by
-    /// construction; costs roughly `M×` the cached encode.
+    /// construction.
     Hardened,
 }
 
@@ -156,9 +154,6 @@ pub struct LockedEncoder {
     /// The `M` public value hypervectors, tile-major, for the column
     /// pass.
     value_tiles: TileBlock,
-    /// The `N × M` bound-pair table of hardened mode's constant-time
-    /// select, built on its first encode; no other mode builds it.
-    bound_cache: BoundPairCache,
     mode: DeriveMode,
     n_layers: usize,
 }
@@ -269,7 +264,6 @@ impl LockedEncoder {
             vault,
             features,
             value_tiles,
-            bound_cache: BoundPairCache::new(),
             mode: DeriveMode::Cached,
             n_layers,
         })
@@ -417,20 +411,34 @@ impl LockedEncoder {
             .expect("vault alive while encoder exists");
     }
 
-    /// Accumulates one row in fixed time: strides the full bound-pair
-    /// table with branchless selection under a single cache-oblivious
-    /// vault read.
+    /// Accumulates one row in fixed time: one cache-oblivious vault read,
+    /// then each feature gathered into its staging slot and bound to the
+    /// value a branchless mask selects while all `M` values are read in
+    /// order. The read comes first, not around the selects, so a batch's
+    /// workers do not queue on the vault's lock.
     fn accumulate_row_hardened(&self, acc: &mut BitSliceAccumulator, levels: &[u16]) {
         self.vault
-            .with_key_oblivious(|_| {
-                self.bound_cache.accumulate_row_oblivious(
-                    acc,
-                    &self.features,
-                    &self.values,
-                    levels,
-                );
-            })
+            .with_key_oblivious(|_| ())
             .expect("vault alive while encoder exists");
+        let m = self.values.m();
+        acc.add_staged(levels.len(), |i, slot| {
+            let lv = usize::from(levels[i]);
+            // A level past `M` would match no mask and silently bundle
+            // the bare feature.
+            assert!(lv < m, "level index {lv} out of range (M = {m})");
+            self.features.get_into(i, slot);
+            for v in 0..m {
+                // All-ones iff v == lv: `x | -x` has its top bit set for
+                // every nonzero x, so the shifted bit is 1 exactly when
+                // the XOR difference is nonzero — no data-dependent
+                // branch anywhere in the selection.
+                let eq = (v ^ lv) as u64;
+                let mask = ((eq | eq.wrapping_neg()) >> 63).wrapping_sub(1);
+                for (s, &w) in slot.iter_mut().zip(self.values.level(v).bits().words()) {
+                    *s ^= w & mask;
+                }
+            }
+        });
     }
 
     /// Shared batch driver: chunked fan-out with per-worker scratch
@@ -466,21 +474,16 @@ impl LockedEncoder {
                 }
                 out
             }),
-            DeriveMode::Hardened => {
-                // Warm unconditionally — no batch-length branch, so the
-                // first query after a swap costs the same as the last.
-                self.bound_cache.warm(&self.features, &self.values);
-                par::par_chunk_map(rows.len(), 4, |range| {
-                    let mut acc = BitSliceAccumulator::new(self.dim());
-                    let mut out = Vec::with_capacity(range.len());
-                    for r in range {
-                        acc.clear();
-                        self.accumulate_row_hardened(&mut acc, rows[r]);
-                        out.push(finish(&acc));
-                    }
-                    out
-                })
-            }
+            DeriveMode::Hardened => par::par_chunk_map(rows.len(), 4, |range| {
+                let mut acc = BitSliceAccumulator::new(self.dim());
+                let mut out = Vec::with_capacity(range.len());
+                for r in range {
+                    acc.clear();
+                    self.accumulate_row_hardened(&mut acc, rows[r]);
+                    out.push(finish(&acc));
+                }
+                out
+            }),
         }
     }
 
@@ -738,6 +741,41 @@ mod tests {
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let _ = enc.encode_batch_binary(&refs);
         assert_eq!(enc.vault().reads(), base_reads + 9);
+    }
+
+    /// A hardened encoder and a row whose feature 4 sits at level
+    /// `M = 4`, one past the last: the branchless select would pick no
+    /// value for it, so every entry point must refuse the row.
+    fn hardened_with_level_past_m() -> (LockedEncoder, Vec<u16>) {
+        let mut rng = HvRng::from_seed(16);
+        let mut enc = LockedEncoder::generate(&mut rng, &config()).unwrap();
+        enc.set_mode(DeriveMode::Hardened);
+        let mut row = vec![0u16; 9];
+        row[4] = 4;
+        (enc, row)
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn hardened_encode_binary_rejects_level_past_m() {
+        let (enc, row) = hardened_with_level_past_m();
+        let _ = enc.encode_binary(&row);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn hardened_encode_int_rejects_level_past_m() {
+        let (enc, row) = hardened_with_level_past_m();
+        let _ = enc.encode_int(&row);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn hardened_batch_rejects_level_past_m() {
+        let (enc, row) = hardened_with_level_past_m();
+        // A one-row batch runs inline, so the panic message reaches the
+        // harness instead of a worker thread's join.
+        let _ = enc.encode_batch_binary(&[row.as_slice()]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property test for the hardened serving mode: every encode entry
 //! point must be **bit-identical** across all three derivation modes.
 //!
-//! Hardening (fixed-work encode, cache-oblivious table strides,
+//! Hardening (fixed-work encode, every value read for every feature,
 //! branchless selection) is only deployable if it changes *when* work
 //! happens, never *what* is computed — the paper's accuracy claims
 //! (Fig. 8) must survive the constant-time rewrite untouched. The CI

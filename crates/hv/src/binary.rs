@@ -372,6 +372,21 @@ mod tests {
         assert!((d - 0.5).abs() < 0.05, "distance {d}");
     }
 
+    /// The packed rotation against a per-bit reference, `ρ_k` as
+    /// `out[i] = in[(i + k) mod D]`, at shifts on and around the word
+    /// boundaries of a dimension with a partial last word.
+    #[test]
+    fn rotation_matches_packed_rotate() {
+        let d = 130;
+        let hv = rhv(2, d);
+        for k in [0, 1, 63, 64, 65, 129] {
+            let rotated = hv.rotated(k);
+            for i in 0..d {
+                assert_eq!(rotated.polarity(i), hv.polarity((i + k) % d), "k={k} i={i}");
+            }
+        }
+    }
+
     #[test]
     fn dot_and_cosine_consistent() {
         let a = rhv(9, 2048);

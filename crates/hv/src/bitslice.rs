@@ -34,8 +34,8 @@
 //! from and how often the planes move:
 //!
 //! * [`BitSliceAccumulator::add_staged`] has the caller write each
-//!   input into a staging slot (a freshly derived feature bound to its
-//!   value, a masked table select) and folds each group of 16 plane by
+//!   input into a staging slot (a feature, freshly derived or gathered,
+//!   bound to its value) and folds each group of 16 plane by
 //!   plane, loading and storing the four low planes every group; fewer
 //!   than 16 sixteens carries left at the end ripple from plane 4.
 //! * [`BitSliceAccumulator::bundle_row`] encodes a whole row from a
@@ -439,10 +439,11 @@ impl BitSliceAccumulator {
         self.count = levels.len();
     }
 
-    /// Bulk add of `n` vectors the caller computes on the fly (a masked
-    /// table select, a freshly derived feature): `fill(i, slot)` writes
-    /// input `i` into `slot`, a `⌈dim/64⌉`-word buffer owned by the
-    /// accumulator whose previous contents it must overwrite. Each group
+    /// Bulk add of `n` vectors the caller computes on the fly (a freshly
+    /// derived feature bound to its value, a gathered feature with a
+    /// masked value select XORed in): `fill(i, slot)` writes input `i`
+    /// into `slot`, a `⌈dim/64⌉`-word buffer owned by the accumulator
+    /// whose previous contents it must overwrite. Each group
     /// of 16 is staged in a block the accumulator keeps across
     /// [`Self::clear`] and folded by the shared carry-save loop, so
     /// steady-state use allocates nothing; `fill` runs for `i = 0, 1,

@@ -13,8 +13,7 @@
 //! * **Addition** (bundling) accumulates into an [`IntHv`] / a
 //!   [`BundleAccumulator`] and binarizes with `sign(·)`,
 //! * **Permutation** is a circular rotation `ρ_k` computed on packed
-//!   words ([`BinaryHv::rotated`]), with general permutations available
-//!   through [`Permutation`].
+//!   words ([`BinaryHv::rotated`]).
 //!
 //! [`LevelHvs`] builds the linearly-correlated *value* hypervectors of
 //! record-based encoding (paper Eq. 1b), [`ItemMemory`] stores feature
@@ -40,9 +39,7 @@
 //! its value's tile in registers (no bound pair is ever written to
 //! memory, and no table is built), counts all `N` with the four low
 //! counter planes held in registers, and writes each plane word once.
-//! Only the hardened mode keeps a precomputed [`BoundPairCache`] table,
-//! for its constant-time select. The engine is **bit-exact** with the
-//! scalar path by construction:
+//! The engine is **bit-exact** with the scalar path by construction:
 //!
 //! * **Layout** — `planes[p][w]` is bit `p` of the counters for
 //!   dimensions `64·w..64·w+63`; the bipolar sum at dimension `d` is
@@ -210,14 +207,12 @@ pub mod accumulator;
 pub mod binary;
 pub mod bitslice;
 pub mod bitvec;
-pub mod boundcache;
 pub mod dense;
 pub mod error;
 pub mod itemmem;
 pub mod kernel;
 pub mod level;
 pub mod par;
-pub mod perm;
 pub mod rng;
 pub mod search;
 pub mod sim;
@@ -227,12 +222,10 @@ pub mod topk;
 pub use accumulator::BundleAccumulator;
 pub use binary::BinaryHv;
 pub use bitslice::{BitSliceAccumulator, TileBlock};
-pub use boundcache::BoundPairCache;
 pub use dense::IntHv;
 pub use error::HvError;
 pub use itemmem::ItemMemory;
 pub use level::LevelHvs;
-pub use perm::Permutation;
 pub use rng::HvRng;
 pub use search::{BatchSearchResult, ShardedClassMemory};
 pub use sim::{argmax, argmin, Similarity};

@@ -1,7 +1,7 @@
 //! Property-based tests for the hypervector substrate invariants.
 
 use hypervec::bitvec::BitWords;
-use hypervec::{BinaryHv, BundleAccumulator, HvRng, IntHv, LevelHvs, Permutation};
+use hypervec::{BinaryHv, BundleAccumulator, HvRng, IntHv, LevelHvs};
 use proptest::prelude::*;
 
 /// Strategy: a dimension that exercises word boundaries.
@@ -115,15 +115,6 @@ proptest! {
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn permutation_inverse_is_identity(seed in any::<u64>(), d in 1usize..=128) {
-        let mut rng = HvRng::from_seed(seed);
-        let p = Permutation::random(&mut rng, d);
-        let hv = rng.binary_hv(d);
-        prop_assert_eq!(p.inverse().apply(&p.apply(&hv)), hv.clone());
-        prop_assert_eq!(p.compose(&p.inverse()).apply(&hv), hv);
     }
 
     #[test]

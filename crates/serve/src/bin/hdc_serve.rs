@@ -11,7 +11,7 @@
 //! (enabling the `{"rekey":…}` admin request); the default is the
 //! standard demo model. `--hardened` (requires `--locked`) serves the
 //! locked model in constant-time hardened mode: every encode performs
-//! the same vault and bound-pair work regardless of input, and pruned
+//! the same vault and value-select work regardless of input, and pruned
 //! top-k search falls back to the exact scan — the timing-oracle
 //! defense described in `SECURITY.md`. The flag is surfaced in
 //! `{"info":true}` / `{"stats":true}` responses and the `hdc_hardened`

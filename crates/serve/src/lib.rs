@@ -142,9 +142,9 @@
 //!
 //! `hdc_serve --locked L --hardened` serves a locked generation whose
 //! encoder runs in `hdlock::DeriveMode::Hardened`: every encode does
-//! fixed, input-independent work (full bound-pair table stride with a
-//! branchless select, oblivious key-vault reads, pruned top-k replaced
-//! by the fixed-shape exact scan). The default cached mode builds no
+//! fixed, input-independent work (every value read for every feature,
+//! with a branchless select, oblivious key-vault reads, pruned top-k
+//! replaced by the fixed-shape exact scan). Neither mode builds a
 //! bound-pair table, so `hdc_attack::warmth_distinguisher`, the
 //! cache-warmth timing probe, fails against both modes.
 //! Responses stay bit-identical to the unhardened server (pinned by an

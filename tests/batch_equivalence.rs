@@ -135,7 +135,7 @@ proptest! {
 /// encoders run the column pass for every one of them (per column, two
 /// full second-level folds of 256 inputs and a short one into the
 /// counter planes above the low four, which live in memory); hardened
-/// mode builds its table eagerly.
+/// mode stages each feature with its obliviously selected value.
 #[test]
 fn isolet_shape_encodes_are_bit_exact_with_scalar() {
     let (n, m, d) = (617, 16, 10_000);
