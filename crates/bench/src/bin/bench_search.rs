@@ -152,13 +152,12 @@ impl Measurement {
     }
 }
 
-/// Naive scalar reference: nearest class by Hamming distance computed
-/// one *dimension* at a time (the pre-engine way to compare
+/// Naive scalar reference: nearest class row by Hamming distance
+/// computed one *dimension* at a time (the pre-engine way to compare
 /// hypervectors) — bit-exact with the popcount paths.
-fn scalar_per_dim_nearest(memory: &ClassMemory, query: &BinaryHv) -> usize {
+fn scalar_per_dim_nearest(rows: &[BinaryHv], query: &BinaryHv) -> usize {
     let mut best = (0usize, usize::MAX);
-    for j in 0..memory.n_classes() {
-        let row = memory.class_binary(j);
+    for (j, row) in rows.iter().enumerate() {
         let mut d = 0usize;
         for i in 0..row.dim() {
             d += usize::from(row.polarity(i) != query.polarity(i));
@@ -495,8 +494,11 @@ fn main() {
     let opts = parse_options();
     let mut rng = HvRng::from_seed(2022);
 
-    // Class memory with C random prototypes, in both representations.
-    let mut memory = ClassMemory::new(ModelKind::Binary, opts.n_classes, opts.dim);
+    // Class memory with C random prototypes. A non-binary memory packs
+    // both planes, so the popcount and cosine kernels run off the same
+    // rows; the scalar rungs scan the sign rows built here, once, and the
+    // accumulators.
+    let mut memory = ClassMemory::new(ModelKind::NonBinary, opts.n_classes, opts.dim);
     for j in 0..opts.n_classes {
         let proto = rng.binary_hv(opts.dim);
         memory.acc_mut(j).add(&proto);
@@ -504,16 +506,8 @@ fn main() {
         memory.acc_mut(j).add(&rng.binary_hv(opts.dim));
     }
     memory.rebinarize();
-    // A binary memory's snapshot packs only the popcount planes; attach
-    // the integer rows explicitly so the cosine kernel is measurable
-    // off the same data.
-    let mut sharded = memory.to_sharded();
-    let int_rows: Vec<IntHv> = (0..opts.n_classes)
-        .map(|j| memory.class_int(j).clone())
-        .collect();
-    sharded
-        .set_int_rows(&int_rows)
-        .expect("accumulators share the class dimension");
+    let sharded = memory.packed();
+    let class_rows = memory.binary_rows();
 
     let bin_queries: Vec<BinaryHv> = (0..opts.n_queries)
         .map(|_| rng.binary_hv(opts.dim))
@@ -532,7 +526,7 @@ fn main() {
         name: "binary_scalar_per_dim_per_query".to_owned(),
         queries_per_sec: throughput(opts.n_queries, min_secs, || {
             for q in &bin_queries {
-                std::hint::black_box(scalar_per_dim_nearest(&memory, q));
+                std::hint::black_box(scalar_per_dim_nearest(&class_rows, q));
             }
         }),
     });
@@ -543,7 +537,7 @@ fn main() {
         name: "binary_wordparallel_per_query".to_owned(),
         queries_per_sec: throughput(opts.n_queries, min_secs, || {
             for q in &bin_queries {
-                std::hint::black_box(infer::classify_binary_hv(&memory, q));
+                std::hint::black_box(infer::classify_binary_hv(&class_rows, q));
             }
         }),
     });
@@ -618,12 +612,12 @@ fn main() {
         let batch = hits.best(q);
         assert_eq!(
             batch,
-            infer::classify_binary_hv(&memory, query),
+            infer::classify_binary_hv(&class_rows, query),
             "batch/word-parallel divergence at query {q}"
         );
         assert_eq!(
             batch,
-            scalar_per_dim_nearest(&memory, query),
+            scalar_per_dim_nearest(&class_rows, query),
             "batch/scalar divergence at query {q}"
         );
     }

@@ -834,6 +834,7 @@ mod tests {
                 memory.acc_mut(j).add(&enc.encode_binary(row));
             }
             memory.rebinarize();
+            let class_rows = memory.binary_rows();
             for mode in [
                 DeriveMode::Cached,
                 DeriveMode::OnTheFly,
@@ -844,9 +845,10 @@ mod tests {
                 let fused = session.classify_batch(&refs);
                 for (i, row) in refs.iter().enumerate() {
                     let scalar = match kind {
-                        ModelKind::Binary => {
-                            hdc_model::infer::classify_binary_hv(&memory, &enc.encode_binary(row))
-                        }
+                        ModelKind::Binary => hdc_model::infer::classify_binary_hv(
+                            &class_rows,
+                            &enc.encode_binary(row),
+                        ),
                         ModelKind::NonBinary => {
                             hdc_model::infer::classify_int_hv(&memory, &enc.encode_int(row))
                         }

@@ -400,6 +400,24 @@ mod tests {
     }
 
     #[test]
+    fn cosine_is_bipolar_form_of_hamming() {
+        // Pin `(D − 2·h)/D == cosine` bit-for-bit at a non-word-aligned
+        // dimension and at the extremes: the packed search scores a
+        // popcount distance this way (`ShardedClassMemory::binary_score`).
+        let d = 130usize;
+        let a = rhv(42, d);
+        let b = rhv(43, d);
+        let h = a.hamming(&b);
+        let from_hamming = (d as i64 - 2 * h as i64) as f64 / d as f64;
+        assert_eq!(from_hamming.to_bits(), a.cosine(&b).to_bits());
+        // … and it equals the textbook `1 − 2·h/D` up to rounding.
+        let algebraic = 1.0 - 2.0 * (h as f64) / (d as f64);
+        assert!((from_hamming - algebraic).abs() < 1e-15);
+        assert_eq!(a.cosine(&a), 1.0);
+        assert_eq!(a.cosine(&a.negated()), -1.0);
+    }
+
+    #[test]
     fn hamming_is_symmetric_and_triangle() {
         let a = rhv(11, 300);
         let b = rhv(12, 300);

@@ -1,4 +1,4 @@
-//! Item memory: an indexed store of hypervectors with associative lookup.
+//! Item memory: an indexed store of same-dimension hypervectors.
 //!
 //! The encoding module of an HDC model keeps its feature and value
 //! hypervectors in an item memory. The *index* (which row corresponds to
@@ -21,10 +21,10 @@ use crate::rng::HvRng;
 ///
 /// let mut rng = HvRng::from_seed(7);
 /// let mem = ItemMemory::random(&mut rng, 10_000, 20);
-/// let noisy = mem.get(3)?.clone();
-/// let (idx, dist) = mem.nearest(&noisy)?;
-/// assert_eq!(idx, 3);
-/// assert_eq!(dist, 0);
+/// assert_eq!(mem.len(), 20);
+/// // Random rows are quasi-orthogonal (paper Eq. 1a).
+/// let d = mem.get(3)?.normalized_hamming(mem.get(4)?);
+/// assert!((d - 0.5).abs() < 0.05);
 /// # Ok::<(), hypervec::HvError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -156,35 +156,6 @@ impl ItemMemory {
         self.rows.iter()
     }
 
-    /// Associative lookup: the row with the smallest Hamming distance to
-    /// `query`, with its distance. Ties resolve to the lowest index.
-    /// Each comparison is a fused XOR-popcount on the active
-    /// [`kernel`](crate::kernel) backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HvError::EmptyInput`] if the memory is empty, or
-    /// [`HvError::DimensionMismatch`] on dimension disagreement.
-    pub fn nearest(&self, query: &BinaryHv) -> Result<(usize, usize), HvError> {
-        if self.rows.is_empty() {
-            return Err(HvError::EmptyInput);
-        }
-        if query.dim() != self.dim {
-            return Err(HvError::DimensionMismatch {
-                expected: self.dim,
-                found: query.dim(),
-            });
-        }
-        let mut best = (0usize, usize::MAX);
-        for (i, row) in self.rows.iter().enumerate() {
-            let d = row.hamming(query);
-            if d < best.1 {
-                best = (i, d);
-            }
-        }
-        Ok(best)
-    }
-
     /// The elementwise sum of all rows, kept as raw counters.
     ///
     /// The attack's Eq. 5/6 uses `sign(Σ FeaHV_i)`; the sum is reusable,
@@ -272,26 +243,6 @@ mod tests {
                 found: 65
             }
         );
-    }
-
-    #[test]
-    fn nearest_finds_noisy_row() {
-        let mut rng = HvRng::from_seed(3);
-        let mem = ItemMemory::random(&mut rng, 2048, 30);
-        let mut probe = mem.get(17).unwrap().clone();
-        for i in 0..200 {
-            probe.flip(i * 10);
-        }
-        let (idx, dist) = mem.nearest(&probe).unwrap();
-        assert_eq!(idx, 17);
-        assert_eq!(dist, 200);
-    }
-
-    #[test]
-    fn nearest_on_empty_errors() {
-        let mem = ItemMemory::new(32);
-        let q = BinaryHv::ones(32);
-        assert_eq!(mem.nearest(&q).unwrap_err(), HvError::EmptyInput);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   words ([`BinaryHv::rotated`]).
 //!
 //! [`LevelHvs`] builds the linearly-correlated *value* hypervectors of
-//! record-based encoding (paper Eq. 1b), [`ItemMemory`] stores feature
-//! hypervectors with associative lookup, and [`Similarity`] selects the
-//! Hamming/cosine comparison used by binary/non-binary models.
+//! record-based encoding (paper Eq. 1b), and [`ItemMemory`] stores the
+//! feature hypervectors in index order. Binary models compare by
+//! Hamming distance ([`BinaryHv::hamming`], or its bipolar form
+//! [`BinaryHv::cosine`]), non-binary ones by [`IntHv::cosine`].
 //!
 //! ## The word-parallel encoding engine
 //!
@@ -92,9 +93,11 @@
 //!   [`IntHv::cosine`] operation-for-operation, so batch results are
 //!   bit-identical to the scalar per-row scan, including
 //!   lowest-index tie-breaking.
-//! * **In-place row updates** — `update_row` / `update_int_row` let a
-//!   retraining loop keep a packed mirror in sync without rebuilding
-//!   it after every accumulator adjustment.
+//! * **In-place row updates** — `update_row` / `update_int_row`
+//!   rewrite one row where it sits, so a retraining loop that keeps its
+//!   class rows only in the packed planes refreshes each touched row
+//!   after an accumulator adjustment without rebuilding the planes;
+//!   `binary_row` / `int_row` gather a row back out (snapshot writing).
 //!
 //! ## Top-k search
 //!
@@ -168,8 +171,7 @@
 //!   the CPU has it, else `avx2`, else `scalar`. Every consumer
 //!   ([`BitSliceAccumulator`],
 //!   [`ShardedClassMemory`], [`BitVec bulk ops`](bitvec::BitWords),
-//!   [`Similarity`], [`ItemMemory`]) picks the fast path up
-//!   transparently.
+//!   [`BinaryHv::hamming`]) picks the fast path up transparently.
 //! * **Env override** — `HYPERVEC_KERNEL=scalar|avx2|avx512` forces a
 //!   backend (`avx2` measures the AVX2 table on an AVX-512 host); an
 //!   unknown or unavailable name fails fast with the list of available
@@ -184,7 +186,7 @@
 //! ## Example
 //!
 //! ```
-//! use hypervec::{HvRng, LevelHvs, Similarity};
+//! use hypervec::{HvRng, LevelHvs};
 //!
 //! let mut rng = HvRng::from_seed(2022);
 //! let features = rng.orthogonal_pool(10_000, 4);
@@ -215,7 +217,6 @@ pub mod level;
 pub mod par;
 pub mod rng;
 pub mod search;
-pub mod sim;
 pub mod stats;
 pub mod topk;
 
@@ -228,5 +229,4 @@ pub use itemmem::ItemMemory;
 pub use level::LevelHvs;
 pub use rng::HvRng;
 pub use search::{BatchSearchResult, ShardedClassMemory};
-pub use sim::{argmax, argmin, Similarity};
 pub use topk::{BatchTopKResult, ProbeConfig, TopKMatch};

@@ -3,10 +3,9 @@
 //! Inference, the attack oracle's scoring loop and the serving path all
 //! reduce to the same kernel: compare a query hypervector against every
 //! row of a class memory and take the best match. The one-row-at-a-time
-//! scan ([`ItemMemory::nearest`](crate::ItemMemory::nearest),
-//! `classify_binary_hv`) touches each packed row once per query with no
-//! reuse; [`ShardedClassMemory`] restructures the rows for batch
-//! throughput:
+//! scan (`classify_binary_hv`, the scalar reference) touches each row
+//! once per query with no reuse; [`ShardedClassMemory`] restructures
+//! the rows for batch throughput:
 //!
 //! * **Packed planes** — binary rows are stored as contiguous `u64`
 //!   words, *block-major*: the words of a dimension block are laid out
@@ -34,6 +33,7 @@
 use std::ops::Range;
 
 use crate::binary::BinaryHv;
+use crate::bitvec::BitWords;
 use crate::dense::IntHv;
 use crate::error::HvError;
 use crate::kernel::{self, Kernel};
@@ -135,9 +135,11 @@ fn advise_huge_pages(plane: &Vec<u64>) -> bool {
 ///
 /// Binary rows are always present (pushed via [`Self::from_rows`] /
 /// [`Self::push`]); integer rows for cosine search are attached with
-/// [`Self::set_int_rows`]. Rows can be refreshed in place
-/// ([`Self::update_row`], [`Self::update_int_row`]) so a training loop
-/// can keep a packed mirror in sync without rebuilding it.
+/// [`Self::set_int_rows`]. These planes are the only store of a trained
+/// model's class rows: training rewrites a row in place
+/// ([`Self::update_row`], [`Self::update_int_row`]) after each
+/// accumulator update, and a snapshot reads the rows back
+/// ([`Self::binary_row`], [`Self::int_row`]).
 ///
 /// # Examples
 ///
@@ -335,8 +337,8 @@ impl ShardedClassMemory {
         Ok(())
     }
 
-    /// Overwrites binary row `j` in place (training keeps the packed
-    /// mirror in sync after an accumulator update).
+    /// Overwrites binary row `j` in place (training refreshes a class
+    /// row after an accumulator update).
     ///
     /// # Errors
     ///
@@ -465,6 +467,46 @@ impl ShardedClassMemory {
     #[must_use]
     pub fn has_int_rows(&self) -> bool {
         !self.int_norms.is_empty()
+    }
+
+    /// Binary row `j`, gathered back out of the block-major planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range.
+    #[must_use]
+    pub fn binary_row(&self, j: usize) -> BinaryHv {
+        assert!(
+            j < self.n_rows,
+            "row {j} out of range for {} rows",
+            self.n_rows
+        );
+        let mut words = Vec::with_capacity(self.words_per_row);
+        for (b, block) in self.bin_blocks.iter().enumerate() {
+            let (_, len) = self.bin_block_range(b);
+            words.extend_from_slice(&block[j * len..(j + 1) * len]);
+        }
+        BinaryHv::from_bits(BitWords::from_words(words, self.dim))
+    }
+
+    /// Integer row `j`, gathered back out of the blocked i32 planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of range or no integer rows are attached.
+    #[must_use]
+    pub fn int_row(&self, j: usize) -> IntHv {
+        assert!(
+            j < self.int_norms.len(),
+            "integer row {j} out of range for {} rows",
+            self.int_norms.len()
+        );
+        let mut values = Vec::with_capacity(self.dim);
+        for (b, block) in self.int_blocks.iter().enumerate() {
+            let (_, len) = self.int_block_range(b);
+            values.extend_from_slice(&block[j * len..(j + 1) * len]);
+        }
+        IntHv::from_values(values)
     }
 
     /// The packed binary plane blocks (block-major; see the field docs).
@@ -991,6 +1033,42 @@ mod tests {
         let (r, s) = mem.search_int(&target).unwrap();
         assert_eq!(r, 1);
         assert!((s - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn row_accessors_read_back_what_was_stored() {
+        // 1030 dimensions span two plane blocks, the second one short.
+        let bins = rows(17, 3, 1030);
+        let ints: Vec<IntHv> = bins
+            .iter()
+            .enumerate()
+            .map(|(j, b)| IntHv::from_fn(1030, |i| i32::from(b.polarity(i)) * (i + j) as i32))
+            .collect();
+        let mut mem = ShardedClassMemory::from_rows(&bins).unwrap();
+        mem.set_int_rows(&ints).unwrap();
+        mem.update_row(1, &bins[2]).unwrap();
+        mem.update_int_row(1, &ints[2]).unwrap();
+        for (j, want) in [0, 2, 2].into_iter().enumerate() {
+            assert_eq!(mem.binary_row(j), bins[want], "row {j}");
+            assert_eq!(mem.int_row(j), ints[want], "row {j}");
+        }
+    }
+
+    #[test]
+    fn set_int_rows_recomputes_the_lossless_flag() {
+        let bins = rows(18, 2, 64);
+        let zeros = vec![IntHv::zeros(64), IntHv::zeros(64)];
+        let mut mem = ShardedClassMemory::from_rows(&bins).unwrap();
+        mem.set_int_rows(&zeros).unwrap();
+        assert!(mem.int_fits_i16());
+        mem.update_int_row(0, &IntHv::from_fn(64, |_| 40_000))
+            .unwrap();
+        mem.update_int_row(0, &zeros[0]).unwrap();
+        // In-place updates can only clear the flag; re-attaching the
+        // rows whole recomputes it.
+        assert!(!mem.int_fits_i16());
+        mem.set_int_rows(&zeros).unwrap();
+        assert!(mem.int_fits_i16());
     }
 
     #[test]

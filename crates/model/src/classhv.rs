@@ -1,19 +1,36 @@
 //! Class hypervector storage.
+//!
+//! A [`ClassMemory`] is the associative memory of paper Eq. 4: one
+//! integer accumulator per class beside the class rows, which live only
+//! in a packed [`ShardedClassMemory`] — the sign rows for Hamming
+//! search and, for a non-binary model, the i32 rows for cosine search.
+//! Training updates the accumulators and writes each touched row back
+//! into the planes in place; inference, sessions and snapshots take the
+//! planes as they are.
 
 use hypervec::{BinaryHv, BundleAccumulator, IntHv, ShardedClassMemory};
-use serde::{Deserialize, Serialize};
 
 use crate::config::ModelKind;
 
 /// The trained state of an HDC classifier: one integer accumulator per
-/// class (paper Eq. 4) plus, for binary models, the binarized snapshot
-/// used at inference time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// class (paper Eq. 4) and the packed class rows every search runs on.
+#[derive(Debug, Clone)]
 pub struct ClassMemory {
     kind: ModelKind,
     accs: Vec<BundleAccumulator>,
-    bins: Vec<BinaryHv>,
+    packed: ShardedClassMemory,
 }
+
+/// Two memories are equal when they serve the same kind from the same
+/// accumulators: the packed rows are a function of those once refreshed
+/// ([`ClassMemory::rebinarize`]).
+impl PartialEq for ClassMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.kind == other.kind && self.accs == other.accs
+    }
+}
+
+impl Eq for ClassMemory {}
 
 impl ClassMemory {
     /// Creates an empty class memory for `n_classes` classes of
@@ -25,13 +42,16 @@ impl ClassMemory {
     #[must_use]
     pub fn new(kind: ModelKind, n_classes: usize, dim: usize) -> Self {
         assert!(n_classes > 0, "need at least one class");
-        ClassMemory {
+        let packed = ShardedClassMemory::from_rows(&vec![BinaryHv::ones(dim); n_classes])
+            .expect("class rows share one dimension");
+        let mut memory = ClassMemory {
             kind,
-            accs: (0..n_classes)
-                .map(|_| BundleAccumulator::new(dim))
-                .collect(),
-            bins: (0..n_classes).map(|_| BinaryHv::ones(dim)).collect(),
-        }
+            accs: vec![BundleAccumulator::new(dim); n_classes],
+            packed,
+        };
+        // Attaches a non-binary memory's (zero) integer rows.
+        memory.rebinarize();
+        memory
     }
 
     /// Model kind this memory serves.
@@ -49,10 +69,12 @@ impl ClassMemory {
     /// Hypervector dimensionality `D`.
     #[must_use]
     pub fn dim(&self) -> usize {
-        self.accs[0].dim()
+        self.packed.dim()
     }
 
     /// Mutable access to the accumulator of class `j` (training only).
+    /// The packed rows do not follow: refresh them with
+    /// [`ClassMemory::rebinarize_class`] or [`ClassMemory::rebinarize`].
     ///
     /// # Panics
     ///
@@ -61,7 +83,7 @@ impl ClassMemory {
         &mut self.accs[j]
     }
 
-    /// The integer class hypervector of class `j`.
+    /// The integer class hypervector of class `j`: its accumulator.
     ///
     /// # Panics
     ///
@@ -71,31 +93,40 @@ impl ClassMemory {
         self.accs[j].sums()
     }
 
-    /// The binarized class hypervector of class `j` (refresh with
-    /// [`ClassMemory::rebinarize`] after training updates).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    #[must_use]
-    pub fn class_binary(&self, j: usize) -> &BinaryHv {
-        &self.bins[j]
-    }
-
-    /// Recomputes every binarized snapshot from the accumulators.
+    /// Refreshes every packed row from the accumulators: the sign rows
+    /// in place and, for a non-binary memory, the integer rows
+    /// re-attached whole, which also recomputes whether they narrow to
+    /// i16 losslessly (in-place row updates can only clear that flag).
     pub fn rebinarize(&mut self) {
-        for (bin, acc) in self.bins.iter_mut().zip(&self.accs) {
-            *bin = acc.sums().sign_ties_positive();
+        for j in 0..self.accs.len() {
+            self.packed
+                .update_row(j, &self.accs[j].sums().sign_ties_positive())
+                .expect("accumulators share the packed rows' dimension");
+        }
+        if self.kind == ModelKind::NonBinary {
+            let rows: Vec<IntHv> = self.accs.iter().map(|a| a.sums().clone()).collect();
+            self.packed
+                .set_int_rows(&rows)
+                .expect("accumulators share the packed rows' dimension");
         }
     }
 
-    /// Recomputes the binarized snapshot of a single class.
+    /// Refreshes the packed row of class `j` in place: its sign row
+    /// and, for a non-binary memory, its integer row.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range.
     pub fn rebinarize_class(&mut self, j: usize) {
-        self.bins[j] = self.accs[j].sums().sign_ties_positive();
+        let sums = self.accs[j].sums();
+        self.packed
+            .update_row(j, &sums.sign_ties_positive())
+            .expect("accumulators share the packed rows' dimension");
+        if self.kind == ModelKind::NonBinary {
+            self.packed
+                .update_int_row(j, sums)
+                .expect("accumulators share the packed rows' dimension");
+        }
     }
 
     /// Number of training samples currently bundled into class `j`.
@@ -108,77 +139,29 @@ impl ClassMemory {
         self.accs[j].count()
     }
 
-    /// All binarized class rows, in class order.
+    /// Every class's sign row `sign(acc)` (ties to +1), computed from
+    /// the accumulators rather than read from the packed planes — the
+    /// rows the scalar reference scans compare against.
     #[must_use]
-    pub fn binary_rows(&self) -> &[BinaryHv] {
-        &self.bins
+    pub fn binary_rows(&self) -> Vec<BinaryHv> {
+        self.accs
+            .iter()
+            .map(|a| a.sums().sign_ties_positive())
+            .collect()
     }
 
-    /// Validates internal shape consistency against an expected
-    /// dimension — the deserialization guard: derived decoding cannot
-    /// check cross-field invariants, so untrusted snapshots are
-    /// re-checked here, naming the offending class index in the
-    /// [`hypervec::HvError::RowDimensionMismatch`] style.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`hypervec::HvError::EmptyInput`] for a class-less memory,
-    /// [`hypervec::HvError::DimensionMismatch`] when accumulator and binarized row
-    /// *counts* disagree, and [`hypervec::HvError::RowDimensionMismatch`] naming
-    /// the first class whose accumulator or binarized row has the wrong
-    /// dimension.
-    pub fn check_consistent(&self, expected_dim: usize) -> Result<(), hypervec::HvError> {
-        use hypervec::HvError;
-        if self.accs.is_empty() {
-            return Err(HvError::EmptyInput);
-        }
-        if self.bins.len() != self.accs.len() {
-            return Err(HvError::DimensionMismatch {
-                expected: self.accs.len(),
-                found: self.bins.len(),
-            });
-        }
-        for (j, acc) in self.accs.iter().enumerate() {
-            if acc.dim() != expected_dim {
-                return Err(HvError::RowDimensionMismatch {
-                    row: j,
-                    expected: expected_dim,
-                    found: acc.dim(),
-                });
-            }
-        }
-        for (j, bin) in self.bins.iter().enumerate() {
-            if bin.dim() != expected_dim {
-                return Err(HvError::RowDimensionMismatch {
-                    row: j,
-                    expected: expected_dim,
-                    found: bin.dim(),
-                });
-            }
-        }
-        Ok(())
+    /// The packed class rows: the popcount planes, plus the integer
+    /// planes of a non-binary memory. Sessions, snapshots and the
+    /// retraining loop search these.
+    #[must_use]
+    pub fn packed(&self) -> &ShardedClassMemory {
+        &self.packed
     }
 
-    /// Packs a search-ready snapshot of the current class rows — the
-    /// representation an [`OwnedSession`](crate::session::OwnedSession)
-    /// and the retraining loop classify against. The binarized rows are
-    /// always packed as popcount planes; the integer accumulator rows
-    /// (cosine search) are attached only for non-binary memories, since
-    /// a binary model's query path never reads them. The snapshot does
-    /// not track later accumulator updates; refresh touched rows with
-    /// [`ShardedClassMemory::update_row`] /
-    /// [`ShardedClassMemory::update_int_row`].
+    /// Consumes the memory into its packed class rows.
     #[must_use]
-    pub fn to_sharded(&self) -> ShardedClassMemory {
-        let mut sharded = ShardedClassMemory::from_rows(&self.bins)
-            .expect("class memory rows share one dimension by construction");
-        if self.kind == ModelKind::NonBinary {
-            let ints: Vec<IntHv> = self.accs.iter().map(|a| a.sums().clone()).collect();
-            sharded
-                .set_int_rows(&ints)
-                .expect("accumulators share the binarized rows' dimension");
-        }
-        sharded
+    pub fn into_packed(self) -> ShardedClassMemory {
+        self.packed
     }
 }
 
@@ -201,14 +184,15 @@ mod tests {
         let hv = rng.binary_hv(128);
         let mut cm = ClassMemory::new(ModelKind::Binary, 2, 128);
         cm.acc_mut(0).add(&hv);
+        assert_eq!(cm.binary_rows()[0], hv);
         cm.rebinarize();
-        assert_eq!(cm.class_binary(0), &hv);
+        assert_eq!(cm.packed().binary_row(0), hv);
         assert_eq!(cm.count(0), 1);
         assert_eq!(cm.count(1), 0);
     }
 
     #[test]
-    fn sharded_snapshot_matches_rows() {
+    fn packed_rows_match_the_accumulators() {
         let mut rng = HvRng::from_seed(3);
         let a = rng.binary_hv(130);
         let b = rng.binary_hv(130);
@@ -217,35 +201,25 @@ mod tests {
         cm.acc_mut(0).add(&a);
         cm.acc_mut(1).add(&b);
         cm.rebinarize();
-        let sharded = cm.to_sharded();
-        assert_eq!(sharded.n_rows(), 2);
-        assert_eq!(sharded.dim(), 130);
-        assert!(!sharded.has_int_rows());
-        assert_eq!(sharded.search_binary(&a).unwrap(), (0, 0));
-        // Non-binary memories additionally attach the integer rows.
+        let packed = cm.packed();
+        assert_eq!(packed.n_rows(), 2);
+        assert_eq!(packed.dim(), 130);
+        assert!(!packed.has_int_rows());
+        assert_eq!(packed.search_binary(&a).unwrap(), (0, 0));
+        // Non-binary memories additionally carry the integer rows, and
+        // a one-class refresh rewrites both of that class's rows.
         let mut cm = ClassMemory::new(ModelKind::NonBinary, 2, 130);
         cm.acc_mut(0).add(&a);
         cm.acc_mut(1).add(&b);
-        cm.rebinarize();
-        let sharded = cm.to_sharded();
-        assert!(sharded.has_int_rows());
-        assert_eq!(sharded.search_int(&b.to_int()).unwrap().0, 1);
-    }
-
-    #[test]
-    fn check_consistent_names_offending_dimension() {
-        let cm = ClassMemory::new(ModelKind::Binary, 3, 64);
-        assert!(cm.check_consistent(64).is_ok());
-        // Every class is "wrong" against a different expected dim; the
-        // error must name the first one.
-        assert_eq!(
-            cm.check_consistent(128).unwrap_err(),
-            hypervec::HvError::RowDimensionMismatch {
-                row: 0,
-                expected: 128,
-                found: 64
-            }
-        );
+        cm.rebinarize_class(0);
+        cm.rebinarize_class(1);
+        let packed = cm.clone().into_packed();
+        assert!(packed.has_int_rows());
+        assert_eq!(packed.search_int(&b.to_int()).unwrap().0, 1);
+        for j in 0..2 {
+            assert_eq!(packed.binary_row(j), cm.binary_rows()[j]);
+            assert_eq!(&packed.int_row(j), cm.class_int(j));
+        }
     }
 
     #[test]

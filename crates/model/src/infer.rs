@@ -4,13 +4,16 @@
 //! compared against every class hypervector — Hamming distance for
 //! binary models, cosine for non-binary models (paper Sec. 2).
 //!
-//! The throughput path lives in [`OwnedSession`]: a packed
-//! class-memory snapshot served by the fused batch
-//! `encode_batch_* → search_batch_*` kernels. The per-row scans in this
-//! module ([`classify_binary_hv`], [`classify_int_hv`]) are kept as the
-//! scalar *reference* implementation the batch kernels must stay
-//! bit-identical to (and as the baseline the search benchmark measures
-//! against).
+//! Every serving path searches the memory's packed class rows:
+//! [`classify`] for one row, and for throughput [`OwnedSession`], whose
+//! fused batch `encode_batch_* → search_batch_*` kernels run over the
+//! same planes. The per-row scans in this module ([`classify_binary_hv`],
+//! [`classify_int_hv`], [`class_scores`]) are the scalar *reference* the
+//! packed kernels must stay bit-identical to (and the baseline the
+//! search benchmark measures against). They never read the packed
+//! planes: binary scans take the sign rows
+//! [`ClassMemory::binary_rows`] computes from the accumulators, and
+//! integer scans read the accumulators.
 
 use hdc_datasets::QuantizedDataset;
 use hypervec::{BinaryHv, IntHv};
@@ -21,8 +24,9 @@ use crate::encoder::Encoder;
 use crate::metrics::EvalResult;
 use crate::session::OwnedSession;
 
-/// Classifies an already-encoded binary query: the class whose
-/// binarized hypervector has the smallest Hamming distance.
+/// Classifies an already-encoded binary query: the index of the class
+/// row (from [`ClassMemory::binary_rows`]) with the smallest Hamming
+/// distance.
 ///
 /// Scalar reference scan — the batch path is
 /// [`ClassifySession::classify_batch`](crate::ClassifySession::classify_batch),
@@ -32,10 +36,10 @@ use crate::session::OwnedSession;
 ///
 /// Panics if dimensions disagree.
 #[must_use]
-pub fn classify_binary_hv(memory: &ClassMemory, query: &BinaryHv) -> usize {
+pub fn classify_binary_hv(rows: &[BinaryHv], query: &BinaryHv) -> usize {
     let mut best = (0usize, usize::MAX);
-    for j in 0..memory.n_classes() {
-        let d = memory.class_binary(j).hamming(query);
+    for (j, row) in rows.iter().enumerate() {
+        let d = row.hamming(query);
         if d < best.1 {
             best = (j, d);
         }
@@ -43,8 +47,8 @@ pub fn classify_binary_hv(memory: &ClassMemory, query: &BinaryHv) -> usize {
     best.0
 }
 
-/// Classifies an already-encoded integer query: the class whose integer
-/// hypervector has the largest cosine similarity.
+/// Classifies an already-encoded integer query: the class whose
+/// accumulator has the largest cosine similarity.
 ///
 /// Scalar reference scan — the batch path is
 /// [`ClassifySession::classify_batch`](crate::ClassifySession::classify_batch),
@@ -65,31 +69,42 @@ pub fn classify_int_hv(memory: &ClassMemory, query: &IntHv) -> usize {
     best.0
 }
 
-/// Encodes and classifies one quantized feature row.
+/// Encodes and classifies one quantized feature row by searching the
+/// memory's packed class rows — bit-identical to the per-row scans.
 ///
 /// # Panics
 ///
-/// Panics if the row width does not match the encoder.
+/// Panics if the row width does not match the encoder, or the encoder
+/// and memory disagree on dimension.
 #[must_use]
 pub fn classify<E: Encoder>(encoder: &E, memory: &ClassMemory, levels: &[u16]) -> usize {
-    match memory.kind() {
-        ModelKind::Binary => classify_binary_hv(memory, &encoder.encode_binary(levels)),
-        ModelKind::NonBinary => classify_int_hv(memory, &encoder.encode_int(levels)),
-    }
+    let packed = memory.packed();
+    let found = match memory.kind() {
+        ModelKind::Binary => packed
+            .search_binary(&encoder.encode_binary(levels))
+            .map(|(row, _)| row),
+        ModelKind::NonBinary => packed
+            .search_int(&encoder.encode_int(levels))
+            .map(|(row, _)| row),
+    };
+    found.expect("encoder and class memory share one dimension")
 }
 
 /// Per-class similarity scores for one query (exposed so callers can
 /// inspect margins, not just the argmax — C-INTERMEDIATE).
 ///
 /// Higher is always more similar; for binary models the score is the
-/// bipolar cosine `1 − 2·hamming/D`.
+/// bipolar cosine `1 − 2·hamming/D`. Scalar reference, like the
+/// per-row scans.
 #[must_use]
 pub fn class_scores<E: Encoder>(encoder: &E, memory: &ClassMemory, levels: &[u16]) -> Vec<f64> {
     match memory.kind() {
         ModelKind::Binary => {
             let q = encoder.encode_binary(levels);
-            (0..memory.n_classes())
-                .map(|j| memory.class_binary(j).cosine(&q))
+            memory
+                .binary_rows()
+                .iter()
+                .map(|row| row.cosine(&q))
                 .collect()
         }
         ModelKind::NonBinary => {
@@ -105,7 +120,7 @@ pub fn class_scores<E: Encoder>(encoder: &E, memory: &ClassMemory, levels: &[u16
 /// one-shot [`OwnedSession`] over the borrowed encoder and streaming
 /// the data through its fused batch `encode → search` path. Callers
 /// evaluating repeatedly against the same memory should build (and
-/// reuse) the session themselves to amortize the packing snapshot.
+/// reuse) the session themselves to amortize copying the packed rows.
 ///
 /// # Panics
 ///
@@ -134,8 +149,9 @@ mod tests {
             memory.acc_mut(j).add(p);
         }
         memory.rebinarize();
+        let rows = memory.binary_rows();
         for (j, p) in protos.iter().enumerate() {
-            assert_eq!(classify_binary_hv(&memory, p), j);
+            assert_eq!(classify_binary_hv(&rows, p), j);
         }
     }
 

@@ -34,7 +34,6 @@ pub mod encoder;
 pub mod infer;
 pub mod metrics;
 pub mod model;
-pub mod persist;
 pub mod session;
 pub mod train;
 
@@ -44,6 +43,5 @@ pub use encoder::{Encoder, RecordEncoder};
 pub use infer::{class_scores, classify, evaluate};
 pub use metrics::{ConfusionMatrix, EvalResult, LatencyStats};
 pub use model::HdcModel;
-pub use persist::{PersistError, SavedModel};
 pub use session::{ClassifySession, OwnedSession};
-pub use train::{encode_dataset, train, train_online};
+pub use train::{encode_dataset, train};

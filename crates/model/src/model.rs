@@ -58,8 +58,13 @@ impl HdcModel<RecordEncoder> {
 
 impl<E: Encoder + Sync> HdcModel<E> {
     /// Assembles a model from already-built parts — the path a model
-    /// thief takes after recovering an encoder, and the deserialization
-    /// path for stored models.
+    /// thief takes after recovering an encoder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.kind` disagrees with `memory.kind()`: the
+    /// model's session serves the memory's kind, while its snapshot
+    /// records the config's, so the two would classify differently.
     #[must_use]
     pub fn from_parts(
         config: HdcConfig,
@@ -67,6 +72,13 @@ impl<E: Encoder + Sync> HdcModel<E> {
         discretizer: Discretizer,
         memory: ClassMemory,
     ) -> Self {
+        assert_eq!(
+            config.kind,
+            memory.kind(),
+            "config kind {:?} does not match class memory kind {:?}",
+            config.kind,
+            memory.kind()
+        );
         HdcModel {
             config,
             encoder,
@@ -120,7 +132,8 @@ impl<E: Encoder + Sync> HdcModel<E> {
         &self.memory
     }
 
-    /// Predicts the class of one raw (continuous) feature vector.
+    /// Predicts the class of one raw (continuous) feature vector by
+    /// searching the packed class rows.
     ///
     /// # Panics
     ///
@@ -176,16 +189,19 @@ impl<E: Encoder + Sync> HdcModel<E> {
     }
 
     /// Consumes the model into an [`OwnedSession`] serving its encoder
-    /// and trained memory — the generation unit a model registry swaps.
+    /// and trained memory's packed rows, moved in — the generation unit
+    /// a model registry swaps.
     #[must_use]
     pub fn into_session(self) -> OwnedSession<E> {
-        OwnedSession::new(self.encoder, &self.memory)
+        let kind = self.memory.kind();
+        OwnedSession::from_packed(self.encoder, kind, self.memory.into_packed())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ModelKind;
     use hdc_datasets::Benchmark;
 
     #[test]
@@ -198,6 +214,22 @@ mod tests {
         // prediction agrees with evaluation path
         let s = &test_ds.samples()[0];
         let _ = model.predict(&s.features);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match class memory kind")]
+    fn from_parts_rejects_a_kind_mismatch() {
+        let (train_ds, _) = Benchmark::Pamap.generate(0.02, 13).unwrap();
+        let config = HdcConfig::paper_default().with_dim(256);
+        let (config, encoder, discretizer, _) = HdcModel::fit_standard(&config, &train_ds)
+            .unwrap()
+            .into_parts();
+        let flipped = match config.kind {
+            ModelKind::Binary => ModelKind::NonBinary,
+            ModelKind::NonBinary => ModelKind::Binary,
+        };
+        let memory = ClassMemory::new(flipped, 2, config.dim);
+        let _ = HdcModel::from_parts(config, encoder, discretizer, memory);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! HDLock's threat model assumes the deployed model is driven at high
 //! query volume; Prive-HD argues the deployed encoder + memory should
 //! be one hardened pipeline rather than loose library calls. A session
-//! is that pipeline's software shape: it snapshots the trained
-//! [`ClassMemory`] into a search-packed
-//! [`ShardedClassMemory`] once, then serves every query through the
+//! is that pipeline's software shape: it owns the trained memory's
+//! packed [`ShardedClassMemory`] rows (a [`ClassMemory`] keeps its
+//! class rows only there, so a session copies or takes them as they
+//! are), then serves every query through the
 //! fused `encode_batch_* → search_batch_*` path — one word-parallel
 //! encoding pass (per-worker scratch accumulators, no per-sample
 //! allocation beyond the encoded block) feeding one word-parallel
@@ -132,16 +133,9 @@ pub trait ClassifySession: Sync {
     fn hardened(&self) -> bool;
 }
 
-fn check_shape(encoder_dim: usize, memory_dim: usize) {
-    assert_eq!(
-        encoder_dim, memory_dim,
-        "encoder dimension {encoder_dim} does not match class memory dimension {memory_dim}"
-    );
-}
-
 /// A query-side inference pipeline: an encoder handle `E` (an encoder,
-/// or `&E` to serve one the caller keeps) plus an owned, search-packed
-/// snapshot of the class memory.
+/// or `&E` to serve one the caller keeps) plus the class memory's
+/// packed rows, owned.
 ///
 /// # Examples
 ///
@@ -174,25 +168,19 @@ pub struct OwnedSession<E> {
 }
 
 impl<E: Encoder + Sync> OwnedSession<E> {
-    /// Builds a session by snapshotting `memory` into packed form.
+    /// Builds a session over a copy of `memory`'s packed rows.
     ///
     /// # Panics
     ///
     /// Panics if encoder and memory disagree on dimensionality.
     #[must_use]
     pub fn new(encoder: E, memory: &ClassMemory) -> Self {
-        check_shape(encoder.dim(), memory.dim());
-        OwnedSession {
-            encoder,
-            kind: memory.kind(),
-            sharded: memory.to_sharded(),
-        }
+        Self::from_packed(encoder, memory.kind(), memory.packed().clone())
     }
 
-    /// Assembles a session from an already-packed class memory —
-    /// the binary-snapshot load path, which deserializes the packed
-    /// planes directly and must not round-trip them through
-    /// [`ClassMemory`].
+    /// Assembles a session from packed class rows it takes over: a
+    /// consumed [`ClassMemory`]'s ([`ClassMemory::into_packed`]) or a
+    /// loaded snapshot's.
     ///
     /// # Panics
     ///
@@ -200,7 +188,11 @@ impl<E: Encoder + Sync> OwnedSession<E> {
     /// or if a non-binary session is assembled without integer rows.
     #[must_use]
     pub fn from_packed(encoder: E, kind: ModelKind, sharded: ShardedClassMemory) -> Self {
-        check_shape(encoder.dim(), sharded.dim());
+        let (encoder_dim, memory_dim) = (encoder.dim(), sharded.dim());
+        assert_eq!(
+            encoder_dim, memory_dim,
+            "encoder dimension {encoder_dim} does not match class memory dimension {memory_dim}"
+        );
         assert!(
             kind == ModelKind::Binary || sharded.has_int_rows(),
             "non-binary session needs integer class rows for cosine search"
@@ -399,7 +391,7 @@ mod tests {
         let refs: Vec<&[u16]> = rows.iter().map(Vec::as_slice).collect();
         let batch = session.classify_batch(&refs);
         for (i, row) in refs.iter().enumerate() {
-            let want = infer::classify_binary_hv(&memory, &enc.encode_binary(row));
+            let want = infer::classify_binary_hv(&memory.binary_rows(), &enc.encode_binary(row));
             assert_eq!(batch[i], want, "row {i}");
             assert_eq!(session.classify(row), want, "row {i}");
         }
@@ -663,8 +655,7 @@ mod tests {
     #[should_panic(expected = "non-binary session needs integer class rows")]
     fn from_packed_rejects_missing_int_rows() {
         let (enc, memory, _) = setup(ModelKind::Binary, 128);
-        // A binary memory's packed snapshot carries no integer rows.
-        let sharded = memory.to_sharded();
-        let _ = OwnedSession::from_packed(enc, ModelKind::NonBinary, sharded);
+        // A binary memory's packed rows carry no integer rows.
+        let _ = OwnedSession::from_packed(enc, ModelKind::NonBinary, memory.into_packed());
     }
 }

@@ -8,15 +8,15 @@
 //! rate" hyperparameter tuning the paper cites from QuantHD as part of
 //! what makes a trained model valuable IP.
 //!
-//! The retraining loops classify against a packed
-//! [`ShardedClassMemory`] mirror of the class rows (the same kernel
-//! inference and serving use) instead of re-scanning `BinaryHv` rows
-//! one at a time; after each misclassification only the two touched
-//! rows are refreshed in the mirror. The kernels are bit-identical to
-//! the scalar scan, so training results are unchanged.
+//! The retraining rounds classify against the memory they update: its
+//! packed class rows (the same planes and kernels inference and serving
+//! use), with the two rows a misclassification touched rewritten in
+//! place. The kernels are bit-identical to a scalar one-row-at-a-time
+//! scan, which `tests/search_session_equivalence.rs` re-runs as the
+//! reference.
 
 use hdc_datasets::QuantizedDataset;
-use hypervec::{BinaryHv, IntHv, ShardedClassMemory};
+use hypervec::{BinaryHv, IntHv};
 
 use crate::classhv::ClassMemory;
 use crate::config::{HdcConfig, ModelKind};
@@ -93,23 +93,23 @@ pub fn train<E: Encoder + Sync>(
     }
     memory.rebinarize();
 
-    // Retraining rounds, classifying against the packed mirror.
-    let mut mirror = memory.to_sharded();
+    // Retraining rounds, classifying against the memory they update.
     for _ in 0..config.epochs {
         let mut any_update = false;
         for (i, enc) in encoded.iter().enumerate() {
             let label = data.label(i);
+            let packed = memory.packed();
             let predicted = match enc {
                 EncodedSample::Binary(hv) => {
-                    mirror
+                    packed
                         .search_binary(hv)
-                        .expect("mirror matches encoded dimension")
+                        .expect("memory matches encoded dimension")
                         .0
                 }
                 EncodedSample::Int(hv) => {
-                    mirror
+                    packed
                         .search_int(hv)
-                        .expect("mirror matches encoded dimension")
+                        .expect("memory matches encoded dimension")
                         .0
                 }
             };
@@ -131,130 +131,19 @@ pub fn train<E: Encoder + Sync>(
                             .adjust_int(hv, -config.learning_rate);
                     }
                 }
-                // Refresh only the two touched rows in the mirror, in
-                // the representation this kind classifies with.
-                refresh_mirror(&mut mirror, &mut memory, config.kind, label);
-                refresh_mirror(&mut mirror, &mut memory, config.kind, predicted);
+                memory.rebinarize_class(label);
+                memory.rebinarize_class(predicted);
             }
         }
-        memory.rebinarize();
         if !any_update {
             break; // converged
         }
     }
-    memory
-}
-
-/// Refreshes class `j` of a packed training mirror after its
-/// accumulator changed: binary models re-binarize and repack the
-/// popcount row, non-binary models repack the integer row (the
-/// binarized snapshot is refreshed at epoch end by `rebinarize`).
-fn refresh_mirror(
-    mirror: &mut ShardedClassMemory,
-    memory: &mut ClassMemory,
-    kind: ModelKind,
-    j: usize,
-) {
-    match kind {
-        ModelKind::Binary => {
-            memory.rebinarize_class(j);
-            mirror
-                .update_row(j, memory.class_binary(j))
-                .expect("mirror row matches class memory");
-        }
-        ModelKind::NonBinary => {
-            mirror
-                .update_int_row(j, memory.class_int(j))
-                .expect("mirror row matches class memory");
-        }
-    }
-}
-
-/// Adaptive single-pass training in the style of OnlineHD: each sample
-/// updates its class accumulator with a weight proportional to how
-/// *badly* the current model represents it (`1 − similarity`), and a
-/// misprediction additionally pushes the sample out of the wrong class
-/// with the symmetric weight.
-///
-/// Weights are fixed-point with `scale` steps (integer accumulators);
-/// `scale = 8` reproduces the usual float behaviour closely. Included
-/// as an alternative trainer because the paper's IP argument — models
-/// are expensive to produce — covers whichever training recipe built
-/// them; the attack and the lock are agnostic to it.
-///
-/// # Panics
-///
-/// Panics if the encoder and dataset disagree on feature count or
-/// `scale == 0`.
-#[must_use]
-pub fn train_online<E: Encoder + Sync>(
-    encoder: &E,
-    config: &HdcConfig,
-    data: &QuantizedDataset,
-    scale: i32,
-) -> ClassMemory {
-    assert!(scale > 0, "fixed-point scale must be positive");
-    assert_eq!(
-        encoder.n_features(),
-        data.n_features(),
-        "encoder expects {} features, dataset has {}",
-        encoder.n_features(),
-        data.n_features()
-    );
-    let encoded = encode_dataset(encoder, config.kind, data);
-    let mut memory = ClassMemory::new(config.kind, data.n_classes(), encoder.dim());
-    let mut mirror = memory.to_sharded();
-    let mut seen = vec![false; data.n_classes()];
-
-    for (i, enc) in encoded.iter().enumerate() {
-        let label = data.label(i);
-        match enc {
-            EncodedSample::Binary(hv) => {
-                let predicted = mirror
-                    .search_binary(hv)
-                    .expect("mirror matches encoded dimension")
-                    .0;
-                let sim = if seen[label] {
-                    memory.class_binary(label).cosine(hv)
-                } else {
-                    0.0
-                };
-                memory.acc_mut(label).adjust_binary(hv, weight(sim, scale));
-                refresh_mirror(&mut mirror, &mut memory, ModelKind::Binary, label);
-                if predicted != label && seen[predicted] {
-                    let sim_wrong = memory.class_binary(predicted).cosine(hv);
-                    memory
-                        .acc_mut(predicted)
-                        .adjust_binary(hv, -weight(sim_wrong, scale));
-                    refresh_mirror(&mut mirror, &mut memory, ModelKind::Binary, predicted);
-                }
-            }
-            EncodedSample::Int(hv) => {
-                let predicted = mirror
-                    .search_int(hv)
-                    .expect("mirror matches encoded dimension")
-                    .0;
-                let sim = memory.class_int(label).cosine(hv);
-                memory.acc_mut(label).adjust_int(hv, weight(sim, scale));
-                refresh_mirror(&mut mirror, &mut memory, ModelKind::NonBinary, label);
-                if predicted != label && seen[predicted] {
-                    let sim_wrong = memory.class_int(predicted).cosine(hv);
-                    memory
-                        .acc_mut(predicted)
-                        .adjust_int(hv, -weight(sim_wrong, scale));
-                    refresh_mirror(&mut mirror, &mut memory, ModelKind::NonBinary, predicted);
-                }
-            }
-        }
-        seen[label] = true;
-    }
+    // The rows are current; refreshing them all once more re-attaches a
+    // non-binary memory's integer rows whole, so a served model keeps
+    // the lossless i16 search path its in-place updates may have cleared.
     memory.rebinarize();
     memory
-}
-
-/// Fixed-point `(1 − sim)·scale` update weight, at least 1.
-fn weight(similarity: f64, scale: i32) -> i32 {
-    (((1.0 - similarity).clamp(0.0, 2.0) * f64::from(scale)).round() as i32).max(1)
 }
 
 #[cfg(test)]
@@ -339,37 +228,5 @@ mod tests {
         let a = train(&enc, &config, &train_q);
         let b = train(&enc, &config, &train_q);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn online_training_learns_binary() {
-        let (enc, config, train_q, test_q) = setup(ModelKind::Binary);
-        let memory = train_online(&enc, &config, &train_q, 8);
-        let acc = infer::evaluate(&enc, &memory, &test_q).accuracy;
-        assert!(acc > 0.55, "online binary accuracy too low: {acc}");
-    }
-
-    #[test]
-    fn online_training_learns_nonbinary() {
-        let (enc, config, train_q, test_q) = setup(ModelKind::NonBinary);
-        let memory = train_online(&enc, &config, &train_q, 8);
-        let acc = infer::evaluate(&enc, &memory, &test_q).accuracy;
-        assert!(acc > 0.55, "online non-binary accuracy too low: {acc}");
-    }
-
-    #[test]
-    fn online_training_is_deterministic() {
-        let (enc, config, train_q, _) = setup(ModelKind::Binary);
-        let a = train_online(&enc, &config, &train_q, 8);
-        let b = train_online(&enc, &config, &train_q, 8);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn weight_is_clamped_and_positive() {
-        assert_eq!(weight(1.0, 8), 1);
-        assert_eq!(weight(0.0, 8), 8);
-        assert_eq!(weight(-1.0, 8), 16);
-        assert_eq!(weight(2.0, 8), 1); // clamp below zero → min 1
     }
 }

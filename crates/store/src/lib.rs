@@ -8,14 +8,14 @@
 //!
 //! ## Persistence & registry
 //!
-//! * **Binary snapshots** ([`snapshot`]) — a versioned, checksummed
-//!   format that writes the model's packed `u64` bit planes, `i32`
-//!   class rows and `f32` quantizer bounds *verbatim* (magic + format
-//!   version + dims + FNV-1a64 checksum). No JSON, no float text
-//!   round-trips: a loaded session is bit-identical to the saved one —
-//!   same scores, same argmax, same tie order — at any dimension,
-//!   word-aligned or not. Saves are atomic (write-then-rename) and
-//!   corrupt or truncated files fail fast with
+//! * **Binary snapshots** ([`snapshot`]) — the one model format: a
+//!   versioned, checksummed format that writes the model's `u64` bit
+//!   planes, `i32` class rows and `f32` quantizer bounds *verbatim*
+//!   (magic + format version + dims + FNV-1a64 checksum). No JSON, no
+//!   float text round-trips: a loaded session is bit-identical to the
+//!   saved one — same scores, same argmax, same tie order — at any
+//!   dimension, word-aligned or not. Saves are atomic
+//!   (write-then-rename) and corrupt or truncated files fail fast with
 //!   [`StoreError::ChecksumMismatch`] before a single field is
 //!   interpreted.
 //! * **Sealed key segments** ([`KeySegment`]) — a locked model's

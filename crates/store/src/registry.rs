@@ -287,14 +287,16 @@ impl ModelRegistry {
             StoreError::Registry("current generation is not a locked model".to_owned())
         })?;
         // Everything expensive happens here, outside any lock: key
-        // derivation, retraining, packing.
+        // derivation, retraining, the checksum.
         let mut rng = HvRng::from_seed(seed);
         let fresh = locked.rekeyed(&mut rng)?;
         let model = HdcModel::fit_with_encoder(&source.config, fresh, &source.train)
             .map_err(|e| StoreError::Registry(format!("retraining under new key failed: {e}")))?;
         let checksum = ModelSnapshot::from_locked_model(&model).checksum();
         let (_, encoder, _, memory) = model.into_parts();
-        let session = OwnedSession::new(AnyEncoder::Locked(encoder), &memory);
+        let kind = memory.kind();
+        let session =
+            OwnedSession::from_packed(AnyEncoder::Locked(encoder), kind, memory.into_packed());
         // Freeze the compromised key (`old`, the generation this rekey
         // was asked to rotate away from) *and* the key of whatever
         // generation the swap actually retired — they differ when a

@@ -75,8 +75,9 @@ pub struct ModelSnapshot {
     config: HdcConfig,
     discretizer: Discretizer,
     encoder: EncoderParts,
-    bins: Vec<BinaryHv>,
-    ints: Option<Vec<IntHv>>,
+    /// The class rows, packed as a session searches them: the popcount
+    /// planes, plus the integer planes of a non-binary model.
+    packed: ShardedClassMemory,
 }
 
 impl ModelSnapshot {
@@ -90,8 +91,7 @@ impl ModelSnapshot {
                 features: model.encoder().features(),
                 values: model.encoder().values().clone(),
             },
-            bins: model.memory().binary_rows().to_vec(),
-            ints: int_rows(model),
+            packed: model.memory().packed().clone(),
         }
     }
 
@@ -109,8 +109,7 @@ impl ModelSnapshot {
                 n_features: model.encoder().n_features(),
                 n_layers: model.encoder().n_layers(),
             },
-            bins: model.memory().binary_rows().to_vec(),
-            ints: int_rows(model),
+            packed: model.memory().packed().clone(),
         }
     }
 
@@ -147,7 +146,7 @@ impl ModelSnapshot {
     /// Number of classes `C`.
     #[must_use]
     pub fn n_classes(&self) -> usize {
-        self.bins.len()
+        self.packed.n_rows()
     }
 
     /// Serializes into the framed, checksummed byte form.
@@ -194,15 +193,16 @@ impl ModelSnapshot {
                 w.put_usize(*n_layers);
             }
         }
-        put_rows(&mut w, &self.bins);
-        match &self.ints {
-            None => w.put_u8(0),
-            Some(rows) => {
-                w.put_u8(1);
-                for row in rows {
-                    w.put_i32s(row.values());
-                }
+        let rows = 0..self.packed.n_rows();
+        let bins: Vec<BinaryHv> = rows.clone().map(|j| self.packed.binary_row(j)).collect();
+        put_rows(&mut w, &bins);
+        if self.packed.has_int_rows() {
+            w.put_u8(1);
+            for j in rows {
+                w.put_i32s(self.packed.int_row(j).values());
             }
+        } else {
+            w.put_u8(0);
         }
         SNAPSHOT_SECTION.frame(&w.into_bytes())
     }
@@ -329,13 +329,18 @@ impl ModelSnapshot {
                 r.remaining()
             )));
         }
+        // Pack the rows just read and validated: the planes are sized by
+        // them, never by the header's `dim` alone.
+        let mut packed = ShardedClassMemory::from_rows(&bins)?;
+        if let Some(ints) = &ints {
+            packed.set_int_rows(ints)?;
+        }
         Ok((
             ModelSnapshot {
                 config,
                 discretizer,
                 encoder,
-                bins,
-                ints,
+                packed,
             },
             checksum,
         ))
@@ -372,8 +377,9 @@ impl ModelSnapshot {
     /// not be given one (catching key/snapshot mix-ups).
     ///
     /// The resulting session is bit-identical to the pre-save session:
-    /// the packed class planes are the stored words, and locked feature
-    /// hypervectors re-derive deterministically from the key.
+    /// it takes over the packed class planes, which hold the stored
+    /// words, and locked feature hypervectors re-derive
+    /// deterministically from the key.
     ///
     /// # Errors
     ///
@@ -434,23 +440,7 @@ impl ModelSnapshot {
                 encoder.dim()
             )));
         }
-        let mut sharded = ShardedClassMemory::from_rows(&self.bins)?;
-        if let Some(ints) = &self.ints {
-            sharded.set_int_rows(ints)?;
-        }
-        Ok(OwnedSession::from_packed(encoder, kind, sharded))
-    }
-}
-
-/// Extracts the integer class rows when the model kind needs them.
-fn int_rows<E: Encoder + Sync>(model: &HdcModel<E>) -> Option<Vec<IntHv>> {
-    match model.config().kind {
-        ModelKind::Binary => None,
-        ModelKind::NonBinary => Some(
-            (0..model.memory().n_classes())
-                .map(|j| model.memory().class_int(j).clone())
-                .collect(),
-        ),
+        Ok(OwnedSession::from_packed(encoder, kind, self.packed))
     }
 }
 

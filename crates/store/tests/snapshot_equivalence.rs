@@ -119,9 +119,29 @@ fn assert_bit_identical<A: ClassifySession, B: ClassifySession>(
     }
 }
 
+fn fit_standard(dim: usize, kind: ModelKind, seed: u64) -> HdcModel<RecordEncoder> {
+    HdcModel::fit_standard(&config(dim, kind, seed), &train_set(seed)).unwrap()
+}
+
+fn fit_locked(dim: usize, kind: ModelKind, mode: DeriveMode, seed: u64) -> HdcModel<LockedEncoder> {
+    let mut rng = HvRng::from_seed(seed ^ 0xA5A5);
+    let mut enc = LockedEncoder::generate(
+        &mut rng,
+        &LockConfig {
+            n_features: N_FEATURES,
+            m_levels: M_LEVELS,
+            dim,
+            pool_size: N_FEATURES + 3,
+            n_layers: 2,
+        },
+    )
+    .unwrap();
+    enc.set_mode(mode);
+    HdcModel::fit_with_encoder(&config(dim, kind, seed), enc, &train_set(seed)).unwrap()
+}
+
 fn roundtrip_standard(dim: usize, kind: ModelKind, seed: u64, queries: u64) {
-    let train = train_set(seed);
-    let model = HdcModel::fit_standard(&config(dim, kind, seed), &train).unwrap();
+    let model = fit_standard(dim, kind, seed);
     let snap = ModelSnapshot::from_standard_model(&model);
     let (loaded, checksum) = ModelSnapshot::from_bytes(&snap.to_bytes()).unwrap();
     assert_eq!(checksum, snap.checksum());
@@ -136,22 +156,7 @@ fn roundtrip_standard(dim: usize, kind: ModelKind, seed: u64, queries: u64) {
 }
 
 fn roundtrip_locked(dim: usize, kind: ModelKind, mode: DeriveMode, seed: u64, queries: u64) {
-    let train = train_set(seed);
-    let cfg = config(dim, kind, seed);
-    let mut rng = HvRng::from_seed(seed ^ 0xA5A5);
-    let mut enc = LockedEncoder::generate(
-        &mut rng,
-        &LockConfig {
-            n_features: N_FEATURES,
-            m_levels: M_LEVELS,
-            dim,
-            pool_size: N_FEATURES + 3,
-            n_layers: 2,
-        },
-    )
-    .unwrap();
-    enc.set_mode(mode);
-    let model = HdcModel::fit_with_encoder(&cfg, enc, &train).unwrap();
+    let model = fit_locked(dim, kind, mode, seed);
     let snap = ModelSnapshot::from_locked_model(&model);
     let key = KeySegment::from_locked_encoder(model.encoder()).unwrap();
     // Ship both artifacts through bytes, like a deployment would.
@@ -204,6 +209,38 @@ fn locked_roundtrip_is_bit_identical_at_paper_scale() {
             roundtrip_locked(10_000, kind, mode, 79, 80);
         }
     }
+}
+
+/// The stored bytes themselves, pinned by checksum for fixed-seed
+/// models of both encoders and both kinds at D = 130 and 10 000. The
+/// round trips above would pass a layout change that reads back
+/// consistently; these literals would not. Training and snapshots are
+/// bit-identical on every kernel backend, so the literals hold under
+/// any `HYPERVEC_KERNEL`.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    const PINNED: [(usize, ModelKind, bool, u64); 8] = [
+        (130, ModelKind::Binary, false, 0xa732_7e5b_480a_5bc4),
+        (130, ModelKind::NonBinary, false, 0xc358_5234_9b10_2ecb),
+        (130, ModelKind::Binary, true, 0xed20_20ea_c971_81c1),
+        (130, ModelKind::NonBinary, true, 0x5df0_0c37_0728_cd31),
+        (10_000, ModelKind::Binary, false, 0x7d6a_9de9_4bb7_474d),
+        (10_000, ModelKind::NonBinary, false, 0xfd22_cfbd_2f41_6485),
+        (10_000, ModelKind::Binary, true, 0xb496_ffbe_baaa_bbc9),
+        (10_000, ModelKind::NonBinary, true, 0x81f5_d0ae_ea7f_40ee),
+    ];
+    let got: Vec<_> = PINNED
+        .iter()
+        .map(|&(dim, kind, locked, _)| {
+            let snap = if locked {
+                ModelSnapshot::from_locked_model(&fit_locked(dim, kind, DeriveMode::Cached, 111))
+            } else {
+                ModelSnapshot::from_standard_model(&fit_standard(dim, kind, 112))
+            };
+            (dim, kind, locked, snap.checksum())
+        })
+        .collect();
+    assert_eq!(got, PINNED, "stored snapshot bytes changed");
 }
 
 /// Constructed tie: two identical class rows must resolve to the lowest

@@ -7,6 +7,7 @@
 
 use hdc_datasets::Benchmark;
 use hdc_model::{Encoder, HdcConfig, HdcModel};
+use hdc_store::ModelSnapshot;
 use hdlock::{EncodingKey, KeyVault, LockConfig, LockedEncoder};
 use hypervec::HvRng;
 
@@ -62,18 +63,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("re-keyed encoder produces different encodings (old knowledge is useless)");
 
     // --- Owner-side model persistence --------------------------------------
-    // Standard-encoder models serialize fully (this file IS the IP —
-    // storing it unprotected is exactly the vulnerability of Sec. 3).
+    // A standard-encoder snapshot stores the feature rows in index order
+    // (this file IS the IP — storing it unprotected is exactly the
+    // vulnerability of Sec. 3).
     let (train_ds, test_ds) = Benchmark::Pamap.generate(0.1, 7)?;
     let model_cfg = HdcConfig::paper_default().with_dim(2048).with_seed(7);
     let model = HdcModel::fit_standard(&model_cfg, &train_ds)?;
-    let json = model.to_json()?;
-    let reloaded = HdcModel::from_json(&json)?;
+    let bytes = ModelSnapshot::from_standard_model(&model).to_bytes();
+    let (snapshot, _) = ModelSnapshot::from_bytes(&bytes)?;
+    let test_q = snapshot.discretizer().discretize(&test_ds)?;
+    let reloaded = snapshot.into_session(None)?;
     let acc_a = model.evaluate(&test_ds)?.accuracy;
-    let acc_b = reloaded.evaluate(&test_ds)?.accuracy;
+    let acc_b = reloaded.evaluate(&test_q).accuracy;
+    assert_eq!(acc_a, acc_b);
     println!(
         "model snapshot: {} bytes; accuracy {acc_a:.4} == {acc_b:.4} after reload",
-        json.len()
+        bytes.len()
     );
 
     // A standalone vault demo: scoped, audited access.

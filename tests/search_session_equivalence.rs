@@ -2,13 +2,16 @@
 //! batch search) is bit-identical to the scalar per-sample pipeline
 //! (`encode_*` + one-row-at-a-time scan) for both model kinds and both
 //! encoders, across non-word-aligned dimensions (130) and the
-//! paper-scale D = 10 000, including tie-breaking order.
+//! paper-scale D = 10 000, including tie-breaking order. Training is
+//! pinned the same way: `train` must land on the accumulators that a
+//! scalar re-run of Eq. 4 bundling and the retraining rounds computes.
 
+use hdc_datasets::{Benchmark, Discretizer, QuantizedDataset};
 use hdc_model::{
     infer, ClassMemory, ClassifySession, Encoder, HdcConfig, ModelKind, OwnedSession, RecordEncoder,
 };
 use hdlock::{DeriveMode, LockConfig, LockedEncoder};
-use hypervec::HvRng;
+use hypervec::{BinaryHv, BundleAccumulator, HvRng, IntHv};
 use proptest::prelude::*;
 
 /// Dimensions exercising word boundaries plus the paper scale.
@@ -51,7 +54,9 @@ fn scalar_classify<E: Encoder>(
     row: &[u16],
 ) -> usize {
     match kind {
-        ModelKind::Binary => infer::classify_binary_hv(memory, &encoder.encode_binary(row)),
+        ModelKind::Binary => {
+            infer::classify_binary_hv(&memory.binary_rows(), &encoder.encode_binary(row))
+        }
         ModelKind::NonBinary => infer::classify_int_hv(memory, &encoder.encode_int(row)),
     }
 }
@@ -146,28 +151,129 @@ proptest! {
     }
 }
 
-/// The retraining loop's packed-mirror classify must leave training
-/// results exactly where the scalar-scan implementation left them:
-/// deterministic, and converging to the same memory as a from-scratch
-/// reference that re-runs the scalar loop.
+/// A PAMAP-shaped training set quantized at 8 levels, with a record
+/// encoder of dimension `dim` and a config of `kind` and `epochs = 2`.
+fn training_setup(
+    kind: ModelKind,
+    dim: usize,
+    seed: u64,
+) -> (RecordEncoder, HdcConfig, QuantizedDataset) {
+    let (train_ds, _) = Benchmark::Pamap.generate(0.05, seed).unwrap();
+    let config = HdcConfig {
+        dim,
+        m_levels: 8,
+        kind,
+        epochs: 2,
+        learning_rate: 1,
+        seed,
+    };
+    let disc = Discretizer::fit(&train_ds, config.m_levels).unwrap();
+    let train_q = disc.discretize(&train_ds).unwrap();
+    let mut rng = HvRng::from_seed(seed);
+    let enc = RecordEncoder::generate(&mut rng, train_q.n_features(), 8, dim).unwrap();
+    (enc, config, train_q)
+}
+
+/// Eq. 4 bundling and the retraining rounds, re-run from scratch with
+/// per-row `encode_*` and one-row-at-a-time scans: Hamming over
+/// `sign(acc)` for binary models, cosine over the accumulators for
+/// non-binary ones, lowest index on ties. Returns each class's
+/// accumulator and the number of retraining updates made.
+fn reference_train<E: Encoder>(
+    encoder: &E,
+    config: &HdcConfig,
+    data: &QuantizedDataset,
+) -> (Vec<BundleAccumulator>, usize) {
+    let mut accs: Vec<BundleAccumulator> = (0..data.n_classes())
+        .map(|_| BundleAccumulator::new(encoder.dim()))
+        .collect();
+    let binary = config.kind == ModelKind::Binary;
+    let bins: Vec<BinaryHv> = (0..data.len())
+        .map(|i| encoder.encode_binary(data.row(i)))
+        .collect();
+    let ints: Vec<IntHv> = (0..data.len())
+        .map(|i| encoder.encode_int(data.row(i)))
+        .collect();
+    for i in 0..data.len() {
+        if binary {
+            accs[data.label(i)].add(&bins[i]);
+        } else {
+            accs[data.label(i)].add_int(&ints[i]);
+        }
+    }
+    let mut updates = 0;
+    for _ in 0..config.epochs {
+        let before = updates;
+        for i in 0..data.len() {
+            let label = data.label(i);
+            let predicted = if binary {
+                let mut best = (0, usize::MAX);
+                for (j, acc) in accs.iter().enumerate() {
+                    let d = acc.sums().sign_ties_positive().hamming(&bins[i]);
+                    if d < best.1 {
+                        best = (j, d);
+                    }
+                }
+                best.0
+            } else {
+                let mut best = (0, f64::NEG_INFINITY);
+                for (j, acc) in accs.iter().enumerate() {
+                    let s = acc.sums().cosine(&ints[i]);
+                    if s > best.1 {
+                        best = (j, s);
+                    }
+                }
+                best.0
+            };
+            if predicted != label {
+                updates += 1;
+                let lr = config.learning_rate;
+                if binary {
+                    accs[label].adjust_binary(&bins[i], lr);
+                    accs[predicted].adjust_binary(&bins[i], -lr);
+                } else {
+                    accs[label].adjust_int(&ints[i], lr);
+                    accs[predicted].adjust_int(&ints[i], -lr);
+                }
+            }
+        }
+        if updates == before {
+            break; // converged
+        }
+    }
+    (accs, updates)
+}
+
+/// `train` lands exactly where the scalar reference loop does: the same
+/// integer class rows and bundle counts, for both kinds, at a
+/// non-word-aligned dimension and at D = 1024.
+#[test]
+fn training_matches_scalar_reference() {
+    for kind in [ModelKind::Binary, ModelKind::NonBinary] {
+        for dim in [130, 1024] {
+            let (enc, config, train_q) = training_setup(kind, dim, 33);
+            let memory = hdc_model::train(&enc, &config, &train_q);
+            let (accs, updates) = reference_train(&enc, &config, &train_q);
+            assert!(updates > 0, "{kind:?} D={dim}: retraining never ran");
+            assert_eq!(memory.n_classes(), accs.len());
+            for (j, acc) in accs.iter().enumerate() {
+                assert_eq!(
+                    memory.class_int(j),
+                    acc.sums(),
+                    "{kind:?} D={dim} class {j}"
+                );
+                assert_eq!(memory.count(j), acc.count(), "{kind:?} D={dim} class {j}");
+            }
+        }
+    }
+}
+
+/// Retraining is deterministic for both kinds and keeps the model
+/// accurate on its own training set.
 #[test]
 fn retrained_models_stay_deterministic_across_kinds() {
-    use hdc_datasets::{Benchmark, Discretizer};
-
     for (kind, seed) in [(ModelKind::Binary, 31u64), (ModelKind::NonBinary, 32u64)] {
-        let (train_ds, _) = Benchmark::Pamap.generate(0.05, seed).unwrap();
-        let config = HdcConfig {
-            dim: 1024,
-            m_levels: 8,
-            kind,
-            epochs: 2,
-            learning_rate: 1,
-            seed,
-        };
-        let disc = Discretizer::fit(&train_ds, config.m_levels).unwrap();
-        let train_q = disc.discretize(&train_ds).unwrap();
-        let mut rng = HvRng::from_seed(seed);
-        let enc = RecordEncoder::generate(&mut rng, train_q.n_features(), 8, 1024).unwrap();
+        let (enc, config, train_q) = training_setup(kind, 1024, seed);
         let a = hdc_model::train(&enc, &config, &train_q);
         let b = hdc_model::train(&enc, &config, &train_q);
         assert_eq!(a, b, "{kind:?} training must stay deterministic");
