@@ -237,8 +237,8 @@ fn main() {
         opts.dim,
         swaps,
         report.requests_per_sec,
-        report.latency.p50_micros,
-        report.latency.p99_micros,
+        report.latency.quantile(0.50),
+        report.latency.quantile(0.99),
         report.errors,
         report.total_requests
     );
@@ -306,11 +306,11 @@ fn main() {
         out,
         "    \"latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \
          \"mean\": {:.1} }}",
-        report.latency.p50_micros,
-        report.latency.p95_micros,
-        report.latency.p99_micros,
-        report.latency.max_micros,
-        report.latency.mean_micros
+        report.latency.quantile(0.50),
+        report.latency.quantile(0.95),
+        report.latency.quantile(0.99),
+        report.latency.quantile(1.0),
+        report.latency.mean()
     );
     let _ = writeln!(out, "  }}");
     let _ = writeln!(out, "}}");

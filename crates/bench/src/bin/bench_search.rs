@@ -30,10 +30,10 @@
 //! scan and against the PR 7 recorded baseline.
 //!
 //! A third section measures *connection-count scalability*: the epoll
-//! event loop under an open-loop fan-in of thousands of concurrent
-//! pipelined sockets ([`loadgen::run_fan_in`]), recording sustained
-//! connections, requests/s and tail latency; the connection count and
-//! error-freedom are gated in `ci/bench_gates.json`.
+//! event loop under a fan-in of thousands of concurrent pipelined
+//! sockets (the same [`loadgen::run`] at 10k connections), recording
+//! sustained connections, requests/s and tail latency; the connection
+//! count and error-freedom are gated in `ci/bench_gates.json`.
 //!
 //! Usage: `bench_search [--dim D] [--classes C] [--queries Q]
 //! [--connections K] [--requests R] [--topk-rows N] [--topk-k K]
@@ -51,8 +51,8 @@ use std::time::Instant;
 use hdc_model::{infer, ClassMemory, ClassifySession as _, Encoder as _, ModelKind};
 use hdc_serve::demo::{demo_model, DemoSpec};
 use hdc_serve::{
-    loadgen, protocol, server, wire, BatchConfig, CoreKind, FanInConfig, LoadgenConfig,
-    RegistryServeConfig, WireMode,
+    loadgen, protocol, server, wire, BatchConfig, CoreKind, LoadgenConfig, RegistryServeConfig,
+    WireMode,
 };
 use hdc_store::{ModelRegistry, ModelSnapshot};
 use hypervec::{kernel, BinaryHv, HvRng, IntHv, ProbeConfig, ShardedClassMemory};
@@ -832,14 +832,17 @@ fn main() {
         spec.n_features,
         spec.n_classes,
         report.requests_per_sec,
-        report.latency.p50_micros,
-        report.latency.p99_micros,
+        report.latency.quantile(0.50),
+        report.latency.quantile(0.99),
         report.errors
     );
     for (name, r) in &wire_reports {
         println!(
             "  wire {name:<18} {:>9.0} requests/s  p50 {} µs  p99 {} µs  ({} errors)",
-            r.requests_per_sec, r.latency.p50_micros, r.latency.p99_micros, r.errors
+            r.requests_per_sec,
+            r.latency.quantile(0.50),
+            r.latency.quantile(0.99),
+            r.errors
         );
     }
     println!(
@@ -847,11 +850,11 @@ fn main() {
          (batch results bit-identical across wires: {wire_bit_identical})"
     );
 
-    // Concurrency: the event loop's reason to exist — an open-loop
-    // fan-in of thousands of concurrent pipelined sockets. The bench
-    // holds BOTH ends of every fan-in socket in one process, so the fd
-    // budget is two descriptors per connection; clamp loudly rather
-    // than die on EMFILE where the hard limit is low.
+    // Concurrency: the event loop's reason to exist — a fan-in of
+    // thousands of concurrent pipelined sockets. The bench holds BOTH
+    // ends of every fan-in socket in one process, so the fd budget is
+    // two descriptors per connection; clamp loudly rather than die on
+    // EMFILE where the hard limit is low.
     let fan_target = opts.fan_connections;
     let fd_limits = hdc_serve::epoll::raise_nofile_limit(fan_target as u64 * 2 + 128);
     let fan_connections = match fd_limits {
@@ -871,14 +874,12 @@ fn main() {
     // per-batch queue/wakeup overhead across thousands of sockets.
     const FAN_PIPELINE: usize = 64;
     const FAN_MAX_BATCH: usize = 512;
-    let fan_config = FanInConfig {
+    let fan_config = LoadgenConfig {
         connections: fan_connections,
         requests_per_connection: opts.fan_requests,
         pipeline: FAN_PIPELINE,
         wire: WireMode::Binary,
-        seed: 2022,
-        churn_every: None,
-        search_k: None,
+        ..load_config
     };
     let fan_report = {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -891,9 +892,8 @@ fn main() {
         };
         std::thread::scope(|s| {
             let server_thread = s.spawn(|| serve(listener, fan_batch, &shutdown, None));
-            let report =
-                loadgen::run_fan_in(addr, session.n_features(), session.m_levels(), &fan_config)
-                    .expect("fan-in load generation");
+            let report = loadgen::run(addr, session.n_features(), session.m_levels(), &fan_config)
+                .expect("fan-in load generation");
             shutdown.store(true, Ordering::SeqCst);
             server_thread
                 .join()
@@ -903,12 +903,12 @@ fn main() {
         })
     };
     println!(
-        "serving concurrency: {fan_connections} connections open-loop (pipeline {}): \
+        "serving concurrency: {fan_connections} connections (pipeline {}): \
          {:.0} requests/s, p50 {} µs, p99 {} µs ({} errors)",
         fan_config.pipeline,
         fan_report.requests_per_sec,
-        fan_report.latency.p50_micros,
-        fan_report.latency.p99_micros,
+        fan_report.latency.quantile(0.50),
+        fan_report.latency.quantile(0.99),
         fan_report.errors
     );
 
@@ -1157,11 +1157,11 @@ fn main() {
         json,
         "    \"latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \
          \"mean\": {:.1} }},",
-        report.latency.p50_micros,
-        report.latency.p95_micros,
-        report.latency.p99_micros,
-        report.latency.max_micros,
-        report.latency.mean_micros
+        report.latency.quantile(0.50),
+        report.latency.quantile(0.95),
+        report.latency.quantile(0.99),
+        report.latency.quantile(1.0),
+        report.latency.mean()
     );
     let _ = writeln!(json, "    \"wire\": {{");
     let _ = writeln!(
@@ -1177,7 +1177,10 @@ fn main() {
             json,
             "        {{ \"name\": \"{name}\", \"requests_per_sec\": {:.1}, \
              \"errors\": {}, \"p50_us\": {}, \"p99_us\": {} }}{comma}",
-            r.requests_per_sec, r.errors, r.latency.p50_micros, r.latency.p99_micros
+            r.requests_per_sec,
+            r.errors,
+            r.latency.quantile(0.50),
+            r.latency.quantile(0.99)
         );
     }
     let _ = writeln!(json, "      ],");
@@ -1235,10 +1238,10 @@ fn main() {
     let _ = writeln!(
         json,
         "      \"latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {} }}",
-        fan_report.latency.p50_micros,
-        fan_report.latency.p95_micros,
-        fan_report.latency.p99_micros,
-        fan_report.latency.max_micros
+        fan_report.latency.quantile(0.50),
+        fan_report.latency.quantile(0.95),
+        fan_report.latency.quantile(0.99),
+        fan_report.latency.quantile(1.0)
     );
     let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");

@@ -109,8 +109,11 @@ pub enum DeriveMode {
     #[default]
     Cached,
     /// Re-derive from the key on every encoded sample (one vault read
-    /// per sample), mirroring a hardware pipeline that never leaves key
-    ///-derived state in observable memory.
+    /// per sample), mirroring the vault-read schedule of a hardware
+    /// pipeline that keeps no derived features. The encoder itself
+    /// still holds them: [`LockedEncoder::from_parts`] derives the
+    /// resident `features` block in every mode, this one included, so
+    /// a memory dump finds them here as in the other modes.
     OnTheFly,
     /// Constant-time serving mode: the same memory and vault accesses
     /// per encoded sample regardless of query content or cache state.
@@ -119,11 +122,12 @@ pub enum DeriveMode {
     /// feature from the resident features and XORs in its value,
     /// selected from **all** `M` value hypervectors, read in order, by
     /// a branchless mask, so neither access pattern depends on which
-    /// `(feature, level)` pairs the query touches. One exception: the
-    /// accumulator's carry ripple stops once no dimension carries, so
-    /// its length follows the bundle counts (a residual risk in
-    /// `SECURITY.md`). Bit-identical to [`DeriveMode::Cached`] by
-    /// construction.
+    /// `(feature, level)` pairs the query touches. Two exceptions, both
+    /// residual risks in `SECURITY.md`: the accumulator's carry ripple
+    /// stops once no dimension carries, and a non-binary encode's
+    /// readout (`to_int`) loops over the set counter bits, so both
+    /// follow the bundle counts. Bit-identical to [`DeriveMode::Cached`]
+    /// by construction.
     Hardened,
 }
 

@@ -41,7 +41,7 @@ pub use classhv::ClassMemory;
 pub use config::{HdcConfig, ModelKind};
 pub use encoder::{Encoder, RecordEncoder};
 pub use infer::{class_scores, classify, evaluate};
-pub use metrics::{ConfusionMatrix, EvalResult, LatencyStats};
+pub use metrics::{ConfusionMatrix, EvalResult};
 pub use model::HdcModel;
 pub use session::{ClassifySession, OwnedSession};
 pub use train::{encode_dataset, train};

@@ -111,53 +111,6 @@ pub struct EvalResult {
     pub confusion: ConfusionMatrix,
 }
 
-/// Latency distribution summary (nearest-rank percentiles over
-/// microsecond samples) — shared by the serving load generator and the
-/// search benchmark so throughput reports agree on definitions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    /// Number of samples summarized.
-    pub count: usize,
-    /// Arithmetic mean, µs.
-    pub mean_micros: f64,
-    /// Median (p50), µs.
-    pub p50_micros: u64,
-    /// 95th percentile, µs.
-    pub p95_micros: u64,
-    /// 99th percentile, µs.
-    pub p99_micros: u64,
-    /// Worst observed sample, µs.
-    pub max_micros: u64,
-}
-
-impl LatencyStats {
-    /// Summarizes microsecond latency samples; `None` when empty.
-    #[must_use]
-    pub fn from_micros(mut samples: Vec<u64>) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
-        samples.sort_unstable();
-        let count = samples.len();
-        let sum: u128 = samples.iter().map(|&s| u128::from(s)).sum();
-        Some(LatencyStats {
-            count,
-            mean_micros: sum as f64 / count as f64,
-            p50_micros: percentile(&samples, 50.0),
-            p95_micros: percentile(&samples, 95.0),
-            p99_micros: percentile(&samples, 99.0),
-            max_micros: samples[count - 1],
-        })
-    }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,22 +142,6 @@ mod tests {
     #[test]
     fn empty_accuracy_is_zero() {
         assert_eq!(ConfusionMatrix::new(4).accuracy(), 0.0);
-    }
-
-    #[test]
-    fn latency_percentiles_are_nearest_rank() {
-        let stats = LatencyStats::from_micros((1..=100).collect()).unwrap();
-        assert_eq!(stats.count, 100);
-        assert_eq!(stats.p50_micros, 50);
-        assert_eq!(stats.p95_micros, 95);
-        assert_eq!(stats.p99_micros, 99);
-        assert_eq!(stats.max_micros, 100);
-        assert!((stats.mean_micros - 50.5).abs() < 1e-12);
-        // A single sample is every percentile.
-        let one = LatencyStats::from_micros(vec![7]).unwrap();
-        assert_eq!(one.p50_micros, 7);
-        assert_eq!(one.p99_micros, 7);
-        assert!(LatencyStats::from_micros(vec![]).is_none());
     }
 
     #[test]

@@ -56,6 +56,33 @@ impl HdcModel<RecordEncoder> {
     }
 }
 
+/// Names the first shape on which `config`, `encoder` and data
+/// `n_features` wide disagree. A model assembled from such parts would
+/// train with the encoder's shape but write the config's into its
+/// snapshot header, which the snapshot loader then rejects.
+fn shape_mismatch(config: &HdcConfig, encoder: &impl Encoder, n_features: usize) -> Option<String> {
+    if config.dim != encoder.dim() {
+        Some(format!(
+            "config dim {} does not match encoder dim {}",
+            config.dim,
+            encoder.dim()
+        ))
+    } else if config.m_levels != encoder.m_levels() {
+        Some(format!(
+            "config m_levels {} does not match encoder m_levels {}",
+            config.m_levels,
+            encoder.m_levels()
+        ))
+    } else if n_features != encoder.n_features() {
+        Some(format!(
+            "data has {n_features} features but the encoder takes {}",
+            encoder.n_features()
+        ))
+    } else {
+        None
+    }
+}
+
 impl<E: Encoder + Sync> HdcModel<E> {
     /// Assembles a model from already-built parts — the path a model
     /// thief takes after recovering an encoder.
@@ -65,6 +92,9 @@ impl<E: Encoder + Sync> HdcModel<E> {
     /// Panics if `config.kind` disagrees with `memory.kind()`: the
     /// model's session serves the memory's kind, while its snapshot
     /// records the config's, so the two would classify differently.
+    /// Panics too if `config`'s `dim` or `m_levels`, the discretizer's
+    /// width or the memory's `dim` disagree with the encoder, for the
+    /// same reason [`HdcModel::fit_with_encoder`] refuses them.
     #[must_use]
     pub fn from_parts(
         config: HdcConfig,
@@ -79,6 +109,16 @@ impl<E: Encoder + Sync> HdcModel<E> {
             config.kind,
             memory.kind()
         );
+        if let Some(mismatch) = shape_mismatch(&config, &encoder, discretizer.n_features()) {
+            panic!("{mismatch}");
+        }
+        assert_eq!(
+            memory.dim(),
+            encoder.dim(),
+            "class memory dim {} does not match encoder dim {}",
+            memory.dim(),
+            encoder.dim()
+        );
         HdcModel {
             config,
             encoder,
@@ -91,12 +131,17 @@ impl<E: Encoder + Sync> HdcModel<E> {
     ///
     /// # Errors
     ///
-    /// Propagates quantizer errors.
+    /// Returns an error when `config.dim` or `config.m_levels` disagrees
+    /// with the encoder, or `train_ds` is not `encoder.n_features()`
+    /// wide; propagates quantizer errors.
     pub fn fit_with_encoder(
         config: &HdcConfig,
         encoder: E,
         train_ds: &Dataset,
     ) -> Result<Self, Box<dyn std::error::Error>> {
+        if let Some(mismatch) = shape_mismatch(config, &encoder, train_ds.n_features()) {
+            return Err(mismatch.into());
+        }
         let discretizer = Discretizer::fit(train_ds, config.m_levels)?;
         let train_q = discretizer.discretize(train_ds)?;
         let memory = train::train(&encoder, config, &train_q);
@@ -230,6 +275,43 @@ mod tests {
         };
         let memory = ClassMemory::new(flipped, 2, config.dim);
         let _ = HdcModel::from_parts(config, encoder, discretizer, memory);
+    }
+
+    #[test]
+    fn fit_with_encoder_rejects_shape_mismatches() {
+        let (train_ds, _) = Benchmark::Pamap.generate(0.02, 14).unwrap();
+        let config = HdcConfig::paper_default().with_dim(1024);
+        let n = train_ds.n_features();
+        let mut rng = HvRng::from_seed(14);
+        let mut fit = |n_features, m_levels, dim| {
+            let encoder = RecordEncoder::generate(&mut rng, n_features, m_levels, dim).unwrap();
+            HdcModel::fit_with_encoder(&config, encoder, &train_ds)
+                .err()
+                .map(|e| e.to_string())
+        };
+        // A D = 512 encoder under a D = 1024 config once trained a model
+        // whose snapshot its own loader rejected.
+        assert!(fit(n, config.m_levels, 512).unwrap().contains("dim"));
+        // Fewer levels than the config quantizes to once panicked in
+        // training.
+        assert!(fit(n, config.m_levels / 2, 1024)
+            .unwrap()
+            .contains("m_levels"));
+        assert!(fit(n + 1, config.m_levels, 1024)
+            .unwrap()
+            .contains("features"));
+        assert_eq!(fit(n, config.m_levels, 1024), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "config dim 512 does not match encoder dim 1024")]
+    fn from_parts_rejects_a_dim_mismatch() {
+        let (train_ds, _) = Benchmark::Pamap.generate(0.02, 15).unwrap();
+        let config = HdcConfig::paper_default().with_dim(1024);
+        let (config, encoder, discretizer, memory) = HdcModel::fit_standard(&config, &train_ds)
+            .unwrap()
+            .into_parts();
+        let _ = HdcModel::from_parts(config.with_dim(512), encoder, discretizer, memory);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //!
 //! ## Histograms
 //!
-//! [`Histogram`] generalizes [`hdc_model`'s] sort-based `LatencyStats`
-//! from a client-side batch summary to a server-safe concurrent
-//! recorder: writers do one relaxed `fetch_add` into a log-linear
-//! bucket table ([`NUM_BUCKETS`] × `AtomicU64`, ~15 KiB, allocated
-//! once), so recording from the event loop or a batch worker never
-//! locks, never allocates, and never sorts. The bucket layout is the
+//! [`Histogram`] is the one latency instrument of the serving stack:
+//! the server's stage spans and the load generator's client-observed
+//! round trips both record into it, so their quantiles share buckets.
+//! Writers do one relaxed `fetch_add` into a log-linear bucket table
+//! ([`NUM_BUCKETS`] × `AtomicU64`, ~15 KiB, allocated once), so
+//! recording from the event loop or a batch worker never locks, never
+//! allocates, and never sorts. The bucket layout is the
 //! HdrHistogram scheme: values below 32 get exact unit buckets; above
 //! that, each power-of-two octave is split into 32 linear sub-buckets,
 //! so any reported quantile `est` of a true value `v` satisfies
@@ -23,8 +24,6 @@
 //! property test). Histograms merge by bucket-wise addition —
 //! associative and commutative, so per-shard recorders can be summed
 //! in any order.
-//!
-//! [`hdc_model`'s]: https://docs.rs/hdc_model
 //!
 //! ## Registry and rendering
 //!

@@ -28,8 +28,7 @@ fn samples(seed: u64, n: usize, max_exp: u32) -> Vec<u64> {
         .collect()
 }
 
-/// Exact nearest-rank percentile of an ascending-sorted slice (the
-/// same definition `hdc_model::LatencyStats` uses).
+/// Exact nearest-rank percentile of an ascending-sorted slice.
 fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]

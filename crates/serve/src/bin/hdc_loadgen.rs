@@ -3,8 +3,8 @@
 //!
 //! Usage: `hdc_loadgen [--addr HOST:PORT] [--features N] [--levels M]
 //! [--connections C] [--requests R] [--seed S] [--wire json|binary]
-//! [--pipeline P] [--search-k K] [--min-rps X] [--open-loop]
-//! [--churn N] [--min-connections C] [--metrics-delta]`
+//! [--pipeline P] [--search-k K] [--min-rps X] [--churn N]
+//! [--min-connections C] [--metrics-delta]`
 //!
 //! `--features` / `--levels` must match the served model. `--wire`
 //! picks the protocol (line-JSON by default, length-prefixed binary
@@ -13,28 +13,30 @@
 //! every request from top-1 classification to top-`K` similarity
 //! search (a response without a match list counts as an error).
 //! `--min-rps X` exits non-zero when throughput lands below `X` or any
-//! request errors — the CI serving smoke test's assertion.
+//! request errors (a run where no request succeeds included) — the CI
+//! serving smoke test's assertion.
 //!
-//! `--open-loop` switches from one-thread-per-connection closed loops
-//! to the epoll fan-in client (Linux only): every connection is a
-//! nonblocking socket multiplexed from one thread, so `--connections
-//! 10000` is practical. `--churn N` (open-loop only) makes each
-//! connection disconnect and reconnect every `N` responses, exercising
-//! the server's accept path under load. `--min-connections C` exits
-//! non-zero unless at least `C` connections were driven — the 10k
-//! concurrency smoke assertion.
+//! Every connection is a nonblocking socket multiplexed from one epoll
+//! thread (Linux only), so `--connections 10000` is practical.
+//! `--churn N` makes each connection disconnect and reconnect every
+//! `N` responses, exercising the server's accept path under load.
+//! `--min-connections C` exits non-zero unless at least `C`
+//! connections were driven — the 10k concurrency smoke assertion.
 //!
+//! Client latency is printed as p50/p90/p99/p999 from an
+//! `hdc_obs::Histogram`, the server's own instrument.
 //! `--metrics-delta` queries the server's telemetry plane (the
 //! `{"metrics":true}` admin request) before and after the run and
 //! prints server-side request-count deltas and stage latency
-//! percentiles next to the client-observed histogram. Needs a server
-//! started with `--metrics-addr`; degrades to a notice otherwise.
+//! percentiles, the same quantiles over the same buckets, next to the
+//! client line. Needs a server started with `--metrics-addr`; degrades
+//! to a notice otherwise.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::process::ExitCode;
 
-use hdc_serve::{loadgen, protocol, FanInConfig, LoadgenConfig, WireMode};
+use hdc_serve::{loadgen, protocol, LoadgenConfig, WireMode};
 
 struct Options {
     addr: String,
@@ -42,8 +44,6 @@ struct Options {
     m_levels: usize,
     config: LoadgenConfig,
     min_rps: f64,
-    open_loop: bool,
-    churn_every: Option<usize>,
     min_connections: usize,
     metrics_delta: bool,
 }
@@ -56,8 +56,6 @@ impl Default for Options {
             m_levels: 8,
             config: LoadgenConfig::default(),
             min_rps: 0.0,
-            open_loop: false,
-            churn_every: None,
             min_connections: 0,
             metrics_delta: false,
         }
@@ -169,13 +167,8 @@ fn parse_options() -> Options {
                 opts.config.search_k = Some(k);
             }
             "--min-rps" => opts.min_rps = value(i).parse().expect("--min-rps needs a number"),
-            "--open-loop" => {
-                opts.open_loop = true;
-                i += 1;
-                continue;
-            }
             "--churn" => {
-                opts.churn_every = Some(value(i).parse().expect("--churn needs an integer"))
+                opts.config.churn_every = Some(value(i).parse().expect("--churn needs an integer"))
             }
             "--min-connections" => {
                 opts.min_connections = value(i)
@@ -190,7 +183,7 @@ fn parse_options() -> Options {
             other => panic!(
                 "unknown argument '{other}'; supported: --addr --features --levels \
                  --connections --requests --seed --wire --pipeline --search-k --min-rps \
-                 --open-loop --churn --min-connections --metrics-delta"
+                 --churn --min-connections --metrics-delta"
             ),
         }
         i += 2;
@@ -210,19 +203,14 @@ fn main() -> std::io::Result<ExitCode> {
         None => "classify".to_owned(),
     };
     println!(
-        "driving {} with {} connections × {} {} requests ({} wire, pipeline {}, {}{}) …",
+        "driving {} with {} connections × {} {} requests ({} wire, pipeline {}{}) …",
         addr,
         opts.config.connections,
         opts.config.requests_per_connection,
         mode,
         opts.config.wire.name(),
         opts.config.pipeline,
-        if opts.open_loop {
-            "open-loop fan-in"
-        } else {
-            "closed loop"
-        },
-        match opts.churn_every {
+        match opts.config.churn_every {
             Some(n) => format!(", churn every {n}"),
             None => String::new(),
         }
@@ -232,39 +220,15 @@ fn main() -> std::io::Result<ExitCode> {
     } else {
         None
     };
-    let report = if opts.open_loop {
-        loadgen::run_fan_in(
-            addr,
-            opts.n_features,
-            opts.m_levels,
-            &FanInConfig {
-                connections: opts.config.connections,
-                requests_per_connection: opts.config.requests_per_connection,
-                pipeline: opts.config.pipeline,
-                wire: opts.config.wire,
-                seed: opts.config.seed,
-                churn_every: opts.churn_every,
-                search_k: opts.config.search_k,
-            },
-        )?
-    } else {
-        assert!(
-            opts.churn_every.is_none(),
-            "--churn needs --open-loop (the closed loop never disconnects)"
-        );
-        loadgen::run(addr, opts.n_features, opts.m_levels, &opts.config)?
-    };
+    let report = loadgen::run(addr, opts.n_features, opts.m_levels, &opts.config)?;
     println!(
         "  {:.0} requests/s  ({} ok, {} errors, {:.2} s)",
         report.requests_per_sec, report.total_requests, report.errors, report.elapsed_secs
     );
+    let (p50, p90, p99, p999) = report.latency.percentiles();
     println!(
-        "  latency µs: p50 {}  p95 {}  p99 {}  max {}  mean {:.0}",
-        report.latency.p50_micros,
-        report.latency.p95_micros,
-        report.latency.p99_micros,
-        report.latency.max_micros,
-        report.latency.mean_micros
+        "  client latency µs: count {}  p50 {p50}  p90 {p90}  p99 {p99}  p999 {p999}",
+        report.latency.count()
     );
     if opts.metrics_delta {
         match fetch_metrics(addr) {

@@ -43,14 +43,13 @@
 //!   semantics), token-bucket rate limits and lock-probe
 //!   feature-sweep detection, answered with structured
 //!   `"throttled":true` errors.
-//! * **Load generator** ([`loadgen`]) — closed-loop clients reporting
-//!   requests/sec and latency percentiles
-//!   ([`hdc_model::LatencyStats`]), in either wire format and at any
-//!   pipeline depth — plus an open-loop fan-in mode
-//!   ([`loadgen::run_fan_in`]) that multiplexes thousands of
-//!   concurrent pipelined connections from one thread; the numbers
-//!   behind `BENCH_search.json`'s serving, wire and concurrency
-//!   sections.
+//! * **Load generator** ([`loadgen`]) — one epoll thread multiplexing
+//!   up to thousands of connections, each a closed loop with a window
+//!   of `pipeline` in-flight requests, in either wire format, with
+//!   optional connect/disconnect churn. It reports requests/sec and a
+//!   latency histogram of the `hdc_obs::Histogram` type the server's
+//!   stage spans record into; the numbers behind
+//!   `BENCH_search.json`'s serving, wire and concurrency sections.
 //!
 //! ## Serving architecture
 //!
@@ -217,7 +216,7 @@ pub mod wire;
 
 pub use admission::{AdmissionConfig, ConnectionAdmission, ThrottleReason};
 pub use batcher::BatchConfig;
-pub use loadgen::{FanInConfig, LoadReport, LoadgenConfig};
+pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::{serve_scrapes, ServeMetrics, SwapKind};
 pub use protocol::{
     AdminRequest, ClassifyRequest, ClassifyResponse, SearchMatch, ServerInfo, StatsReport, SwapInfo,
@@ -463,7 +462,7 @@ mod tests {
             assert_eq!(report.total_requests, 400);
             assert_eq!(report.errors, 0);
             assert!(report.requests_per_sec > 0.0);
-            assert_eq!(report.latency.count, 400);
+            assert_eq!(report.latency.count(), 400);
             shutdown.store(true, Ordering::SeqCst);
             let stats = server.join().unwrap().unwrap();
             assert_eq!(stats.requests, 400);
@@ -917,6 +916,7 @@ mod tests {
                         wire: wire_mode,
                         pipeline: 4,
                         search_k: Some(k),
+                        churn_every: None,
                     },
                 )
                 .unwrap();
@@ -988,6 +988,7 @@ mod tests {
                         wire: wire_mode,
                         pipeline: 8,
                         search_k: None,
+                        churn_every: None,
                     },
                 )
                 .unwrap();
@@ -1190,6 +1191,120 @@ mod tests {
             shutdown.store(true, Ordering::SeqCst);
             server.join().unwrap().unwrap();
         });
+    }
+
+    /// The loadgen's `pipeline` caps what each connection keeps in
+    /// flight, which every serial rung relies on: against a server
+    /// window of 1, a serial run is error-free on both wires, while a
+    /// window of 4 overruns it and records the window-full errors.
+    #[test]
+    fn loadgen_pipeline_caps_requests_in_flight() {
+        let model = demo::demo_model(&demo::DemoSpec {
+            dim: 256,
+            train_size: 64,
+            ..Default::default()
+        });
+        let session = model.session();
+        let registry = fixed_registry(&model);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = AtomicBool::new(false);
+        let config = RegistryServeConfig {
+            batch: BatchConfig {
+                // A queued request waits for company, so the rest of a
+                // pipelined burst lands while it is still in flight.
+                max_wait: std::time::Duration::from_millis(5),
+                pipeline_window: 1,
+                ..BatchConfig::default()
+            },
+            ..RegistryServeConfig::default()
+        };
+
+        // Runs complete inside the scope and are checked after it, so a
+        // failed check cannot leave the server thread unjoined.
+        let runs = std::thread::scope(|s| {
+            let server = s.spawn(|| serve_default_core(listener, &registry, &config, &shutdown));
+            let mut runs = Vec::new();
+            for wire_mode in [WireMode::Json, WireMode::Binary] {
+                for pipeline in [1, 4] {
+                    let config = LoadgenConfig {
+                        connections: 2,
+                        requests_per_connection: 20,
+                        seed: 41,
+                        wire: wire_mode,
+                        pipeline,
+                        ..Default::default()
+                    };
+                    let report =
+                        loadgen::run(addr, session.n_features(), session.m_levels(), &config);
+                    runs.push((wire_mode, pipeline, report));
+                }
+            }
+            shutdown.store(true, Ordering::SeqCst);
+            server.join().unwrap().unwrap();
+            runs
+        });
+        for (wire_mode, pipeline, report) in runs {
+            let report = report.unwrap();
+            assert_eq!(report.total_requests + report.errors, 40, "{wire_mode:?}");
+            if pipeline == 1 {
+                assert_eq!(report.errors, 0, "{wire_mode:?}: a serial run overran");
+            } else {
+                assert!(report.errors > 0, "{wire_mode:?}: a window of 1 held 4");
+            }
+        }
+    }
+
+    /// A run in which every request fails (rows one feature too wide)
+    /// still returns a report: no successes, every response an error.
+    #[test]
+    fn loadgen_reports_a_run_with_no_successes() {
+        let model = demo::demo_model(&demo::DemoSpec {
+            dim: 256,
+            train_size: 64,
+            ..Default::default()
+        });
+        let session = model.session();
+        let registry = fixed_registry(&model);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = AtomicBool::new(false);
+
+        let runs = std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                serve_default_core(
+                    listener,
+                    &registry,
+                    &RegistryServeConfig::default(),
+                    &shutdown,
+                )
+            });
+            let mut runs = Vec::new();
+            for wire_mode in [WireMode::Json, WireMode::Binary] {
+                let config = LoadgenConfig {
+                    connections: 2,
+                    requests_per_connection: 10,
+                    wire: wire_mode,
+                    ..Default::default()
+                };
+                let too_wide = session.n_features() + 1;
+                let report = loadgen::run(addr, too_wide, session.m_levels(), &config);
+                runs.push((wire_mode, report));
+            }
+            shutdown.store(true, Ordering::SeqCst);
+            server.join().unwrap().unwrap();
+            runs
+        });
+        for (wire_mode, report) in runs {
+            let report = report.unwrap();
+            assert_eq!(
+                (report.total_requests, report.errors),
+                (0, 20),
+                "{wire_mode:?}"
+            );
+            assert_eq!(report.requests_per_sec, 0.0);
+            assert_eq!(report.latency.count(), 0);
+        }
     }
 
     /// A client that floods requests without reading responses hits

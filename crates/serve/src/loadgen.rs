@@ -1,45 +1,43 @@
-//! Closed-loop load generator for the classify server.
+//! Load generator for the classify server.
 //!
-//! Opens `connections` parallel TCP connections, each keeping up to
-//! `pipeline` requests in flight with random (seeded) quantized rows,
-//! and reports aggregate throughput plus per-request latency
-//! percentiles. Requests can travel as line-JSON (the default) or as
-//! binary frames ([`crate::wire`]); responses are matched to requests
-//! by id, so out-of-order completions from the server's multiplexed
-//! writer are handled naturally. With `pipeline == 1` every connection
-//! degenerates to the classic synchronous round-trip loop — that is
-//! the *JSON serial* baseline `BENCH_search.json` tracks.
+//! One epoll-driven thread (Linux only) multiplexes every connection as
+//! a nonblocking socket, so thousands of concurrent connections cost no
+//! more threads than one. Each connection is a closed loop with a
+//! window: it keeps up to `pipeline` requests in flight with random
+//! (seeded) quantized rows and sends the next as each response lands.
+//! Requests travel as line-JSON (the default) or as binary frames
+//! ([`crate::wire`]); responses are matched to requests by id, so
+//! out-of-order completions from the server's multiplexed writer are
+//! handled naturally. With `pipeline == 1` every connection is a
+//! synchronous round-trip loop — the *serial* rungs `BENCH_search.json`
+//! tracks. With `churn_every`, connections disconnect and reconnect
+//! under load, exercising the server's accept path.
 //!
 //! With `connections × pipeline` in the same ballpark as the server's
 //! `max_batch`, the batching queue fuses the concurrent requests into
-//! full batch-kernel calls.
+//! full batch-kernel calls; at 10k connections the same runner is the
+//! client half of the acceptance run in `BENCH_search.json`'s
+//! `serving.concurrency` section.
 //!
-//! The closed-loop [`run`] spends one thread per connection, which
-//! tops out around a thousand sockets. [`run_fan_in`] is the
-//! high-concurrency mode: one epoll-driven thread (Linux only)
-//! multiplexes *all* connections nonblockingly — thousands of
-//! pipelined sockets, optional connect/disconnect churn — and reports
-//! the same [`LoadReport`]. It is the client half of the 10k-connection
-//! acceptance run in `BENCH_search.json`'s `serving.concurrency`
-//! section.
+//! Every successful round trip is recorded, in microseconds, into one
+//! [`hdc_obs::Histogram`] — the type the server's stage spans record
+//! into — so client-observed and server-side quantiles share buckets.
+//! [`LoadReport::latency`] is its snapshot. Off Linux, [`run`] returns
+//! [`std::io::ErrorKind::Unsupported`], as serving does.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
+use std::net::SocketAddr;
 
-use hdc_model::LatencyStats;
-use hypervec::HvRng;
+use hdc_obs::HistogramSnapshot;
 
-use crate::protocol;
-use crate::wire::{self, WireMode};
+use crate::wire::WireMode;
 
 /// Load-generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadgenConfig {
-    /// Parallel connections (each a closed loop of round trips).
+    /// Concurrent connections, all multiplexed from one thread.
     pub connections: usize,
-    /// Requests issued per connection.
+    /// Requests issued per connection (across churn reconnects).
+    /// Must stay below `2^20` — ids pack as `conn << 20 | seq`.
     pub requests_per_connection: usize,
     /// Seed for the per-connection row generators.
     pub seed: u64,
@@ -51,6 +49,10 @@ pub struct LoadgenConfig {
     /// JSON requests / `SEARCH` frames); a response without a match
     /// list counts as an error.
     pub search_k: Option<usize>,
+    /// `Some(n)`: every `n` responses a connection drains its window,
+    /// disconnects and reconnects — steady accept-path churn while the
+    /// rest of the fleet keeps serving.
+    pub churn_every: Option<usize>,
 }
 
 impl Default for LoadgenConfig {
@@ -62,290 +64,48 @@ impl Default for LoadgenConfig {
             wire: WireMode::Json,
             pipeline: 1,
             search_k: None,
+            churn_every: None,
         }
     }
 }
 
 /// Aggregate result of one load-generation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Successful classify responses.
+    /// Successful responses.
     pub total_requests: u64,
-    /// Error responses or transport failures.
+    /// Error responses, unparseable responses and unmatched ids.
     pub errors: u64,
     /// Wall-clock duration of the whole run.
     pub elapsed_secs: f64,
-    /// Successful requests per second.
+    /// Successful requests per second (0 when none succeeded).
     pub requests_per_sec: f64,
-    /// Per-request round-trip latency distribution.
-    pub latency: LatencyStats,
+    /// Round-trip latency of every successful request, µs.
+    pub latency: HistogramSnapshot,
 }
 
 /// Runs the load generator against a serving address.
 ///
 /// `n_features` / `m_levels` must match the served model (the generator
-/// crafts uniformly random valid rows).
-///
-/// # Errors
-///
-/// Propagates connection failures; per-request protocol errors are
-/// counted in [`LoadReport::errors`] instead.
-///
-/// # Panics
-///
-/// Panics if `connections == 0`, `pipeline == 0`, or no request ever
-/// succeeds.
-pub fn run(
-    addr: SocketAddr,
-    n_features: usize,
-    m_levels: usize,
-    config: &LoadgenConfig,
-) -> std::io::Result<LoadReport> {
-    assert!(config.connections > 0, "need at least one connection");
-    assert!(config.pipeline > 0, "pipeline depth must be at least 1");
-    let start = Instant::now();
-    let per_conn: Vec<std::io::Result<(Vec<u64>, u64)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.connections)
-            .map(|c| {
-                scope.spawn(move || {
-                    connection_loop(
-                        addr,
-                        n_features,
-                        m_levels,
-                        config,
-                        config.seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        c as u64,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen connection thread panicked"))
-            .collect()
-    });
-    let elapsed_secs = start.elapsed().as_secs_f64();
-
-    let mut latencies = Vec::new();
-    let mut errors = 0u64;
-    for result in per_conn {
-        let (lats, errs) = result?;
-        latencies.extend(lats);
-        errors += errs;
-    }
-    let total_requests = latencies.len() as u64;
-    let latency = LatencyStats::from_micros(latencies)
-        .expect("load generation produced at least one successful request");
-    Ok(LoadReport {
-        total_requests,
-        errors,
-        elapsed_secs,
-        requests_per_sec: total_requests as f64 / elapsed_secs,
-        latency,
-    })
-}
-
-/// The transport half of one loadgen connection: format-specific
-/// request writing and response reading over the same socket pair.
-enum Transport {
-    Json {
-        reader: BufReader<TcpStream>,
-        writer: BufWriter<TcpStream>,
-        line: String,
-    },
-    Binary {
-        reader: BufReader<TcpStream>,
-        writer: BufWriter<TcpStream>,
-    },
-}
-
-impl Transport {
-    fn connect(addr: SocketAddr, wire_mode: WireMode) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
-        Ok(match wire_mode {
-            WireMode::Json => Transport::Json {
-                reader,
-                writer,
-                line: String::new(),
-            },
-            WireMode::Binary => Transport::Binary { reader, writer },
-        })
-    }
-
-    /// Buffers one classify — or, with `search_k`, top-k search —
-    /// request (call [`Transport::flush`] before blocking on
-    /// responses).
-    fn send(&mut self, id: u64, levels: &[u16], search_k: Option<usize>) -> std::io::Result<()> {
-        match (self, search_k) {
-            (Transport::Json { writer, .. }, None) => {
-                writer.write_all(protocol::request_line(id, levels, false).as_bytes())
-            }
-            (Transport::Json { writer, .. }, Some(k)) => {
-                writer.write_all(protocol::search_request_line(id, levels, k).as_bytes())
-            }
-            (Transport::Binary { writer, .. }, None) => {
-                writer.write_all(&wire::classify_frame(id, levels, false))
-            }
-            (Transport::Binary { writer, .. }, Some(k)) => {
-                writer.write_all(&wire::search_frame(id, levels, k))
-            }
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Transport::Json { writer, .. } | Transport::Binary { writer, .. } => writer.flush(),
-        }
-    }
-
-    /// Blocks for the next response; returns `(id, ok)` — `id` is
-    /// `None` when the response was unparseable and carries no usable
-    /// id (a sentinel value would collide with real request ids). With
-    /// `want_matches`, a response without a match list is not ok: the
-    /// server answered a search with something else.
-    fn recv(&mut self, want_matches: bool) -> std::io::Result<(Option<u64>, bool)> {
-        let ok_of = |resp: &protocol::ClassifyResponse| {
-            resp.error.is_none() && (!want_matches || resp.matches.is_some())
-        };
-        match self {
-            Transport::Json { reader, line, .. } => {
-                line.clear();
-                if reader.read_line(line)? == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed mid-run",
-                    ));
-                }
-                match protocol::parse_response(line) {
-                    Ok(resp) => Ok((Some(resp.id), ok_of(&resp))),
-                    Err(_) => Ok((None, false)),
-                }
-            }
-            Transport::Binary { reader, .. } => {
-                let (header, payload) = wire::read_frame(reader)?;
-                match wire::decode_response(&header, &payload) {
-                    Ok(resp) => Ok((Some(resp.id), ok_of(&resp))),
-                    Err(_) => Ok((Some(header.id), false)),
-                }
-            }
-        }
-    }
-}
-
-/// One connection's pipelined closed loop; returns (per-request
-/// latencies µs, error count). Keeps up to `config.pipeline` requests
-/// in flight, matching responses to send timestamps by id.
-fn connection_loop(
-    addr: SocketAddr,
-    n_features: usize,
-    m_levels: usize,
-    config: &LoadgenConfig,
-    seed: u64,
-    id_base: u64,
-) -> std::io::Result<(Vec<u64>, u64)> {
-    let mut transport = Transport::connect(addr, config.wire)?;
-    let mut rng = HvRng::from_seed(seed);
-    let requests = config.requests_per_connection;
-    let mut latencies = Vec::with_capacity(requests);
-    let mut errors = 0u64;
-    let mut sent_at: HashMap<u64, Instant> = HashMap::with_capacity(config.pipeline);
-    let mut sent = 0usize;
-    let mut received = 0usize;
-    // The loop advances on *responses received*, not on matched ids:
-    // the server answers every request exactly once, so counting
-    // responses terminates even if one arrives with an id we cannot
-    // match (it is counted as an error; its stale `sent_at` entry is
-    // simply never read again). Keying progress on `sent_at` emptying
-    // would hang forever on a single unmatched response.
-    while received < requests {
-        // Fill the window…
-        while sent < requests && sent - received < config.pipeline {
-            let levels: Vec<u16> = (0..n_features)
-                .map(|_| rng.index(m_levels) as u16)
-                .collect();
-            let id = id_base.wrapping_mul(1_000_000_007) + sent as u64;
-            sent += 1;
-            sent_at.insert(id, Instant::now());
-            transport.send(id, &levels, config.search_k)?;
-        }
-        // …then drain one response (more arrive opportunistically on
-        // the next loop iterations).
-        transport.flush()?;
-        let (id, ok) = transport.recv(config.search_k.is_some())?;
-        received += 1;
-        match id.and_then(|id| sent_at.remove(&id)) {
-            Some(at) if ok => {
-                latencies.push(u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX));
-            }
-            Some(_) => errors += 1,
-            // Unparseable, or an id we never sent (or already
-            // accounted): server-side anomaly; count it so it cannot
-            // hide.
-            None => errors += 1,
-        }
-    }
-    Ok((latencies, errors))
-}
-
-/// Parameters for the open-loop fan-in mode ([`run_fan_in`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FanInConfig {
-    /// Concurrent connections, all multiplexed from one thread.
-    pub connections: usize,
-    /// Requests issued per connection (across churn reconnects).
-    /// Must stay below `2^20` — ids pack as `conn << 20 | seq`.
-    pub requests_per_connection: usize,
-    /// In-flight requests per connection.
-    pub pipeline: usize,
-    /// Wire format to speak.
-    pub wire: WireMode,
-    /// Seed for the per-connection row generators.
-    pub seed: u64,
-    /// `Some(n)`: every `n` responses a connection drains its window,
-    /// disconnects and reconnects — steady accept-path churn while the
-    /// rest of the fleet keeps serving.
-    pub churn_every: Option<usize>,
-    /// `Some(k)` switches every request to a top-k search.
-    pub search_k: Option<usize>,
-}
-
-impl Default for FanInConfig {
-    fn default() -> Self {
-        FanInConfig {
-            connections: 1000,
-            requests_per_connection: 20,
-            pipeline: 8,
-            wire: WireMode::Binary,
-            seed: 2022,
-            churn_every: None,
-            search_k: None,
-        }
-    }
-}
-
-/// Runs the open-loop fan-in load generator: every connection is a
-/// nonblocking socket on one epoll loop, so one client thread can hold
-/// 10k+ concurrent pipelined connections against the server.
+/// crafts uniformly random valid rows). A run in which no request
+/// succeeds still returns its report.
 ///
 /// # Errors
 ///
 /// Propagates connection failures and servers that close or stall
 /// mid-run (no progress for 30 s); per-request protocol errors are
-/// counted in [`LoadReport::errors`]. On non-Linux platforms, returns
+/// counted in [`LoadReport::errors`]. Off Linux, returns
 /// [`std::io::ErrorKind::Unsupported`].
 ///
 /// # Panics
 ///
-/// Panics if `connections == 0`, `pipeline == 0`,
-/// `requests_per_connection ≥ 2^20`, or no request ever succeeds.
-pub fn run_fan_in(
+/// Panics if `connections == 0`, `pipeline == 0` or
+/// `requests_per_connection ≥ 2^20`.
+pub fn run(
     addr: SocketAddr,
     n_features: usize,
     m_levels: usize,
-    config: &FanInConfig,
+    config: &LoadgenConfig,
 ) -> std::io::Result<LoadReport> {
     assert!(config.connections > 0, "need at least one connection");
     assert!(config.pipeline > 0, "pipeline depth must be at least 1");
@@ -355,25 +115,25 @@ pub fn run_fan_in(
     );
     #[cfg(target_os = "linux")]
     {
-        fan_in::run(addr, n_features, m_levels, config)
+        client::run(addr, n_features, m_levels, config)
     }
     #[cfg(not(target_os = "linux"))]
     {
         let _ = (addr, n_features, m_levels);
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "fan-in load generation needs the Linux epoll client",
+            "load generation needs the Linux epoll client",
         ))
     }
 }
 
 #[cfg(target_os = "linux")]
-mod fan_in {
-    use super::{FanInConfig, LoadReport};
+mod client {
+    use super::{LoadReport, LoadgenConfig};
     use crate::epoll::{raise_nofile_limit, PollEvent, Poller, EV_READ, EV_WRITE};
     use crate::protocol;
     use crate::wire::{self, WireMode};
-    use hdc_model::LatencyStats;
+    use hdc_obs::Histogram;
     use hypervec::HvRng;
     use std::collections::HashMap;
     use std::io::{self, Read, Write};
@@ -387,7 +147,7 @@ mod fan_in {
     const READ_CHUNK: usize = 64 * 1024;
 
     /// One multiplexed client connection.
-    struct FanConn {
+    struct Conn {
         stream: TcpStream,
         fd: i32,
         rng: HvRng,
@@ -404,13 +164,13 @@ mod fan_in {
         reconnecting: bool,
     }
 
-    impl FanConn {
-        fn connect(addr: SocketAddr, seed: u64, next_churn: usize) -> io::Result<FanConn> {
+    impl Conn {
+        fn connect(addr: SocketAddr, seed: u64, next_churn: usize) -> io::Result<Conn> {
             let stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true)?;
             stream.set_nonblocking(true)?;
             let fd = stream.as_raw_fd();
-            Ok(FanConn {
+            Ok(Conn {
                 stream,
                 fd,
                 rng: HvRng::from_seed(seed),
@@ -434,17 +194,19 @@ mod fan_in {
     /// Per-run bookkeeping shared by both wire formats.
     struct Tally {
         sent_at: HashMap<u64, Instant>,
-        latencies: Vec<u64>,
+        latency: Histogram,
         errors: u64,
     }
 
     impl Tally {
-        /// Accounts one response; `id: None` means unparseable.
+        /// Accounts one response; `id: None` means unparseable. An id
+        /// never sent (or already answered) counts as an error, so a
+        /// server-side anomaly cannot hide.
         fn response(&mut self, id: Option<u64>, ok: bool) {
             match id.and_then(|id| self.sent_at.remove(&id)) {
                 Some(at) if ok => self
-                    .latencies
-                    .push(u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX)),
+                    .latency
+                    .record(u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX)),
                 Some(_) | None => self.errors += 1,
             }
         }
@@ -453,11 +215,11 @@ mod fan_in {
     /// Queues requests until the pipeline window or request budget is
     /// full.
     fn fill_window(
-        conn: &mut FanConn,
+        conn: &mut Conn,
         c: usize,
         n_features: usize,
         m_levels: usize,
-        config: &FanInConfig,
+        config: &LoadgenConfig,
         tally: &mut Tally,
     ) {
         while !conn.reconnecting
@@ -489,7 +251,7 @@ mod fan_in {
 
     /// Writes whatever the socket accepts. Errors are fatal for the run
     /// (the server should never drop a loadgen connection).
-    fn flush(conn: &mut FanConn) -> io::Result<()> {
+    fn flush(conn: &mut Conn) -> io::Result<()> {
         while conn.out_pos < conn.out.len() {
             match conn.stream.write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {
@@ -513,8 +275,8 @@ mod fan_in {
 
     /// Reads and accounts every complete response currently available.
     fn drain_responses(
-        conn: &mut FanConn,
-        config: &FanInConfig,
+        conn: &mut Conn,
+        config: &LoadgenConfig,
         tally: &mut Tally,
         buf: &mut [u8],
     ) -> io::Result<()> {
@@ -586,7 +348,7 @@ mod fan_in {
         addr: SocketAddr,
         n_features: usize,
         m_levels: usize,
-        config: &FanInConfig,
+        config: &LoadgenConfig,
     ) -> io::Result<LoadReport> {
         let _ = raise_nofile_limit(config.connections as u64 * 2 + 64);
         let poller = Poller::new()?;
@@ -595,20 +357,25 @@ mod fan_in {
         let first_churn = config.churn_every.unwrap_or(usize::MAX);
         let mut tally = Tally {
             sent_at: HashMap::with_capacity(config.connections * config.pipeline),
-            latencies: Vec::with_capacity(config.connections * config.requests_per_connection),
+            latency: Histogram::new(),
             errors: 0,
         };
 
         // Serial blocking connects (loopback-fast), then nonblocking.
-        let mut conns: Vec<Option<FanConn>> = Vec::with_capacity(config.connections);
+        let mut conns: Vec<Option<Conn>> = Vec::with_capacity(config.connections);
         for c in 0..config.connections {
-            let mut conn = FanConn::connect(addr, seed_of(c), first_churn)?;
+            let mut conn = Conn::connect(addr, seed_of(c), first_churn)?;
             fill_window(&mut conn, c, n_features, m_levels, config, &mut tally);
             poller.add(conn.fd, c as u64, EV_READ)?;
             conns.push(Some(conn));
         }
 
-        let mut done = 0usize;
+        // A connection with no requests to send is done from the start.
+        let mut done = if config.requests_per_connection == 0 {
+            config.connections
+        } else {
+            0
+        };
         let mut events: Vec<PollEvent> = Vec::new();
         let mut buf = vec![0u8; READ_CHUNK];
         let mut last_progress = Instant::now();
@@ -647,7 +414,7 @@ mod fan_in {
                         conn.received,
                         conn.received + config.churn_every.unwrap_or(usize::MAX),
                     );
-                    let mut fresh = FanConn::connect(addr, seed_of(c) ^ sent as u64, next_churn)?;
+                    let mut fresh = Conn::connect(addr, seed_of(c) ^ sent as u64, next_churn)?;
                     fresh.sent = sent;
                     fresh.received = received;
                     poller.add(fresh.fd, c as u64, EV_READ)?;
@@ -670,7 +437,7 @@ mod fan_in {
                 }
             }
 
-            let received_now: u64 = tally.latencies.len() as u64 + tally.errors;
+            let received_now = tally.latency.count() + tally.errors;
             if received_now > total_received {
                 total_received = received_now;
                 last_progress = Instant::now();
@@ -678,7 +445,7 @@ mod fan_in {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
-                        "fan-in stalled: {done}/{} connections finished, \
+                        "load generation stalled: {done}/{} connections finished, \
                          {received_now} responses, none for {STALL_DEADLINE:?}",
                         config.connections
                     ),
@@ -687,9 +454,8 @@ mod fan_in {
         }
 
         let elapsed_secs = start.elapsed().as_secs_f64();
-        let total_requests = tally.latencies.len() as u64;
-        let latency = LatencyStats::from_micros(tally.latencies)
-            .expect("fan-in produced at least one successful request");
+        let latency = tally.latency.snapshot();
+        let total_requests = latency.count();
         Ok(LoadReport {
             total_requests,
             errors: tally.errors,

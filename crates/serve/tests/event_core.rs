@@ -1025,12 +1025,11 @@ fn event_core_rejects_capacity_drain_and_oversized_lines_cleanly() {
     }
 }
 
-/// The open-loop fan-in loadgen drives hundreds of concurrent
-/// pipelined connections — with churn — against the event loop with
-/// zero errors, on both wires.
+/// The loadgen drives hundreds of concurrent pipelined connections —
+/// with churn — against the event loop with zero errors, on both wires.
 #[test]
-fn fan_in_loadgen_sustains_concurrent_churning_connections() {
-    use hdc_serve::{loadgen, FanInConfig, WireMode};
+fn loadgen_sustains_concurrent_churning_connections() {
+    use hdc_serve::{loadgen, LoadgenConfig, WireMode};
 
     let spec = DemoSpec {
         dim: 256,
@@ -1055,11 +1054,11 @@ fn fan_in_loadgen_sustains_concurrent_churning_connections() {
         let _guard = ShutdownGuard(&shutdown);
 
         for wire_mode in [WireMode::Binary, WireMode::Json] {
-            let report = loadgen::run_fan_in(
+            let report = loadgen::run(
                 addr,
                 spec.n_features,
                 spec.m_levels,
-                &FanInConfig {
+                &LoadgenConfig {
                     connections: 200,
                     requests_per_connection: 20,
                     pipeline: 4,

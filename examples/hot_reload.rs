@@ -144,7 +144,7 @@ fn main() -> std::io::Result<()> {
             report.requests_per_sec,
             report.total_requests,
             report.errors,
-            report.latency.p99_micros
+            report.latency.quantile(0.99)
         );
         assert_eq!(report.errors, 0, "a live rekey must not fail requests");
 

@@ -118,7 +118,7 @@ fn main() -> std::io::Result<()> {
                     seed: 1,
                     wire: wire_mode,
                     pipeline,
-                    search_k: None,
+                    ..Default::default()
                 },
             )?;
             println!(
@@ -127,8 +127,8 @@ fn main() -> std::io::Result<()> {
                 report.requests_per_sec,
                 report.total_requests,
                 report.errors,
-                report.latency.p50_micros,
-                report.latency.p99_micros
+                report.latency.quantile(0.50),
+                report.latency.quantile(0.99)
             );
         }
 
